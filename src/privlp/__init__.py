@@ -32,8 +32,10 @@ from .mechanism import (
 from .simplex import Solution, max_norm_point, phase1_feasible, solve_lp
 from .accuracy import (
     AccuracyReport,
+    BoundGeometry,
     DegenerateSystemError,
     HoffmanSizeError,
+    bound_geometry,
     cost_bound,
     hoffman_constant,
     inner_cone_min,
@@ -58,12 +60,12 @@ from .seeds import derive_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyReport", "Cmdp", "ConstraintSystem", "DegenerateSystemError",
+    "AccuracyReport", "BoundGeometry", "Cmdp", "ConstraintSystem", "DegenerateSystemError",
     "DimensionError", "FeasibilityAssumptionError", "GridConfig", "HazardRow",
     "HoffmanSizeError", "InfeasibleBudgetError", "LinearProgram",
     "MembershipError", "Policy", "PrivacyParams", "PrivatizedSystem",
     "SchemaError", "Solution", "TruncLaplaceParams", "ValidatedProblem",
-    "build_gridworld", "cost_bound", "cost_of_privacy", "default_grid",
+    "bound_geometry", "build_gridworld", "cost_bound", "cost_of_privacy", "default_grid",
     "derive_seed", "hazard_constraint", "hoffman_constant", "inner_cone_min",
     "load_grid_config", "load_problem", "max_norm_point", "phase1_feasible",
     "privatize_matrix", "privatize_row", "privatized_document",

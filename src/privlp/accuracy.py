@@ -16,12 +16,21 @@ of its rows vanishes, and its contribution is the reciprocal of
 That inner minimum is found by face enumeration: on the support where a
 local minimizer is strictly positive it is an unconstrained critical point
 of the Rayleigh quotient, hence a bottom eigenvector of the corresponding
-principal submatrix of A_J A_J^T.
+principal submatrix of A_J A_J^T. Supports of more than rank(A) + 1
+rows add nothing (see Peña, Vera & Zuluaga, "New characterizations of
+Hoffman constants for systems of linear constraints", Math. Programming,
+2021), and each support size is decomposed in one batched call.
+
+Only ``xi`` depends on the privacy parameters. :func:`bound_geometry`
+computes the other three factors once per problem, and
+:meth:`BoundGeometry.report` completes the bound for each epsilon.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from . import simplex
 
 HOFFMAN_ROW_CAP = 14
 ADMISSION_TOL = 1e-9
+_SUPPORT_CHUNK = 256  # supports per batched eigh call
 
 XI_INTERIOR = "interior"
 XI_CLIPPED = "clipped"
@@ -47,15 +57,11 @@ class DegenerateSystemError(ValueError):
 def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     """Does span(columns) contain a nonzero nonnegative vector?
 
-    Single column: check signability directly. Multiple columns (a repeated
-    bottom eigenvalue): decide by a small LP, maximize t s.t. Vw >= t,
-    sum(Vw) = 1, which is feasible with t >= 0 exactly when the eigenspace
-    meets the nonnegative orthant off the origin.
+    For a repeated bottom eigenvalue (several columns), decided by a small
+    LP: maximize t s.t. Vw >= t, sum(Vw) = 1, which is feasible with t >= 0
+    exactly when the eigenspace meets the nonnegative orthant off the origin.
     """
     r, d = vectors.shape
-    if d == 1:
-        v = vectors[:, 0]
-        return bool((v >= -1e-12).all() or (v <= 1e-12).all())
     # variables: w+ (d), w- (d), t+ , t-
     ones_v = vectors.sum(axis=0)
     rows = np.vstack([
@@ -70,37 +76,64 @@ def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     return sol.is_optimal and sol.objective >= -1e-9
 
 
-def _support_candidate(gram: np.ndarray) -> float:
-    """Min of sqrt(v' G v) over unit v >= 0 supported (strictly) on all rows.
+def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Per support, min of sqrt(v' G v) over unit v >= 0 supported on all its rows.
 
-    Returns the bottom-eigenvalue square root when the bottom eigenspace
+    ``supports`` is a (count, size) array of row indices, size >= 2. The
+    value is the bottom-eigenvalue square root when the bottom eigenspace
     contains a nonnegative vector, else +inf (no interior critical point on
-    this support; smaller supports cover the boundary). Bottom eigenvalues
-    under the numerical-rank threshold collapse to exactly zero: their
-    square root would otherwise surface eigensolver round-off (~1e-8) above
-    the admission tolerance and fabricate huge Hoffman constants for
-    genuinely degenerate subsets.
+    this support; smaller supports cover the boundary). A simple bottom
+    eigenvalue needs only a sign check of its eigenvector; a repeated one
+    falls back to the orthant LP. Bottom eigenvalues under the
+    numerical-rank threshold collapse to exactly zero: their square root
+    would otherwise surface eigensolver round-off (~1e-8) above the
+    admission tolerance and fabricate huge Hoffman constants for genuinely
+    degenerate subsets.
     """
-    if gram.shape == (1, 1):
-        return math.sqrt(max(gram[0, 0], 0.0))
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    lo = eigvals[0]
-    scale = max(1.0, abs(eigvals[-1]))
-    group = eigvals <= lo + 1e-10 * scale
-    if not _eigenspace_touches_orthant(eigvecs[:, group]):
-        return math.inf
-    if lo <= 1e-13 * scale:
-        return 0.0
-    return math.sqrt(lo)
+    eigvals, eigvecs = np.linalg.eigh(gram[supports[:, :, None], supports[:, None, :]])
+    lo = eigvals[:, 0]
+    scale = np.maximum(1.0, np.abs(eigvals[:, -1]))
+    group = eigvals <= (lo + 1e-10 * scale)[:, None]
+    bottom = eigvecs[:, :, 0]
+    touches = (bottom >= -1e-12).all(axis=1) | (bottom <= 1e-12).all(axis=1)
+    for i in np.flatnonzero(group.sum(axis=1) > 1):
+        touches[i] = _eigenspace_touches_orthant(eigvecs[i][:, group[i]])
+    values = np.where(lo <= 1e-13 * scale, 0.0, np.sqrt(np.maximum(lo, 0.0)))
+    return np.where(touches, values, np.inf)
+
+
+def _subset_minima(A: np.ndarray) -> np.ndarray:
+    """f[mask] = inner_cone_min over the rows selected by mask, all masks.
+
+    Only supports of at most rank(A) + 1 rows are evaluated. A positive
+    minimizer needs a nonsingular Gram submatrix G_S (along a null vector
+    of G_S the numerator stays put while ||v|| grows), so |S| <= rank; a
+    zero comes from a minimal positively dependent row set, which has at
+    most rank + 1 rows. A subset-minimum transform then shares each
+    support's candidate with every subset containing it.
+    """
+    m = A.shape[0]
+    gram = A @ A.T
+    f = np.full(1 << m, np.inf)
+    f[1 << np.arange(m)] = np.sqrt(np.maximum(np.diag(gram), 0.0))
+    for size in range(2, min(m, np.linalg.matrix_rank(A) + 1) + 1):
+        supports = itertools.combinations(range(m), size)
+        while chunk := list(itertools.islice(supports, _SUPPORT_CHUNK)):
+            idx = np.array(chunk)
+            f[(1 << idx).sum(axis=1)] = _support_candidates(gram, idx)
+    for bit in range(m):
+        pairs = f.reshape(-1, 2, 1 << bit)
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return f
 
 
 def inner_cone_min(M) -> float:
     """Exact min of ||M^T v||_2 over nonnegative unit vectors v.
 
-    Face enumeration over all nonempty supports of v; every candidate value
-    is attained by a feasible v, and the true minimizer appears as the
-    bottom eigenpair of its own support's Gram submatrix, so the minimum
-    over candidates is exact.
+    Face enumeration over the supports of v; every candidate value is
+    attained by a feasible v, and the true minimizer appears as the bottom
+    eigenpair of its own support's Gram submatrix, so the minimum over
+    candidates is exact.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     r = M.shape[0]
@@ -108,35 +141,7 @@ def inner_cone_min(M) -> float:
         raise ValueError("M must be non-empty")
     if r > 20:
         raise ValueError(f"face enumeration over {r} rows is too large")
-    gram = M @ M.T
-    best = math.inf
-    for mask in range(1, 1 << r):
-        idx = [i for i in range(r) if mask >> i & 1]
-        best = min(best, _support_candidate(gram[np.ix_(idx, idx)]))
-    return best
-
-
-def _subset_minima(A: np.ndarray) -> np.ndarray:
-    """f[mask] = inner_cone_min over the rows selected by mask, all masks.
-
-    Each support's candidate is computed once and shared across the subsets
-    containing it via a subset-minimum transform, which is what makes the
-    full 2^m enumeration affordable.
-    """
-    m = A.shape[0]
-    gram = A @ A.T
-    f = np.full(1 << m, np.inf)
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        f[mask] = _support_candidate(gram[np.ix_(idx, idx)])
-    for bit in range(m):
-        step = 1 << bit
-        for mask in range(1 << m):
-            if mask & step:
-                other = f[mask ^ step]
-                if other < f[mask]:
-                    f[mask] = other
-    return f
+    return float(_subset_minima(M)[-1])
 
 
 def hoffman_constant(A) -> float:
@@ -211,24 +216,47 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     return math.sqrt(total), XI_INTERIOR
 
 
-def cost_bound(lp: LinearProgram, p: PrivacyParams) -> AccuracyReport:
-    """Assemble the expected cost-loss bound L * ||x_bar|| * H * xi.
+class BoundGeometry(NamedTuple):
+    """The epsilon-independent factors of the bound: L, ||x_bar|| and H(A).
+
+    A NamedTuple rather than a frozen dataclass: it is as immutable and
+    cheaper to create at import time.
+    """
+
+    L: float
+    x_bar_norm: float
+    hoffman: float
+
+    def report(self, system: ConstraintSystem, p: PrivacyParams) -> AccuracyReport:
+        """Complete the bound for one privacy setting; only ``xi`` is computed here.
+
+        An unbounded feasible region yields an infinite bound unless the
+        objective is constant or the mechanism cannot perturb anything
+        (xi = 0), in which case the loss is exactly zero.
+        """
+        xi, xi_case = xi_term(system, p)
+        if self.L == 0.0 or xi == 0.0:
+            bound = 0.0
+        elif math.isinf(self.x_bar_norm):
+            bound = math.inf
+        else:
+            bound = self.L * self.x_bar_norm * self.hoffman * xi
+        return AccuracyReport(L=self.L, x_bar_norm=self.x_bar_norm, hoffman=self.hoffman,
+                              xi=xi, xi_case=xi_case, bound=bound)
+
+
+def bound_geometry(lp: LinearProgram) -> BoundGeometry:
+    """Compute L, ||x_bar|| and H(A) once per problem.
 
     Uses the original (non-private) matrix for both the Hoffman constant
-    and the max-norm point. An unbounded feasible region yields an infinite
-    bound unless the objective is constant or the mechanism cannot perturb
-    anything (xi = 0), in which case the loss is exactly zero.
+    and the max-norm point.
     """
-    L = lp.lipschitz
     hoffman = hoffman_constant(lp.system.A)
-    xi, xi_case = xi_term(lp.system, p)
     located = simplex.max_norm_point(lp.system)
     x_bar_norm = math.inf if located == simplex.UNBOUNDED else located[1]
-    if L == 0.0 or xi == 0.0:
-        bound = 0.0
-    elif math.isinf(x_bar_norm):
-        bound = math.inf
-    else:
-        bound = L * x_bar_norm * hoffman * xi
-    return AccuracyReport(L=L, x_bar_norm=x_bar_norm, hoffman=hoffman,
-                          xi=xi, xi_case=xi_case, bound=bound)
+    return BoundGeometry(L=lp.lipschitz, x_bar_norm=x_bar_norm, hoffman=hoffman)
+
+
+def cost_bound(lp: LinearProgram, p: PrivacyParams) -> AccuracyReport:
+    """Assemble the expected cost-loss bound L * ||x_bar|| * H * xi."""
+    return bound_geometry(lp).report(lp.system, p)

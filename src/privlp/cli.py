@@ -41,11 +41,17 @@ def _load_validated(path: str) -> LinearProgram:
     return lp
 
 
-def _resolve_privacy(lp: LinearProgram | None, args) -> PrivacyParams:
-    base = lp.privacy if lp is not None else None
-    epsilon = args.epsilon if args.epsilon is not None else (base.epsilon if base else None)
+def _resolve_delta_k(base: PrivacyParams | None, args) -> tuple[float, float]:
+    """Each of delta and k from its flag, else the problem's privacy block, else the default."""
     delta = args.delta if args.delta is not None else (base.delta if base else 0.05)
     k = args.k if args.k is not None else (base.k if base else 1.0)
+    return delta, k
+
+
+def _resolve_privacy(lp: LinearProgram, args) -> PrivacyParams:
+    base = lp.privacy
+    epsilon = args.epsilon if args.epsilon is not None else (base.epsilon if base else None)
+    delta, k = _resolve_delta_k(base, args)
     if epsilon is None:
         raise CliError("no epsilon given: pass --epsilon or include a privacy block in the problem")
     try:
@@ -109,15 +115,11 @@ def cmd_sweep(args) -> int:
     eps_grid = tuple(float(tok) for tok in args.eps_grid.split(",") if tok.strip())
     if args.problem is not None:
         problem = _load_validated(args.problem)
-        source = args.problem
-        delta = args.delta if args.delta is not None else \
-            (problem.privacy.delta if problem.privacy else 0.05)
-        k = args.k if args.k is not None else (problem.privacy.k if problem.privacy else 1.0)
+        source, base = args.problem, problem.privacy
     else:
         problem = load_grid_config(_read(args.grid_config))
-        source = args.grid_config
-        delta = args.delta if args.delta is not None else 0.05
-        k = args.k if args.k is not None else 1.0
+        source, base = args.grid_config, None
+    delta, k = _resolve_delta_k(base, args)
     config = ExperimentConfig(eps_grid=eps_grid, trials=args.trials, base_seed=args.seed,
                               delta=delta, k=k, source=source, out=args.out)
     records = run_sweep(problem, config)

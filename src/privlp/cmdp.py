@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import ConstraintSystem, DimensionError
+from .problem import ConstraintSystem, DimensionError, SchemaError
 from . import simplex
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -138,16 +138,50 @@ class GridConfig:
         return cell[0] * self.width + cell[1]
 
 
+_REQUIRED = object()
+
+
+def _cell(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError("must be a [row, column] pair of integers")
+    return value[0], value[1]
+
+
+def _hazards(value) -> tuple[tuple[tuple[int, int], float], ...]:
+    if not (isinstance(value, list)
+            and all(isinstance(h, dict) and "cell" in h and "beta" in h for h in value)):
+        raise ValueError('must be an array of {"cell": [row, column], "beta": weight} objects')
+    return tuple((_cell(h["cell"]), float(h["beta"])) for h in value)
+
+
+def _grid_field(doc: dict, key: str, convert, default=_REQUIRED):
+    if key not in doc:
+        if default is _REQUIRED:
+            raise SchemaError(f"{key}: missing required field")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key}: {exc}") from None
+
+
 def load_grid_config(text: str) -> GridConfig:
-    """Parse the GridConfig JSON schema."""
-    doc = json.loads(text)
-    hazards = tuple((tuple(h["cell"]), float(h["beta"])) for h in doc.get("hazards", []))
-    return GridConfig(width=int(doc["width"]), height=int(doc["height"]),
-                      start=tuple(doc["start"]), goal=tuple(doc["goal"]),
-                      hazards=hazards, slip=float(doc.get("slip", 0.1)),
-                      gamma=float(doc.get("gamma", 0.9)), f0=float(doc.get("f0", 0.3)),
-                      goal_reward=float(doc.get("goal_reward", 1.0)),
-                      sup_a=float(doc.get("sup_a", 3.0)))
+    """Parse the GridConfig JSON schema; raises :class:`SchemaError` naming a bad field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"document: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("document: top level must be a JSON object")
+    return GridConfig(width=_grid_field(doc, "width", int), height=_grid_field(doc, "height", int),
+                      start=_grid_field(doc, "start", _cell), goal=_grid_field(doc, "goal", _cell),
+                      hazards=_grid_field(doc, "hazards", _hazards, ()),
+                      slip=_grid_field(doc, "slip", float, 0.1),
+                      gamma=_grid_field(doc, "gamma", float, 0.9),
+                      f0=_grid_field(doc, "f0", float, 0.3),
+                      goal_reward=_grid_field(doc, "goal_reward", float, 1.0),
+                      sup_a=_grid_field(doc, "sup_a", float, 3.0))
 
 
 def default_grid() -> GridConfig:
@@ -268,8 +302,13 @@ def value_function(m: Cmdp, policy: Policy) -> np.ndarray:
     return np.linalg.solve(np.eye(m.n_states) - m.gamma * P_pi, r_pi)
 
 
-def cost_of_privacy(v_star: float, v_tilde: float) -> float:
-    """Percent decrease of the initial-state value due to privacy."""
+def require_positive_baseline(v_star: float) -> None:
+    """The cost of privacy is a percentage of the baseline, so it must be positive."""
     if v_star <= 0:
         raise ValueError(f"cost of privacy is undefined for non-positive baseline {v_star}")
+
+
+def cost_of_privacy(v_star: float, v_tilde: float) -> float:
+    """Percent decrease of the initial-state value due to privacy."""
+    require_positive_baseline(v_star)
     return (v_star - v_tilde) / v_star * 100.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmdp as cmdp_mod
-from .accuracy import cost_bound
+from .accuracy import bound_geometry
 from .mechanism import privatize_matrix
 from .problem import LinearProgram, PrivacyParams, validate
 from .seeds import derive_seed
@@ -91,10 +91,12 @@ def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[Ex
     base = simplex.solve_lp(lp.c, sys_)
     if not base.is_optimal:
         raise ValueError(f"baseline problem is {base.status}; the sweep needs a finite optimum")
+    cmdp_mod.require_positive_baseline(base.objective)
+    geometry = bound_geometry(lp)
     records = []
     for ei, eps in enumerate(config.eps_grid):
         params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
-        bound = cost_bound(lp, params).bound
+        bound = geometry.report(sys_, params).bound
         cops, gaps = [], []
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, ei, trial)
@@ -127,14 +129,16 @@ def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list
     mdp = cmdp_mod.build_gridworld(grid)
     hazard = cmdp_mod.hazard_constraint(mdp)
     hazard_sys = hazard.to_constraint_system()
-    objective = mdp.rewards.reshape(-1)
-    validate(LinearProgram(c=objective, system=hazard_sys))
+    hazard_lp = LinearProgram(c=mdp.rewards.reshape(-1), system=hazard_sys)
+    validate(hazard_lp)
     _, policy_star, obj_star = cmdp_mod.synthesize_policy(mdp, hazard)
     v_star = float(mdp.mu @ cmdp_mod.value_function(mdp, policy_star))
+    cmdp_mod.require_positive_baseline(v_star)
+    geometry = bound_geometry(hazard_lp)
     records = []
     for ei, eps in enumerate(config.eps_grid):
         params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
-        bound = cost_bound(LinearProgram(c=objective, system=hazard_sys), params).bound
+        bound = geometry.report(hazard_sys, params).bound
         cops, gaps = [], []
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, ei, trial)

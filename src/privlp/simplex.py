@@ -24,6 +24,7 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 200_000
 _MAX_VERTEX_BASES = 5_000_000
+_VERTEX_CHUNK = 256
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -248,8 +249,11 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     """All vertices of {x >= 0 : A x <= b}, one per row, deduplicated.
 
     Vertices are intersections of n active constraints drawn from the m
-    inequality rows and the n sign bounds. Intended for desk-scale systems;
-    raises when the number of candidate bases is unreasonably large.
+    inequality rows and the n sign bounds. Candidate bases are solved in
+    batches of ``_VERTEX_CHUNK``; a basis whose LU factorization meets an
+    exact zero pivot is singular and skipped. Rows come out in basis order,
+    each vertex at its first basis. Intended for desk-scale systems; raises
+    when the number of candidate bases is unreasonably large.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -259,24 +263,20 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     rows = np.vstack([A, -np.eye(n)])
     rhs = np.concatenate([b, np.zeros(n)])
     found = []
-    seen = set()
-    for subset in itertools.combinations(range(m + n), n):
-        square = rows[list(subset)]
-        try:
-            x = np.linalg.solve(square, rhs[list(subset)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(x).all():
-            continue
-        if np.max(rows @ x - rhs) > tol:
-            continue
-        key = tuple(np.round(x, 9))
-        if key not in seen:
-            seen.add(key)
-            found.append(x)
-    if not found:
-        return np.empty((0, n))
-    return np.array(found)
+    bases = itertools.combinations(range(m + n), n)
+    while chunk := list(itertools.islice(bases, _VERTEX_CHUNK)):
+        idx = np.array(chunk)
+        squares = rows[idx]
+        sign, _ = np.linalg.slogdet(squares)
+        idx, squares = idx[sign != 0], squares[sign != 0]
+        X = np.linalg.solve(squares, rhs[idx][:, :, None])[:, :, 0]
+        X = X[np.isfinite(X).all(axis=1)]
+        found.append(X[~((X @ rows.T - rhs).max(axis=1) > tol)])
+    X = np.concatenate(found)
+    first = {}
+    for i, key in enumerate(np.round(X, 9) + 0.0):
+        first.setdefault(key.tobytes(), i)
+    return X[list(first.values())]
 
 
 def max_norm_point(sys: ConstraintSystem):
@@ -285,16 +285,11 @@ def max_norm_point(sys: ConstraintSystem):
     The norm is convex, so the maximum over a bounded polyhedron sits at a
     vertex; this enumerates vertices and returns the max-norm one, breaking
     norm ties by lexicographically smallest coordinates. Returns
-    ``(x_bar, norm)``, or the string status ``"Unbounded"`` when some
-    coordinate direction has unbounded LP value (the region then has no
-    largest element).
+    ``(x_bar, norm)``, or the string status ``"Unbounded"`` when
+    ``max 1.x`` is unbounded (the region then has no largest element).
     """
-    n = sys.shape[1]
-    for j in range(n):
-        direction = np.zeros(n)
-        direction[j] = 1.0
-        if solve_lp(direction, sys).status == UNBOUNDED:
-            return UNBOUNDED
+    if solve_lp(np.ones(sys.shape[1]), sys).status == UNBOUNDED:
+        return UNBOUNDED  # the region lies in x >= 0, so this is the recession check
     vertices = enumerate_vertices(np.asarray(sys.A), np.asarray(sys.b))
     if vertices.shape[0] == 0:
         raise ValueError("region is empty; max_norm_point requires a feasible system")

@@ -206,3 +206,41 @@ def hoffman_bruteforce(A, n_dirs=1_000_000, seed=0, admit_tol=1e-6) -> float:
     if best is None:
         raise ValueError("no admissible subset")
     return 1.0 / best
+
+
+def _cone_meets_orthant(E: np.ndarray) -> bool:
+    """Does span(columns of E) hold a nonzero vector y >= -1e-12, by LP?"""
+    from scipy.optimize import linprog
+    r, d = E.shape
+    result = linprog(np.zeros(d), A_ub=-E, b_ub=np.full(r, 1e-12),
+                     A_eq=E.sum(axis=0)[None, :], b_eq=[1.0], bounds=[(None, None)] * d,
+                     method="highs")
+    return result.status == 0
+
+
+def hoffman_all_supports(A, admit_tol=1e-9) -> float:
+    """Hoffman constant by face enumeration over every row support.
+
+    For each subset J, min ||A_J^T v|| over nonnegative unit v is the least
+    candidate over the supports S of J; a support's candidate is its Gram
+    block's bottom eigenvalue (square-rooted) when that eigenspace meets the
+    nonnegative orthant, decided here by scipy's LP. No support size is
+    skipped, so this checks any enumeration that prunes supports.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m = A.shape[0]
+    f = np.full(1 << m, np.inf)
+    for mask in range(1, 1 << m):
+        S = [i for i in range(m) if mask >> i & 1]
+        eigvals, eigvecs = np.linalg.eigh(A[S] @ A[S].T)
+        lo, scale = eigvals[0], max(1.0, abs(eigvals[-1]))
+        if _cone_meets_orthant(eigvecs[:, eigvals <= lo + 1e-10 * scale]):
+            f[mask] = 0.0 if lo <= 1e-13 * scale else math.sqrt(lo)
+    for mask in range(1, 1 << m):
+        for i in range(m):
+            if mask >> i & 1:
+                f[mask] = min(f[mask], f[mask ^ (1 << i)])
+    admitted = f[1:][f[1:] > admit_tol]
+    if admitted.size == 0:
+        raise ValueError("no admissible subset")
+    return float(1.0 / admitted.min())

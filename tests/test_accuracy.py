@@ -24,7 +24,8 @@ from privlp.accuracy import XI_CLIPPED, XI_INTERIOR
 from privlp import simplex
 
 from conftest import random_validated_lp
-from oracles import hoffman_bruteforce, sphere_inner_min, trunc_laplace_moment
+from oracles import (hoffman_all_supports, hoffman_bruteforce, sphere_inner_min,
+                     trunc_laplace_moment)
 
 PP = PrivacyParams(epsilon=1.0, delta=0.05, k=1.0)
 
@@ -99,6 +100,33 @@ def test_hoffman_equals_per_subset_definition(rng):
                 hoffman_constant(A)
         else:
             assert hoffman_constant(A) == pytest.approx(1.0 / best, rel=1e-12)
+
+
+def test_hoffman_matches_bruteforce_on_tall_rank_deficient(rng):
+    # more rows than rank + 1, so supports above rank + 1 go unevaluated
+    half = rng.normal(size=(6, 3))
+    half[:, 0] = np.abs(half[:, 0]) + 0.5    # rows in an open half-space
+    dup = rng.normal(size=(6, 2))
+    dup[5] = dup[2]                          # duplicate rows
+    zero = rng.normal(size=(5, 2))
+    zero[3] = 0.0                            # a zero row
+    mult = rng.normal(size=(5, 2))
+    mult[4] = 2.5 * mult[1]                  # a positive multiple of another row
+    for trial, A in enumerate((half, dup, zero, mult)):
+        assert np.linalg.matrix_rank(A) + 1 < A.shape[0]
+        fast = hoffman_constant(A)
+        brute = hoffman_bruteforce(A, n_dirs=100_000, seed=trial)
+        assert fast == pytest.approx(brute, rel=1e-2)
+
+
+def test_hoffman_matches_all_support_enumeration_on_10x3(rng):
+    # the sampling oracle cannot certify zero minima over ten rows, so the
+    # 10x3 cases are checked against face enumeration over every support
+    mixed = rng.normal(size=(10, 3))
+    mixed[7], mixed[8], mixed[9] = mixed[0], 0.0, 2.5 * mixed[1]
+    rank2 = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 3))
+    for A in (mixed, rank2):
+        assert hoffman_constant(A) == pytest.approx(hoffman_all_supports(A), rel=1e-12)
 
 
 def test_hoffman_size_cap():

@@ -172,3 +172,25 @@ def test_missing_epsilon_reported(tmp_path, capsys):
 def test_unreadable_file_reported(capsys):
     assert main(["solve", "/nonexistent/problem.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("width", {"height": 5, "start": [2, 0], "goal": [2, 4]}),
+    ("height", dict(GRID, height=None)),
+    ("start", dict(GRID, start="a1")),
+    ("hazards", dict(GRID, hazards=[{"cell": [1, 2]}])),
+    ("slip", dict(GRID, slip=[0.1])),
+])
+def test_sweep_bad_grid_config_names_the_field(tmp_path, capsys, field, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--grid-config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:")
+
+
+def test_sweep_nonpositive_baseline_reported(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BASIC, c=[-1.0, -1.0])))
+    assert main(["sweep", str(path), "--eps-grid", "1", "--trials", "3"]) == 1
+    assert "non-positive baseline" in capsys.readouterr().err

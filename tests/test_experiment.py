@@ -90,3 +90,48 @@ def test_huge_epsilon_with_small_k_costs_nearly_nothing():
                               ExperimentConfig(eps_grid=(1e6,), trials=5, base_seed=3,
                                                delta=0.05, k=0.01))
     assert records[0].mean_cost_of_privacy_percent < 1.0
+
+
+def test_lp_sweep_bound_equals_cost_bound_per_epsilon(rng):
+    # the sweep computes the bound's geometry once; each record must still
+    # carry exactly what a standalone cost_bound call reports
+    from privlp import PrivacyParams, cost_bound
+    from privlp.accuracy import XI_CLIPPED, XI_INTERIOR
+    lp = random_validated_lp(rng, m=4, n=3, positive_costs=True)
+    config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0, 5.0), trials=2, base_seed=5,
+                              delta=0.05, k=0.1)
+    records = sweep_linear_program(lp, config)
+    assert len(records) == 4
+    cases = set()
+    for r in records:
+        report = cost_bound(lp, PrivacyParams(r.epsilon, config.delta, config.k))
+        assert r.predicted_bound == report.bound
+        cases.add(report.xi_case)
+    assert cases == {XI_CLIPPED, XI_INTERIOR}
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("sweep work started before the baseline check")
+
+
+def test_lp_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
+    import privlp.experiment as experiment
+    from privlp import ConstraintSystem, LinearProgram
+    monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    system = ConstraintSystem(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0],
+                              zero_mask=[[False, True], [True, False]],
+                              sup_A=[[3.0, 0.0], [0.0, 3.0]])
+    lp = LinearProgram(c=[-1.0, -1.0], system=system)
+    with pytest.raises(ValueError, match="non-positive baseline"):
+        sweep_linear_program(lp, _grid_config(eps_grid=(1.0,), trials=3))
+
+
+def test_grid_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
+    import dataclasses
+    import privlp.experiment as experiment
+    monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    grid = dataclasses.replace(default_grid(), goal_reward=0.0)
+    with pytest.raises(ValueError, match="non-positive baseline"):
+        sweep_gridworld(grid, _grid_config(eps_grid=(1.0,), trials=3))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,26 @@ def test_max_norm_agrees_with_oracle_vertices(rng):
         _, norm = result
         oracle_norm = np.linalg.norm(region_vertices(A, b), axis=1).max()
         assert norm == pytest.approx(oracle_norm, abs=1e-8)
+
+
+def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng):
+    # integer rows with many structural zeros make a large share of the
+    # C(14, 4) = 1001 candidate bases singular, and the bases span several
+    # solve batches
+    from privlp.simplex import _VERTEX_CHUNK
+    m, n = 10, 4
+    assert math.comb(m + n, n) > 3 * _VERTEX_CHUNK
+    for _ in range(4):
+        A = rng.integers(-1, 3, size=(m, n)).astype(float)
+        A[rng.random((m, n)) < 0.5] = 0.0
+        A[m - 1] = A[0]  # a repeated row adds degenerate vertices to deduplicate
+        b = rng.integers(1, 4, size=m).astype(float)
+        rows = np.vstack([A, -np.eye(n)])
+        singular = sum(np.linalg.matrix_rank(rows[list(S)]) < n
+                       for S in itertools.combinations(range(m + n), n))
+        assert singular > 100
+        V = enumerate_vertices(A, b)
+        oracle = region_vertices(A, b)
+        assert V.shape == oracle.shape
+        assert {tuple(np.round(v, 9) + 0.0) for v in V} == \
+            {tuple(np.round(v, 9) + 0.0) for v in oracle}
