@@ -3,10 +3,13 @@
 A 5x5 gridworld has a wall of hazardous cells between the start and the
 goal. The policy is the solution of an occupancy-measure linear program
 whose single hazard-budget row is sensitive: it encodes how dangerous each
-hazardous state is. Privatizing that row tightens the budget, so the
-private policy is more cautious, and its value at the start state measures
-what the privacy costs.
+hazardous state is. The flow-conservation rows are public (fully masked),
+so privatizing the system perturbs only that row. The noise tightens the
+budget, so the private policy is more cautious, and its value at the start
+state measures what the privacy costs.
 """
+import dataclasses
+
 import numpy as np
 
 from privlp import (
@@ -14,7 +17,7 @@ from privlp import (
     build_gridworld,
     cost_of_privacy,
     default_grid,
-    hazard_constraint,
+    occupancy_lp,
     privatize_matrix,
     synthesize_policy,
     value_function,
@@ -22,23 +25,23 @@ from privlp import (
 
 cfg = default_grid()
 mdp = build_gridworld(cfg)
-hazard = hazard_constraint(mdp)
+system = occupancy_lp(mdp).system  # row 0 is the hazard budget
 print(f"grid {cfg.height}x{cfg.width}, start {cfg.start}, goal {cfg.goal}, "
       f"hazards {[cell for cell, _ in cfg.hazards]}")
 print(f"hazard budget f0 = {cfg.f0}, per-coefficient public bound = {cfg.sup_a}")
 
-occupancy, policy, objective = synthesize_policy(mdp, hazard)
+occupancy, policy, objective = synthesize_policy(mdp, system)
 values = value_function(mdp, policy)
 v_star = float(mdp.mu @ values)
-usage = float(hazard.row @ occupancy.reshape(-1))
+usage = float(system.A[0] @ occupancy.reshape(-1))
 print(f"\nnon-private policy: value at start = {v_star:.4f}, "
       f"hazard usage = {usage:.4f} (budget {cfg.f0} is active)")
 
 params = PrivacyParams(epsilon=2.0, delta=0.05, k=0.25)
-priv = privatize_matrix(hazard.to_constraint_system(), params, seed=99)
-occ_p, policy_p, _ = synthesize_policy(mdp, hazard.with_row(priv.A_tilde[0]))
+priv = privatize_matrix(system, params, seed=99)
+occ_p, policy_p, _ = synthesize_policy(mdp, dataclasses.replace(system, A=priv.A_tilde))
 v_priv = float(mdp.mu @ value_function(mdp, policy_p))
-usage_p = float(hazard.row @ occ_p.reshape(-1))
+usage_p = float(system.A[0] @ occ_p.reshape(-1))
 print(f"private policy (eps={params.epsilon}): value at start = {v_priv:.4f}, "
       f"true hazard usage = {usage_p:.4f} <= {cfg.f0}")
 print(f"cost of privacy = {cost_of_privacy(v_star, v_priv):.2f}%")

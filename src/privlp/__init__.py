@@ -44,14 +44,13 @@ from .accuracy import (
 from .cmdp import (
     Cmdp,
     GridConfig,
-    HazardRow,
     InfeasibleBudgetError,
     Policy,
     build_gridworld,
     cost_of_privacy,
     default_grid,
-    hazard_constraint,
     load_grid_config,
+    occupancy_lp,
     synthesize_policy,
     value_function,
 )
@@ -61,13 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyReport", "BoundGeometry", "Cmdp", "ConstraintSystem", "DegenerateSystemError",
-    "DimensionError", "FeasibilityAssumptionError", "GridConfig", "HazardRow",
+    "DimensionError", "FeasibilityAssumptionError", "GridConfig",
     "HoffmanSizeError", "InfeasibleBudgetError", "LinearProgram",
     "MembershipError", "Policy", "PrivacyParams", "PrivatizedSystem",
     "SchemaError", "Solution", "TruncLaplaceParams", "ValidatedProblem",
     "bound_geometry", "build_gridworld", "cost_bound", "cost_of_privacy", "default_grid",
-    "derive_seed", "hazard_constraint", "hoffman_constant", "inner_cone_min",
-    "load_grid_config", "load_problem", "max_norm_point", "phase1_feasible",
+    "derive_seed", "hoffman_constant", "inner_cone_min",
+    "load_grid_config", "load_problem", "max_norm_point", "occupancy_lp", "phase1_feasible",
     "privatize_matrix", "privatize_row", "privatized_document",
     "privatized_system", "sample_trunc_laplace", "solve_lp", "support_width",
     "synthesize_policy", "validate", "value_function", "xi_term",

@@ -1,20 +1,22 @@
 """Constrained-MDP policy synthesis with a private hazard constraint.
 
 A finite MDP is solved through its occupancy-measure LP: maximize expected
-discounted reward over visitation frequencies x(s, a) subject to flow
-conservation, x >= 0, and one hazard-budget row that caps discounted
-exposure to hazardous states. Only the hazard row carries sensitive data
-(the per-state hazard weights); the flow-conservation rows encode public
-dynamics and are never privatized.
+discounted reward over visitation frequencies x(s, a) subject to x >= 0,
+one hazard-budget row that caps discounted exposure to hazardous states,
+and flow conservation. :func:`occupancy_lp` builds all of it as one
+constraint system. Only the hazard row carries sensitive data (the
+per-state hazard weights); the flow-conservation rows encode public
+dynamics, so they are fully masked rows of the same system and are never
+privatized.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ConstraintSystem, DimensionError, SchemaError
+from .problem import ConstraintSystem, DimensionError, LinearProgram, SchemaError
 from . import simplex
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -80,29 +82,6 @@ class Policy:
         if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("every policy row must be a probability distribution")
         object.__setattr__(self, "pi", pi)
-
-
-@dataclass(frozen=True)
-class HazardRow:
-    """One linear budget row over flattened occupancy variables x(s, a).
-
-    ``row[s*q + a] = beta_s * gamma`` for hazardous s, else 0 (masked as
-    structurally zero). ``sup`` holds the public per-coefficient bound on
-    hazardous coordinates.
-    """
-
-    row: np.ndarray
-    f0: float
-    sup: np.ndarray
-    mask: np.ndarray
-
-    def to_constraint_system(self) -> ConstraintSystem:
-        """The 1-row system fed to validation and privatization."""
-        return ConstraintSystem(A=self.row[None, :], b=np.array([self.f0]),
-                                zero_mask=self.mask[None, :], sup_A=self.sup[None, :])
-
-    def with_row(self, new_row: np.ndarray) -> "HazardRow":
-        return replace(self, row=np.asarray(new_row, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -236,63 +215,65 @@ def build_gridworld(cfg: GridConfig) -> Cmdp:
                 hazard_sup=cfg.sup_a)
 
 
-def hazard_constraint(m: Cmdp) -> HazardRow:
-    """Assemble the hazard budget row over flattened occupancy variables.
+def occupancy_lp(m: Cmdp) -> LinearProgram:
+    """The occupancy-measure LP over flattened variables x(s, a).
 
-    Hazardous (s, a) coordinates carry ``beta_s * gamma``; everything else
-    is structurally zero (public). The public bound on each hazardous
-    coefficient is the configured supremum.
+    Row 0 is the hazard budget: hazardous (s, a) coordinates carry
+    ``beta_s * gamma`` and the public bound ``hazard_sup``; its other
+    coefficients are masked structural zeros. Flow conservation follows as
+    fully masked (public) inequality pairs, ``flow x <= mu`` then
+    ``-flow x <= -mu``. The hazard row comes first so that its noise stream
+    is keyed by row 0.
     """
     p, q = m.n_states, m.n_actions
-    row = np.zeros(p * q)
-    sup = np.zeros(p * q)
-    mask = np.ones(p * q, dtype=bool)
-    for s in m.hazard_states:
-        row[s * q:(s + 1) * q] = m.beta[s] * m.gamma
-        sup[s * q:(s + 1) * q] = m.hazard_sup
-        mask[s * q:(s + 1) * q] = False
-    return HazardRow(row=row, f0=m.f0, sup=sup, mask=mask)
+    hazardous = np.zeros(p, dtype=bool)
+    hazardous[list(m.hazard_states)] = True
+    private = np.repeat(hazardous, q)
+    hazard = np.where(private, np.repeat(m.beta * m.gamma, q), 0.0)
+    flow = np.repeat(np.eye(p), q, axis=1) - m.gamma * m.transitions.reshape(p * q, p).T
+    A = np.vstack([hazard, flow, -flow])
+    mask = np.ones_like(A, dtype=bool)
+    mask[0] = ~private
+    sup_A = A.copy()
+    sup_A[0, private] = m.hazard_sup
+    system = ConstraintSystem(A=A, b=np.concatenate([[m.f0], m.mu, -m.mu]),
+                              zero_mask=mask, sup_A=sup_A)
+    return LinearProgram(c=m.rewards.reshape(p * q), system=system)
 
 
 class InfeasibleBudgetError(RuntimeError):
     """The hazard budget cuts the occupancy polytope to nothing."""
 
 
-def _occupancy_lp(m: Cmdp, hazard: HazardRow) -> ConstraintSystem:
-    """Flow conservation (as inequality pairs) plus the hazard row."""
-    p, q = m.n_states, m.n_actions
-    nv = p * q
-    flow = np.zeros((p, nv))
-    for s_next in range(p):
-        flow[s_next, s_next * q:(s_next + 1) * q] = 1.0
-        flow[s_next] -= m.gamma * m.transitions[:, :, s_next].reshape(nv)
-    A = np.vstack([flow, -flow, hazard.row[None, :]])
-    b = np.concatenate([m.mu, -m.mu, [hazard.f0]])
-    mask = np.zeros_like(A, dtype=bool)
-    sup = np.maximum(np.abs(A), 1.0)  # filler bounds; this system is solved, never privatized
-    return ConstraintSystem(A=A, b=b, zero_mask=mask, sup_A=sup)
+def policy_from_occupancy(m: Cmdp, x: np.ndarray) -> Policy:
+    """The policy pi(a | s) proportional to the occupancy x(s, a).
 
-
-def synthesize_policy(m: Cmdp, hazard: HazardRow):
-    """Solve the occupancy LP and extract the policy.
-
-    Returns ``(occupancy, Policy, objective)`` where ``occupancy`` has
-    shape (states, actions). States with zero occupancy (unreachable under
-    the optimum) get the uniform action distribution. Raises
-    :class:`InfeasibleBudgetError` when the budget admits no policy.
+    States with zero occupancy (unreachable under the optimum) get the
+    uniform action distribution.
     """
-    p, q = m.n_states, m.n_actions
-    sys_ = _occupancy_lp(m, hazard)
-    sol = simplex.solve_lp(m.rewards.reshape(p * q), sys_)
-    if sol.status == simplex.INFEASIBLE:
-        raise InfeasibleBudgetError(f"hazard budget f0={hazard.f0} admits no policy")
-    if sol.status == simplex.UNBOUNDED:
-        raise RuntimeError("occupancy LP cannot be unbounded for gamma < 1; model is malformed")
-    occupancy = np.maximum(sol.x.reshape(p, q), 0.0)
+    q = m.n_actions
+    occupancy = np.maximum(np.reshape(x, (m.n_states, q)), 0.0)
     totals = occupancy.sum(axis=1, keepdims=True)
     pi = np.where(totals > 1e-12, occupancy / np.where(totals > 0, totals, 1.0), 1.0 / q)
     pi /= pi.sum(axis=1, keepdims=True)
-    return occupancy, Policy(pi=pi), float(sol.objective)
+    return Policy(pi=pi)
+
+
+def synthesize_policy(m: Cmdp, system: ConstraintSystem):
+    """Solve the occupancy LP over ``system`` and extract the policy.
+
+    ``system`` is ``occupancy_lp(m).system`` or a privatized tightening of
+    it. Returns ``(occupancy, Policy, objective)`` where ``occupancy`` has
+    shape (states, actions). Raises :class:`InfeasibleBudgetError` when the
+    budget admits no policy.
+    """
+    sol = simplex.solve_lp(m.rewards.reshape(-1), system)
+    if sol.status == simplex.INFEASIBLE:
+        raise InfeasibleBudgetError(f"hazard budget f0={float(system.b[0])} admits no policy")
+    if sol.status == simplex.UNBOUNDED:
+        raise RuntimeError("occupancy LP cannot be unbounded for gamma < 1; model is malformed")
+    occupancy = np.maximum(sol.x.reshape(m.n_states, m.n_actions), 0.0)
+    return occupancy, policy_from_occupancy(m, occupancy), float(sol.objective)
 
 
 def value_function(m: Cmdp, policy: Policy) -> np.ndarray:

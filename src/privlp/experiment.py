@@ -2,21 +2,25 @@
 
 Runs repeated privatize-and-solve rounds over a grid of epsilon values and
 aggregates the cost of privacy, the realized objective gap, and the
-predicted performance-loss bound into one record per epsilon. Per-trial
-seeds are hashed from (base seed, epsilon index, trial index), so enlarging
-the grid or the trial count never changes existing trials' draws, and a
-repeated run with the same config is byte-identical.
+predicted performance-loss bound into one record per epsilon. A plain LP
+and the gridworld CMDP go through one trial loop: both are a
+:class:`LinearProgram` (the CMDP's public flow rows are fully masked rows),
+and they differ only in how a solved point is scored. Per-trial seeds are
+hashed from (base seed, epsilon index, trial index), so enlarging the grid
+or the trial count never changes existing trials' draws, and a repeated
+run with the same config is byte-identical.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cmdp as cmdp_mod
-from .accuracy import bound_geometry
+from .accuracy import HoffmanSizeError, bound_geometry
 from .mechanism import privatize_matrix
 from .problem import LinearProgram, PrivacyParams, validate
 from .seeds import derive_seed
@@ -84,19 +88,30 @@ def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
     )
 
 
-def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Epsilon sweep over a plain LP: privatize A, re-solve, compare objectives."""
+def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
+    """Validate, solve the baseline, then privatize and re-solve per trial.
+
+    ``score`` maps a solved point to the value whose percent loss is the
+    cost of privacy. The worst case is validated and the baseline checked
+    before any geometry or trial work. Every trial's point is re-checked
+    against all original rows. Beyond the exact-Hoffman row cap the bound
+    is recorded as ``inf``, which is still a valid bound.
+    """
     vp = validate(lp)
     sys_ = vp.system
     base = simplex.solve_lp(lp.c, sys_)
     if not base.is_optimal:
         raise ValueError(f"baseline problem is {base.status}; the sweep needs a finite optimum")
-    cmdp_mod.require_positive_baseline(base.objective)
-    geometry = bound_geometry(lp)
+    base_score = score(base.x)
+    cmdp_mod.require_positive_baseline(base_score)
+    try:
+        geometry = bound_geometry(lp)
+    except HoffmanSizeError:
+        geometry = None
     records = []
     for ei, eps in enumerate(config.eps_grid):
         params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
-        bound = geometry.report(sys_, params).bound
+        bound = math.inf if geometry is None else geometry.report(sys_, params).bound
         cops, gaps = [], []
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, ei, trial)
@@ -112,53 +127,30 @@ def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[Ex
                 raise SweepAbort(
                     f"trial {trial} at epsilon={eps} violates the original constraints "
                     f"by {worst:.3e}")
-            cops.append(cmdp_mod.cost_of_privacy(base.objective, sol.objective))
+            cops.append(cmdp_mod.cost_of_privacy(base_score, score(sol.x)))
             gaps.append(abs(base.objective - sol.objective))
         records.append(_aggregate(eps, cops, gaps, bound))
     return records
 
 
+def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:
+    """Epsilon sweep over a plain LP: privatize A, re-solve, compare objectives."""
+    return _sweep(lp, config, lambda x: float(lp.c @ x))
+
+
 def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list[ExperimentRecord]:
     """Epsilon sweep over the CMDP application.
 
-    Privatizes only the hazard budget row; the cost of privacy compares the
-    initial-state value of the privately synthesized policy with the
-    non-private optimum. Every trial's occupancy is re-checked against the
-    original hazard row.
+    Privatizes the occupancy LP, whose only private row is the hazard
+    budget; the cost of privacy compares the initial-state value of the
+    privately synthesized policy with the non-private optimum.
     """
     mdp = cmdp_mod.build_gridworld(grid)
-    hazard = cmdp_mod.hazard_constraint(mdp)
-    hazard_sys = hazard.to_constraint_system()
-    hazard_lp = LinearProgram(c=mdp.rewards.reshape(-1), system=hazard_sys)
-    validate(hazard_lp)
-    _, policy_star, obj_star = cmdp_mod.synthesize_policy(mdp, hazard)
-    v_star = float(mdp.mu @ cmdp_mod.value_function(mdp, policy_star))
-    cmdp_mod.require_positive_baseline(v_star)
-    geometry = bound_geometry(hazard_lp)
-    records = []
-    for ei, eps in enumerate(config.eps_grid):
-        params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
-        bound = geometry.report(hazard_sys, params).bound
-        cops, gaps = [], []
-        for trial in range(config.trials):
-            seed = derive_seed(config.base_seed, ei, trial)
-            priv = privatize_matrix(hazard_sys, params, seed)
-            try:
-                occupancy, policy, obj = cmdp_mod.synthesize_policy(
-                    mdp, hazard.with_row(priv.A_tilde[0]))
-            except cmdp_mod.InfeasibleBudgetError as exc:
-                raise SweepAbort(
-                    f"trial {trial} at epsilon={eps} (seed {seed}) infeasible: {exc}") from exc
-            usage = float(hazard.row @ occupancy.reshape(-1))
-            if usage > hazard.f0 + 1e-9:
-                raise SweepAbort(
-                    f"trial {trial} at epsilon={eps} breaks the original hazard budget: "
-                    f"{usage} > {hazard.f0}")
-            v_trial = float(mdp.mu @ cmdp_mod.value_function(mdp, policy))
-            cops.append(cmdp_mod.cost_of_privacy(v_star, v_trial))
-            gaps.append(abs(obj_star - obj))
-        records.append(_aggregate(eps, cops, gaps, bound))
-    return records
+
+    def initial_value(x):
+        return float(mdp.mu @ cmdp_mod.value_function(mdp, cmdp_mod.policy_from_occupancy(mdp, x)))
+
+    return _sweep(cmdp_mod.occupancy_lp(mdp), config, initial_value)
 
 
 def run_sweep(problem, config: ExperimentConfig) -> list[ExperimentRecord]:

@@ -137,20 +137,21 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
 
     Row ``i`` draws its noise from a stream keyed by ``(seed, i)``, so the
     output is a pure function of (system, params, seed) regardless of
-    execution order. Fixed seed, identical output.
+    execution order. Fixed seed, identical output. Fully masked (public)
+    rows are copied without building a stream.
     """
     m, n = sys.shape
-    A_tilde = np.empty((m, n))
+    A_tilde = sys.A.copy()
     supports = np.zeros(m)
     counts = np.zeros(m, dtype=int)
     noise = np.full((m, n), np.nan) if record_noise else None
-    for i in range(m):
+    for i in np.flatnonzero(~sys.zero_mask.all(axis=1)).tolist():
         out, s_i, z = privatize_row(sys.A[i], sys.zero_mask[i], sys.sup_A[i], p,
                                     row_stream(seed, i))
         A_tilde[i] = out
         supports[i] = s_i
         counts[i] = z.size
-        if record_noise and z.size:
+        if record_noise:
             noise[i, ~sys.zero_mask[i]] = z
     A_tilde.flags.writeable = False
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,

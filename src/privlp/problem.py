@@ -5,9 +5,11 @@ The optimization problem is
     maximize c.x  subject to  A x <= b,  x >= 0,
 
 where only the coefficient matrix ``A`` is sensitive. Public knowledge about
-``A`` consists of its zero pattern (``zero_mask``) and an entrywise upper
-bound (``sup_A``); together they describe the set of matrices the true ``A``
-is known to belong to.
+``A`` consists of a mask of public, exact coefficients (``zero_mask``; a
+structural zero is the commonest case) and an entrywise upper bound
+(``sup_A``, equal to ``A`` at masked entries); together they describe the
+set of matrices the true ``A`` is known to belong to. A public constraint is
+a fully masked row of the same system.
 """
 from __future__ import annotations
 
@@ -82,10 +84,11 @@ class PrivacyParams:
 class ConstraintSystem:
     """Inequality system A x <= b with public structure.
 
-    ``zero_mask`` marks structurally-zero coefficients (public; never
-    privatized). ``sup_A`` is the entrywise supremum of the public bound set;
-    masked entries must have ``sup_A == 0``. Arrays are frozen read-only so
-    instances can be shared across threads.
+    ``zero_mask`` marks public, exact coefficients, which are never
+    privatized; structural zeros are the usual case, and a fully masked row
+    is a public constraint. ``sup_A`` is the entrywise supremum of the public
+    bound set; masked entries must have ``sup_A == A``. Arrays are frozen
+    read-only so instances can be shared across threads.
     """
 
     A: np.ndarray
@@ -105,12 +108,10 @@ class ConstraintSystem:
             raise DimensionError(f"sup_A must have shape ({m}, {n}), got {sup_A.shape}")
         if mask.shape != (m, n):
             raise DimensionError(f"zero_mask must have shape ({m}, {n}), got {mask.shape}")
-        if np.any(A[mask] != 0.0):
-            i, j = next(zip(*np.nonzero(mask & (A != 0.0))))
-            raise ValueError(f"A[{i}][{j}] is masked as structurally zero but equals {A[i, j]}")
-        if np.any(sup_A[mask] != 0.0):
-            i, j = next(zip(*np.nonzero(mask & (sup_A != 0.0))))
-            raise ValueError(f"sup_A[{i}][{j}] must be 0 at masked entries, got {sup_A[i, j]}")
+        if np.any(sup_A[mask] != A[mask]):
+            i, j = next(zip(*np.nonzero(mask & (sup_A != A))))
+            raise ValueError(f"A[{i}][{j}] = {A[i, j]} is masked as public, so sup_A[{i}][{j}] "
+                             f"must equal it, got {sup_A[i, j]}")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b", _readonly(b))
         object.__setattr__(self, "zero_mask", _readonly(mask))

@@ -12,6 +12,7 @@ import pytest
 
 from privlp import (
     ConstraintSystem,
+    HoffmanSizeError,
     PrivacyParams,
     TruncLaplaceParams,
     cost_bound,
@@ -25,12 +26,11 @@ from privlp import simplex
 from privlp.cmdp import (
     build_gridworld,
     cost_of_privacy,
-    hazard_constraint,
+    occupancy_lp,
     synthesize_policy,
     value_function,
 )
 from privlp.experiment import ExperimentConfig, records_to_csv, sweep_gridworld
-from privlp.problem import LinearProgram
 from privlp.seeds import derive_seed
 
 from conftest import random_validated_lp
@@ -57,10 +57,10 @@ def lp_suite():
 def grid_setup():
     cfg = default_grid()
     mdp = build_gridworld(cfg)
-    hazard = hazard_constraint(mdp)
-    _, policy_star, obj_star = synthesize_policy(mdp, hazard)
+    grid_lp = occupancy_lp(mdp)
+    _, policy_star, obj_star = synthesize_policy(mdp, grid_lp.system)
     v_star = float(mdp.mu @ value_function(mdp, policy_star))
-    return cfg, mdp, hazard, obj_star, v_star
+    return cfg, mdp, grid_lp, obj_star, v_star
 
 
 def test_criterion_01_feasibility_guarantee(lp_suite, grid_setup):
@@ -77,12 +77,12 @@ def test_criterion_01_feasibility_guarantee(lp_suite, grid_setup):
             assert float(np.max(sys_.A @ sol.x - sys_.b)) <= 1e-9
             assert sol.x.min() >= -1e-9
             rounds += 1
-    cfg, mdp, hazard, _, _ = grid_setup
-    hazard_sys = hazard.to_constraint_system()
+    cfg, mdp, grid_lp, _, _ = grid_setup
+    grid_sys = grid_lp.system
     for trial in range(60):
-        priv = privatize_matrix(hazard_sys, PP, seed=derive_seed(999, trial))
-        occupancy, _, _ = synthesize_policy(mdp, hazard.with_row(priv.A_tilde[0]))
-        assert float(hazard.row @ occupancy.reshape(-1)) <= hazard.f0 + 1e-9
+        priv = privatize_matrix(grid_sys, PP, seed=derive_seed(999, trial))
+        occupancy, _, _ = synthesize_policy(mdp, dataclasses.replace(grid_sys, A=priv.A_tilde))
+        assert float(np.max(grid_sys.A @ occupancy.reshape(-1) - grid_sys.b)) <= 1e-9
         rounds += 1
     elapsed = time.time() - start
     assert rounds >= 1000
@@ -190,16 +190,19 @@ def test_criterion_06_expected_loss_bound(lp_suite, grid_setup):
             f"instance {idx}: mean gap {gaps.mean():.4f} > bound {report.bound:.4f}"
         if math.isfinite(report.bound):
             finite_bounds += 1
-    cfg, mdp, hazard, obj_star, _ = grid_setup
-    hazard_sys = hazard.to_constraint_system()
-    grid_lp = LinearProgram(c=mdp.rewards.reshape(-1), system=hazard_sys)
-    grid_bound = cost_bound(grid_lp, PP).bound
+    cfg, mdp, grid_lp, obj_star, _ = grid_setup
+    grid_sys = grid_lp.system
+    with pytest.raises(HoffmanSizeError):
+        cost_bound(grid_lp, PP)
+    # the sweep's rule: beyond the exact-Hoffman row cap the bound is inf
+    grid_bound = sweep_gridworld(cfg, ExperimentConfig(
+        eps_grid=(PP.epsilon,), trials=1, delta=PP.delta, k=PP.k))[0].predicted_bound
     gaps = []
     for trial in range(500):
-        priv = privatize_matrix(hazard_sys, PP, seed=derive_seed(606, trial))
-        _, _, obj = synthesize_policy(mdp, hazard.with_row(priv.A_tilde[0]))
+        priv = privatize_matrix(grid_sys, PP, seed=derive_seed(606, trial))
+        _, _, obj = synthesize_policy(mdp, dataclasses.replace(grid_sys, A=priv.A_tilde))
         gaps.append(abs(obj_star - obj))
-    assert np.mean(gaps) <= grid_bound  # the hazard region is unbounded: bound is inf
+    assert np.mean(gaps) <= grid_bound
     _report(6, f"expected-loss bound, {finite_bounds}/20 finite LP bounds all satisfied")
 
 
@@ -245,8 +248,8 @@ def test_criterion_07_lp_solver_oracle_equivalence():
 
 def test_criterion_08_cmdp_identities(grid_setup):
     """Occupancy mass, value-objective duality, and policy stochasticity."""
-    cfg, mdp, hazard, obj_star, v_star = grid_setup
-    occupancy, policy, objective = synthesize_policy(mdp, hazard)
+    cfg, mdp, grid_lp, obj_star, v_star = grid_setup
+    occupancy, policy, objective = synthesize_policy(mdp, grid_lp.system)
     assert occupancy.sum() == pytest.approx(1.0 / (1.0 - mdp.gamma), abs=1e-8)
     assert float(mdp.mu @ value_function(mdp, policy)) == pytest.approx(objective, abs=1e-6)
     row_sums = policy.pi.sum(axis=1)
@@ -258,8 +261,8 @@ def test_criterion_08_cmdp_identities(grid_setup):
 def test_criterion_09_privacy_sweep_properties(grid_setup):
     """Default-grid epsilon sweep: nonnegative, weakly decreasing, strict drop."""
     start = time.time()
-    cfg, mdp, hazard, obj_star, v_star = grid_setup
-    hazard_sys = hazard.to_constraint_system()
+    cfg, mdp, grid_lp, obj_star, v_star = grid_setup
+    grid_sys = grid_lp.system
     trials = 100
     base_seed = 424_242
     per_eps = []
@@ -268,8 +271,8 @@ def test_criterion_09_privacy_sweep_properties(grid_setup):
         cops = np.empty(trials)
         for trial in range(trials):
             seed = derive_seed(base_seed, ei, trial)
-            priv = privatize_matrix(hazard_sys, params, seed)
-            _, policy, _ = synthesize_policy(mdp, hazard.with_row(priv.A_tilde[0]))
+            priv = privatize_matrix(grid_sys, params, seed)
+            _, policy, _ = synthesize_policy(mdp, dataclasses.replace(grid_sys, A=priv.A_tilde))
             cops[trial] = cost_of_privacy(v_star, float(mdp.mu @ value_function(mdp, policy)))
         assert (cops >= -1e-9).all(), f"negative cost of privacy at eps={eps}"  # (a)
         per_eps.append((eps, cops.mean(), cops.std(ddof=1) / math.sqrt(trials)))

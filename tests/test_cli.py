@@ -194,3 +194,17 @@ def test_sweep_nonpositive_baseline_reported(tmp_path, capsys):
     path.write_text(json.dumps(dict(BASIC, c=[-1.0, -1.0])))
     assert main(["sweep", str(path), "--eps-grid", "1", "--trials", "3"]) == 1
     assert "non-positive baseline" in capsys.readouterr().err
+
+
+def test_sweep_empty_grid_worst_case_reported(tmp_path, capsys):
+    # hazard on the start cell with beta=1, f0=1 and sup_a=3: feasible as
+    # given, empty in the worst case, so the sweep must stop before any trial
+    doc = dict(GRID, hazards=[{"cell": [2, 0], "beta": 1.0}], f0=1.0, sup_a=3.0)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--grid-config", str(path), "--eps-grid", "0.5,1", "--k", "1",
+            "--trials", "5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "worst-case region" in captured.err
+    assert captured.out == ""

@@ -12,15 +12,14 @@ from privlp import (
     build_gridworld,
     cost_of_privacy,
     default_grid,
-    hazard_constraint,
     load_grid_config,
+    occupancy_lp,
     privatize_matrix,
     synthesize_policy,
     validate,
     value_function,
 )
 from privlp.cmdp import DOWN, LEFT, RIGHT, UP
-from privlp.problem import LinearProgram
 from privlp.seeds import derive_seed
 
 
@@ -97,30 +96,41 @@ def test_grid_config_json_round_trip():
 def test_no_hazards_gives_fully_masked_row():
     mdp = build_gridworld(GridConfig(width=2, height=2, start=(0, 0), goal=(1, 1),
                                      hazards=(), f0=1.0))
-    hc = hazard_constraint(mdp)
-    assert (hc.row == 0).all()
-    assert hc.mask.all()
-    assert (hc.sup == 0).all()
+    sys_ = occupancy_lp(mdp).system
+    assert (sys_.A[0] == 0).all()
+    assert sys_.zero_mask.all()
+    assert (sys_.sup_A[0] == 0).all()
 
 
 def test_hazard_coefficients_are_beta_gamma():
     mdp = build_gridworld(default_grid())
-    hc = hazard_constraint(mdp)
+    sys_ = occupancy_lp(mdp).system
     hazardous = sorted(mdp.hazard_states)
     for s in hazardous:
         for a in range(4):
-            assert hc.row[s * 4 + a] == pytest.approx(0.9)  # beta=1, gamma=0.9
-            assert hc.sup[s * 4 + a] == 3.0
-            assert not hc.mask[s * 4 + a]
-    free = (~hc.mask).sum()
+            assert sys_.A[0, s * 4 + a] == pytest.approx(0.9)  # beta=1, gamma=0.9
+            assert sys_.sup_A[0, s * 4 + a] == 3.0
+            assert not sys_.zero_mask[0, s * 4 + a]
+    free = (~sys_.zero_mask).sum()
     assert free == 4 * len(hazardous)
+
+
+def test_flow_rows_are_public_inequality_pairs():
+    mdp = build_gridworld(default_grid())
+    sys_ = occupancy_lp(mdp).system
+    p = mdp.n_states
+    assert sys_.shape == (1 + 2 * p, 4 * p)
+    assert sys_.zero_mask[1:].all()
+    assert np.array_equal(sys_.sup_A[1:], sys_.A[1:])
+    assert np.array_equal(sys_.A[1:p + 1], -sys_.A[p + 1:])
+    assert np.array_equal(sys_.b, np.concatenate([[mdp.f0], mdp.mu, -mdp.mu]))
 
 
 # --- policy synthesis --------------------------------------------------------
 
 def test_single_state_closed_form():
     mdp = _single_state_mdp()
-    occupancy, policy, objective = synthesize_policy(mdp, hazard_constraint(mdp))
+    occupancy, policy, objective = synthesize_policy(mdp, occupancy_lp(mdp).system)
     assert occupancy[0, 0] == pytest.approx(10.0, abs=1e-8)
     assert objective == pytest.approx(10.0, abs=1e-8)
     assert policy.pi[0, 0] == 1.0
@@ -128,52 +138,53 @@ def test_single_state_closed_form():
 
 def test_occupancy_mass_identity():
     mdp = build_gridworld(default_grid())
-    occupancy, _, _ = synthesize_policy(mdp, hazard_constraint(mdp))
+    occupancy, _, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
     assert occupancy.sum() == pytest.approx(1.0 / (1.0 - mdp.gamma), abs=1e-8)
 
 
 def test_slack_budget_matches_unconstrained():
     cfg = dataclasses.replace(default_grid(), f0=1e6)
     mdp = build_gridworld(cfg)
-    hc = hazard_constraint(mdp)
-    _, _, obj_slack = synthesize_policy(mdp, hc)
+    _, _, obj_slack = synthesize_policy(mdp, occupancy_lp(mdp).system)
     no_hazard = dataclasses.replace(cfg, hazards=(), f0=1e6)
     mdp2 = build_gridworld(no_hazard)
-    _, _, obj_free = synthesize_policy(mdp2, hazard_constraint(mdp2))
+    _, _, obj_free = synthesize_policy(mdp2, occupancy_lp(mdp2).system)
     assert obj_slack == pytest.approx(obj_free, abs=1e-6)
 
 
 def test_policy_rows_are_distributions():
     mdp = build_gridworld(default_grid())
-    _, policy, _ = synthesize_policy(mdp, hazard_constraint(mdp))
+    _, policy, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
     assert np.allclose(policy.pi.sum(axis=1), 1.0, atol=1e-9)
     assert (policy.pi >= 0).all()
 
 
 def test_infeasible_budget_raises():
     mdp = build_gridworld(default_grid())
-    hc = dataclasses.replace(hazard_constraint(mdp), f0=-1.0)
+    sys_ = occupancy_lp(mdp).system
+    b = sys_.b.copy()
+    b[0] = -1.0  # the hazard budget row
     with pytest.raises(InfeasibleBudgetError):
-        synthesize_policy(mdp, hc)
+        synthesize_policy(mdp, dataclasses.replace(sys_, b=b))
 
 
 # --- value function ----------------------------------------------------------
 
 def test_value_single_state_geometric_series():
     mdp = _single_state_mdp()
-    _, policy, _ = synthesize_policy(mdp, hazard_constraint(mdp))
+    _, policy, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
     assert value_function(mdp, policy)[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_value_zero_rewards():
     mdp = _single_state_mdp(reward=0.0)
-    _, policy, _ = synthesize_policy(mdp, hazard_constraint(mdp))
+    _, policy, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
     assert value_function(mdp, policy)[0] == 0.0
 
 
 def test_value_of_synthesized_policy_matches_objective():
     mdp = build_gridworld(default_grid())
-    _, policy, objective = synthesize_policy(mdp, hazard_constraint(mdp))
+    _, policy, objective = synthesize_policy(mdp, occupancy_lp(mdp).system)
     weighted = float(mdp.mu @ value_function(mdp, policy))
     assert weighted == pytest.approx(objective, abs=1e-6)
 
@@ -194,15 +205,15 @@ def test_cost_of_privacy_rejects_nonpositive_baseline():
 
 def test_private_policies_respect_original_budget():
     mdp = build_gridworld(default_grid())
-    hc = hazard_constraint(mdp)
-    sys_ = hc.to_constraint_system()
-    validate(LinearProgram(c=mdp.rewards.reshape(-1), system=sys_))
-    _, policy_star, _ = synthesize_policy(mdp, hc)
+    lp = occupancy_lp(mdp)
+    sys_ = lp.system
+    validate(lp)
+    _, policy_star, _ = synthesize_policy(mdp, sys_)
     v_star = float(mdp.mu @ value_function(mdp, policy_star))
     params = PrivacyParams(epsilon=2.0, delta=0.05, k=0.25)
     for trial in range(30):
         priv = privatize_matrix(sys_, params, seed=derive_seed(5, trial))
-        occupancy, policy, _ = synthesize_policy(mdp, hc.with_row(priv.A_tilde[0]))
-        assert float(hc.row @ occupancy.reshape(-1)) <= hc.f0 + 1e-9
+        occupancy, policy, _ = synthesize_policy(mdp, dataclasses.replace(sys_, A=priv.A_tilde))
+        assert float(np.max(sys_.A @ occupancy.reshape(-1) - sys_.b)) <= 1e-9
         cop = cost_of_privacy(v_star, float(mdp.mu @ value_function(mdp, policy)))
         assert cop >= -1e-9  # tightening can only shrink a maximization

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from privlp import default_grid, support_width
+from privlp import FeasibilityAssumptionError, GridConfig, default_grid, support_width
 from privlp.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -135,3 +137,28 @@ def test_grid_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
     grid = dataclasses.replace(default_grid(), goal_reward=0.0)
     with pytest.raises(ValueError, match="non-positive baseline"):
         sweep_gridworld(grid, _grid_config(eps_grid=(1.0,), trials=3))
+
+
+def test_lp_sweep_beyond_hoffman_cap_records_inf_bound(rng):
+    from privlp import HoffmanSizeError, PrivacyParams, cost_bound
+    lp = random_validated_lp(rng, m=16, n=3, positive_costs=True)
+    config = ExperimentConfig(eps_grid=(0.5, 2.0), trials=3, base_seed=1, delta=0.05, k=0.1)
+    records = sweep_linear_program(lp, config)
+    assert [r.predicted_bound for r in records] == [math.inf, math.inf]
+    assert all(r.n_trials == 3 and r.n_infeasible == 0 for r in records)
+    with pytest.raises(HoffmanSizeError):
+        cost_bound(lp, PrivacyParams(0.5, 0.05, 0.1))
+
+
+# A hazard on the start cell whose public bound alone exceeds the budget: the
+# true budget admits policies, the worst case over the bound set does not.
+HAZARDOUS_START = GridConfig(width=5, height=5, start=(2, 0), goal=(2, 4),
+                             hazards=(((2, 0), 1.0),), f0=1.0, sup_a=3.0)
+
+
+def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
+    import privlp.experiment as experiment
+    monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    with pytest.raises(FeasibilityAssumptionError, match="worst-case region"):
+        sweep_gridworld(HAZARDOUS_START, _grid_config(eps_grid=(0.5, 1.0), trials=5, k=1.0))

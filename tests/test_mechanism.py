@@ -193,6 +193,29 @@ def test_fully_masked_matrix_passes_through(rng):
     assert np.all(priv.row_nonzero_counts == 0)
 
 
+def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
+    import privlp.mechanism as mechanism
+    from privlp.seeds import row_stream
+    calls = []
+
+    def counting_stream(seed, row_index):
+        calls.append(row_index)
+        return row_stream(seed, row_index)
+
+    monkeypatch.setattr(mechanism, "row_stream", counting_stream)
+    A = np.array([[1.0, -2.0], [0.5, -1.0], [0.0, 0.0], [1.5, 0.0]])
+    mask = np.array([[True, True], [False, True], [True, True], [True, False]])
+    sup = np.where(mask, A, A + 1.0)
+    sys_ = ConstraintSystem(A=A, b=np.ones(4), zero_mask=mask, sup_A=sup)
+    priv = privatize_matrix(sys_, PP, seed=3)
+    assert calls == [1, 3]
+    assert np.array_equal(priv.A_tilde[mask], A[mask])  # public nonzero entries included
+    assert priv.row_supports[[0, 2]].tolist() == [0.0, 0.0]
+    for i in (1, 3):  # skipping public rows leaves every other row's draws unchanged
+        out, _, _ = privatize_row(A[i], mask[i], sup[i], PP, row_stream(3, i))
+        assert np.array_equal(priv.A_tilde[i], out)
+
+
 def test_row_supports_match_closed_form(rng):
     sys_ = _random_system(rng, m=4, n=5)
     priv = privatize_matrix(sys_, PP, seed=77)

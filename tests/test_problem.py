@@ -99,6 +99,18 @@ def test_mask_zero_consistency_enforced():
         ConstraintSystem(A=[[1.0]], b=[1.0], zero_mask=[[True]], sup_A=[[0.0]])
     with pytest.raises(ValueError, match="sup_A"):
         ConstraintSystem(A=[[0.0]], b=[1.0], zero_mask=[[True]], sup_A=[[3.0]])
+    with pytest.raises(ValueError, match="masked"):  # public entries are exact: sup_A == A
+        ConstraintSystem(A=[[2.0]], b=[1.0], zero_mask=[[True]], sup_A=[[3.0]])
+
+
+def test_validate_uses_public_entries_as_is():
+    # the only negative coefficient is public; were it read as zero, the
+    # worst-case region {2 x0 <= -1} would be empty
+    system = ConstraintSystem(A=[[1.0, -2.0]], b=[-1.0], zero_mask=[[False, True]],
+                              sup_A=[[2.0, -2.0]])
+    vp = validate(LinearProgram(c=[1.0, 0.0], system=system))
+    assert vp.witness[1] > 0.0
+    assert (system.sup_A @ vp.witness <= system.b + 1e-9).all()
 
 
 def test_arrays_frozen_after_construction():
