@@ -114,7 +114,7 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs exactly one source: a problem file or --grid-config")
     eps_grid = tuple(float(tok) for tok in args.eps_grid.split(",") if tok.strip())
     if args.problem is not None:
-        problem = _load_validated(args.problem)
+        problem = load_problem(_read(args.problem))  # the sweep validates it first
         source, base = args.problem, problem.privacy
     else:
         problem = load_grid_config(_read(args.grid_config))

@@ -9,6 +9,13 @@ and they differ only in how a solved point is scored. Per-trial seeds are
 hashed from (base seed, epsilon index, trial index), so enlarging the grid
 or the trial count never changes existing trials' draws, and a repeated
 run with the same config is byte-identical.
+
+Each trial's simplex starts from the baseline solve's final basis: a trial
+changes only the private rows, so that basis usually stays feasible and is
+often still optimal. Only the sweep does this. It is a non-private
+evaluation against the true baseline; a released private solution
+(``privlp solve --private``) starts from the slack basis, so that it is a
+function of the privatized matrix alone and post-processing covers it.
 """
 from __future__ import annotations
 
@@ -93,9 +100,10 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
 
     ``score`` maps a solved point to the value whose percent loss is the
     cost of privacy. The worst case is validated and the baseline checked
-    before any geometry or trial work. Every trial's point is re-checked
-    against all original rows. Beyond the exact-Hoffman row cap the bound
-    is recorded as ``inf``, which is still a valid bound.
+    before any geometry or trial work. Every trial starts the simplex from
+    the baseline's basis, and its point is re-checked against all original
+    rows. Beyond the exact-Hoffman row cap the bound is recorded as
+    ``inf``, which is still a valid bound.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -117,7 +125,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
             seed = derive_seed(config.base_seed, ei, trial)
             priv = privatize_matrix(sys_, params, seed)
             tightened = dataclasses.replace(sys_, A=priv.A_tilde)
-            sol = simplex.solve_lp(lp.c, tightened)
+            sol = simplex.solve_lp(lp.c, tightened, start=base.basic_columns)
             if not sol.is_optimal:
                 raise SweepAbort(
                     f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "

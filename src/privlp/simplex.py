@@ -5,10 +5,15 @@ deterministic: steepest reduced cost enters (ties to the lowest column
 index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
-The returned vertex is re-derived from the original data through its basis,
-so accumulated tableau round-off never reaches the caller. Built for
-desk-scale instances (tens of rows and columns); no factorization, no
-sparsity.
+
+A solve starts from the slack basis, or from a given basis ``start`` such
+as the final ``basic_columns`` of a solve of a problem that differs only in
+its data. A start is factored once; rows whose start value is negative are
+sign-flipped and get an artificial, so phase 1 runs over those rows only,
+and a start that is still feasible goes straight to phase 2. The returned
+vertex is re-derived from the original data through its final basis, so
+tableau round-off never reaches the caller, whatever the start. Built for
+desk-scale instances (tens of rows and columns); dense, no sparsity.
 """
 from __future__ import annotations
 
@@ -38,12 +43,19 @@ class Solution:
     ``x`` and ``objective`` are populated only when ``status == "Optimal"``.
     ``basis`` lists the active constraint indices at the returned point:
     ``0..m-1`` for rows of A, ``m + j`` for the bound ``x_j >= 0``.
+    ``basic_columns`` is the final simplex basis, one column index into
+    ``[x | slacks]`` per row; pass it as ``start`` to re-solve a problem
+    that differs only in its data. ``phase1_pivots`` and ``phase2_pivots``
+    count the pivots of each phase.
     """
 
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
     basis: tuple[int, ...] = field(default=())
+    basic_columns: tuple[int, ...] = field(default=())
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
     @property
     def is_optimal(self) -> bool:
@@ -53,33 +65,58 @@ class Solution:
 _STALL_LIMIT = 200
 
 
-class _Tableau:
-    """Simplex tableau over columns [x | slacks | artificials | rhs]."""
+def _factor_start(B: np.ndarray, body: np.ndarray, n: int) -> np.ndarray | None:
+    """``B^-1 [A | I | b]``, or None when ``B`` is singular to working precision.
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    LU reports only an exactly zero pivot, so the 1-norm condition number is
+    checked too, against ``1 / PIVOT_TOL``; ``B^-1`` is the slack block of
+    the result.
+    """
+    try:
+        solved = np.linalg.solve(B, body)
+    except np.linalg.LinAlgError:  # singular, or not m columns
+        return None
+    condition = np.linalg.norm(B, 1) * np.linalg.norm(solved[:, n:n + B.shape[0]], 1)
+    if not (np.isfinite(solved).all() and condition < 1 / PIVOT_TOL):
+        return None
+    return solved
+
+
+class _Tableau:
+    """Simplex tableau over columns [x | slacks | artificials | rhs].
+
+    ``start`` is the initial basis: m column indices into ``[x | slacks]``.
+    ``None`` is the slack basis, whose tableau is ``[A | I | b]`` with no
+    factorization. Any other start is factored once, ``B^-1 [A | I | b]``,
+    and falls back to the slack basis when that fails. A row whose start
+    value is negative is sign-flipped and gets an artificial, so phase 1
+    runs over those rows only; a factored value in ``[-FEAS_TOL, 0)`` is
+    round-off and is set to 0.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, start=None):
         m, n = A.shape
-        flip = b < 0
-        sign = np.where(flip, -1.0, 1.0)
         self.m, self.n = m, n
         self.n_slack = m
-        self.art_cols = []
-        body = [A * sign[:, None], np.diag(sign)]
-        n_art = int(flip.sum())
-        art = np.zeros((m, n_art))
-        self.basis = np.empty(m, dtype=int)
-        k = 0
-        for i in range(m):
-            if flip[i]:
-                art[i, k] = 1.0
-                self.basis[i] = n + m + k
-                self.art_cols.append(n + m + k)
-                k += 1
-            else:
-                self.basis[i] = n + i
-        body.append(art)
-        self.T = np.hstack(body + [(b * sign)[:, None]])
-        self.width = n + m + n_art
-        self.T0 = self.T.copy()  # pristine rows, for drift-free extraction
+        self.AI, self.b = np.hstack([A, np.eye(m)]), b  # original data, for extraction
+        body = np.hstack([self.AI, b[:, None]])
+        self.basis = np.arange(n, n + m)
+        factored = None if start is None else _factor_start(self.AI[:, start], body, n)
+        if factored is not None:
+            body, self.basis = factored, np.array(start, dtype=int)
+            body[:, self.basis] = np.eye(m)
+            rhs = body[:, -1]
+            rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0  # round-off of the factorization
+        flip = body[:, -1] < 0
+        body[flip] *= -1.0
+        art_rows = np.flatnonzero(flip)
+        self.art_cols = list(range(n + m, n + m + art_rows.size))
+        art = np.zeros((m, art_rows.size))
+        art[art_rows, np.arange(art_rows.size)] = 1.0
+        self.basis[art_rows] = self.art_cols
+        self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
+        self.width = n + m + art_rows.size
+        self.pivots = 0
 
     def _pivot(self, row: int, col: int, obj: np.ndarray):
         T = self.T
@@ -89,6 +126,7 @@ class _Tableau:
         T -= np.outer(factors, T[row])
         obj -= obj[col] * T[row]
         self.basis[row] = col
+        self.pivots += 1
 
     def _priced_objective(self, costs: np.ndarray) -> np.ndarray:
         # obj[j] holds the reduced cost z_j - c_j; rhs cell holds the value.
@@ -172,7 +210,6 @@ class _Tableau:
         if drop_rows:
             keep = np.setdiff1d(np.arange(self.m), drop_rows)
             self.T = self.T[keep]
-            self.T0 = self.T0[keep]
             self.basis = self.basis[keep]
             self.m = len(keep)
 
@@ -185,12 +222,12 @@ class _Tableau:
         return self._run(obj, allowed)
 
     def _refine(self):
-        # Re-derive basic values from the pristine rows; pivoting drift in
-        # T[:, -1] never reaches the caller when the basis solve succeeds.
-        B = self.T0[:, self.basis]
-        rhs = self.T0[:, -1]
+        # Re-derive basic values from the original, unflipped [A | I] and b;
+        # pivoting drift in T[:, -1] never reaches the caller when the basis
+        # solve succeeds, whatever the start. A dropped redundant row leaves
+        # the basis short of m columns, and then the tableau values stand.
         try:
-            exact = np.linalg.solve(B, rhs)
+            exact = np.linalg.solve(self.AI[:, self.basis], self.b)
         except np.linalg.LinAlgError:
             return
         if np.isfinite(exact).all() and np.max(np.abs(exact - self.T[:, -1])) < 1e-4:
@@ -205,31 +242,36 @@ class _Tableau:
         return np.maximum(x, 0.0)
 
 
-def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Solution:
+def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None) -> Solution:
     m, n = A.shape
-    tab = _Tableau(A, b)
+    tab = _Tableau(A, b, start)
     if not tab.solve_phase1():
-        return Solution(status=INFEASIBLE)
+        return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots)
+    phase1 = tab.pivots
     status = tab.solve_phase2(c)
+    pivots = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots - phase1}
     if status == UNBOUNDED:
-        return Solution(status=UNBOUNDED)
+        return Solution(status=UNBOUNDED, **pivots)
     x = tab.extract_x()
     residual = A @ x - b
     active = [int(i) for i in np.flatnonzero(np.abs(residual) <= FEAS_TOL)]
     active += [m + int(j) for j in np.flatnonzero(x <= FEAS_TOL)]
-    return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active))
+    return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
+                    basic_columns=tuple(int(j) for j in tab.basis), **pivots)
 
 
-def solve_lp(c, sys: ConstraintSystem) -> Solution:
+def solve_lp(c, sys: ConstraintSystem, start=None) -> Solution:
     """Maximize ``c.x`` over {x >= 0 : A x <= b}.
 
-    Returns a :class:`Solution` whose point, when optimal, re-verifies
-    against the constraints at tolerance 1e-9.
+    ``start`` is an initial basis, such as the ``basic_columns`` of a
+    solve of a problem with the same shape; ``None`` starts from the slack
+    basis. Returns a :class:`Solution` whose point, when optimal,
+    re-verifies against the constraints at tolerance 1e-9.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.shape[1],):
         raise ValueError(f"c must have shape ({sys.shape[1]},), got {c.shape}")
-    sol = _solve_raw(c, np.asarray(sys.A), np.asarray(sys.b))
+    sol = _solve_raw(c, np.asarray(sys.A), np.asarray(sys.b), start)
     if sol.is_optimal:
         worst = float(np.max(sys.A @ sol.x - sys.b, initial=0.0))
         if worst > FEAS_TOL or sol.x.min(initial=0.0) < -FEAS_TOL:

@@ -208,3 +208,75 @@ def test_sweep_empty_grid_worst_case_reported(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "worst-case region" in captured.err
     assert captured.out == ""
+
+
+def test_lp_sweep_validates_the_problem_once(problem_file, monkeypatch):
+    import privlp.cli as cli
+    import privlp.experiment as experiment
+    from privlp import validate
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return validate(lp)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(experiment, "validate", counting)
+    assert main(["sweep", problem_file, "--eps-grid", "1", "--trials", "2"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"c": [1.0], "A": [[1.0]], "b": [-1.0], "sup_A": [[2.0]]},  # empty worst case
+    {"c": [1.0], "A": [[3.0]], "b": [1.0], "sup_A": [[2.0]]},   # A above sup_A
+])
+def test_lp_sweep_reports_a_bad_problem_as_validate_does(tmp_path, capsys, doc):
+    from privlp import load_problem, validate
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as raised:
+        validate(load_problem(json.dumps(doc)))
+    assert main(["sweep", str(path), "--eps-grid", "1", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {raised.value}\n"
+    assert captured.out == ""
+
+
+def test_grid_sweep_bytes_match_the_pinned_csv(capsys):
+    # the README experiment at 25 trials; warm-started trials must reproduce
+    # the output of the slack-start solver byte for byte
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    argv = ["sweep", "--grid-config", str(root / "demos" / "grid5.json"),
+            "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25", "--delta", "0.05",
+            "--seed", "0", "--trials", "25"]
+    assert main(argv) == 0
+    expected = (root / "tests" / "data" / "grid5_sweep_seed0_trials25.csv").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, monkeypatch,
+                                                                  tmp_path):
+    # a released private solution must depend on A_tilde alone, so only the
+    # sweep's non-private evaluation may start from another basis
+    import privlp.simplex as simplex
+    from privlp import default_grid, load_problem, validate
+    from privlp.experiment import ExperimentConfig, sweep_gridworld
+    starts = []
+
+    class Recording(simplex._Tableau):
+        def __init__(self, A, b, start=None):
+            starts.append(start)
+            super().__init__(A, b, start)
+
+    monkeypatch.setattr(simplex, "_Tableau", Recording)
+    for seed in range(5):
+        assert main(["solve", problem_file, "--private", "--seed", str(seed),
+                     "--out", str(tmp_path / "out.json")]) == 0
+    lp = load_problem(json.dumps(BASIC))
+    validate(lp)
+    simplex.max_norm_point(lp.system)
+    assert len(starts) > 10 and all(start is None for start in starts)
+    starts.clear()
+    sweep_gridworld(default_grid(), ExperimentConfig(eps_grid=(1.0,), trials=2, k=0.25))
+    assert sum(start is not None for start in starts) == 2  # the control: trials warm-start

@@ -162,3 +162,22 @@ def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
     monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
     with pytest.raises(FeasibilityAssumptionError, match="worst-case region"):
         sweep_gridworld(HAZARDOUS_START, _grid_config(eps_grid=(0.5, 1.0), trials=5, k=1.0))
+
+
+def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
+    import privlp.simplex as simplex
+    solve = simplex.solve_lp
+    baseline, trials = [], []
+
+    def recording(c, sys_, start=None):
+        sol = solve(c, sys_, start=start)
+        (baseline if start is None else trials).append(sol.phase1_pivots + sol.phase2_pivots)
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0,
+                              delta=0.05, k=0.25)
+    sweep_gridworld(default_grid(), config)
+    assert len(trials) == 150
+    assert baseline[0] > 50  # the slack start takes about 74 pivots on the occupancy LP
+    assert sum(trials) / len(trials) < 2

@@ -194,3 +194,95 @@ def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng
         assert V.shape == oracle.shape
         assert {tuple(np.round(v, 9) + 0.0) for v in V} == \
             {tuple(np.round(v, 9) + 0.0) for v in oracle}
+
+
+def _privatized(lp, eps, k, seed):
+    import dataclasses
+    from privlp import PrivacyParams, privatize_matrix
+    priv = privatize_matrix(lp.system, PrivacyParams(eps, 0.05, k), seed)
+    return dataclasses.replace(lp.system, A=priv.A_tilde)
+
+
+@pytest.mark.parametrize("k", [0.02, 1.0])
+def test_warm_start_from_baseline_matches_slack_start(rng, k):
+    from conftest import random_validated_lp
+    artificial = 0
+    for trial in range(60):
+        m, n = (12, 6) if trial % 3 == 0 else (int(rng.integers(2, 8)), int(rng.integers(2, 7)))
+        lp = random_validated_lp(rng, m=m, n=n, positive_costs=trial % 2 == 0)
+        base = solve_lp(lp.c, lp.system)
+        assert base.status == OPTIMAL and len(base.basic_columns) == m
+        for eps in (0.5, 5.0):
+            tightened = _privatized(lp, eps, k, seed=trial)
+            cold = solve_lp(lp.c, tightened)
+            warm = solve_lp(lp.c, tightened, start=base.basic_columns)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            assert np.max(tightened.A @ warm.x - tightened.b) <= 1e-9
+            assert warm.x.min() >= -1e-9
+            artificial += warm.phase1_pivots > 0
+    assert artificial > 0  # some starts were infeasible and went through phase 1
+
+
+def test_warm_start_with_negative_rows_runs_phase1():
+    # x0 + x1 <= 2, x0 - x1 <= 0; the start {x0, slack 1} sets x0 = 2 and
+    # slack 1 = -2, so row 1 is flipped and repaired by phase 1
+    system = _sys([[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0])
+    c = [1.0, 2.0]
+    cold = solve_lp(c, system)
+    warm = solve_lp(c, system, start=(0, 3))
+    assert warm.phase1_pivots >= 1
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert warm.x == pytest.approx([0.0, 2.0], abs=1e-12)
+
+
+def test_singular_start_falls_back_to_slack_basis(rng):
+    c, A, b = _random_instance(rng, 5, 4)
+    cold = solve_lp(c, _sys(A, b))
+    for start in [(0, 0, 4, 5, 6), (0, 1, 2)]:  # repeated column; too few columns
+        warm = solve_lp(c, _sys(A, b), start=start)
+        assert warm.status == cold.status
+        assert (warm.phase1_pivots, warm.phase2_pivots) == (cold.phase1_pivots, cold.phase2_pivots)
+        if cold.status == OPTIMAL:
+            assert np.array_equal(warm.x, cold.x)
+            assert warm.basic_columns == cold.basic_columns
+
+
+def test_optimal_start_takes_no_pivots(rng):
+    solved = 0
+    for _ in range(30):
+        c, A, b = _random_instance(rng, 4, 3)
+        cold = solve_lp(c, _sys(A, b))
+        if cold.status != OPTIMAL:
+            continue
+        warm = solve_lp(c, _sys(A, b), start=cold.basic_columns)
+        assert (warm.phase1_pivots, warm.phase2_pivots) == (0, 0)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+        assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        solved += 1
+    assert solved > 5
+
+
+def test_warm_start_on_degenerate_lp_matches_vertex_oracle(rng):
+    # two public rows repeated verbatim stay duplicates after privatization,
+    # so every trial's vertices are degenerate
+    from privlp import ConstraintSystem, LinearProgram
+    for trial in range(12):
+        m, n = 4, 3
+        A = rng.uniform(0.2, 1.5, (m, n))
+        A = np.vstack([A, A[1:3]])
+        b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.5, 1.5, m + 2)
+        b[m:] = b[1:3]
+        public = np.zeros((m + 2, n), dtype=bool)
+        public[[1, 2, m, m + 1]] = True
+        sup_A = np.where(public, A, A + 0.5)
+        lp = LinearProgram(c=np.abs(rng.normal(size=n)) + 0.1,
+                           system=ConstraintSystem(A=A, b=b, zero_mask=public, sup_A=sup_A))
+        base = solve_lp(lp.c, lp.system)
+        tightened = _privatized(lp, 1.0, 0.3, seed=trial)
+        warm = solve_lp(lp.c, tightened, start=base.basic_columns)
+        status, best = lp_oracle(lp.c, tightened.A, tightened.b)
+        assert warm.status == status == OPTIMAL
+        assert warm.objective == pytest.approx(best, abs=1e-9)
+
