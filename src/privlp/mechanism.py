@@ -9,8 +9,10 @@ calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
 feasible for it is feasible for the true constraints. Rows are privatized
-independently (disjoint data, parallel composition), with per-row noise
-streams derived from (seed, row index).
+independently (disjoint data, parallel composition): row ``i`` still draws
+its uniforms from its own stream keyed by ``(seed, i)``, and the inverse
+CDF, shift and clip then run once over all private rows together, with
+each row's ``s_i`` broadcast as a column.
 """
 from __future__ import annotations
 
@@ -61,6 +63,34 @@ class TruncLaplaceParams:
         return np.where(z < 0, lower, upper) / (2.0 * half_mass)
 
 
+def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float) -> np.ndarray:
+    """Closed-form inverse CDF of the truncated Laplace density, elementwise.
+
+    ``s`` holds half-widths broadcast against the uniforms ``u``: one per
+    row, as a column, in the batched pass. The constants of each half-width
+    come from scalar ``math`` calls, so a draw's value does not depend on
+    the batch it is computed in. A uniform of exactly 0 maps to exactly
+    ``-s``.
+    """
+    ratio = s / sigma
+    ratios = ratio.ravel().tolist()
+
+    def per_width(f):
+        return np.array([f(r) for r in ratios]).reshape(ratio.shape)
+
+    two_u = 2.0 * u
+    # e^ratio overflows beyond ratio ~709.78; rows above 700 take the form below
+    lower = -s + sigma * np.log1p(two_u * per_width(lambda r: math.expm1(r) if r <= 700.0 else 0.0))
+    if max(ratios) > 700.0:
+        # equivalent form that never overflows; exp(-ratio) may underflow
+        # and u = 0 then maps to -inf, clipped back to the -s endpoint
+        with np.errstate(divide="ignore"):
+            tail = sigma * np.log(two_u + (1.0 - two_u) * per_width(lambda r: math.exp(-r)))
+        lower = np.where(ratio > 700.0, tail, lower)
+    upper = -sigma * np.log1p(-(two_u - 1.0) * per_width(lambda r: -math.expm1(-r)))
+    return np.where(u <= 0.5, lower, upper).clip(-s, s)
+
+
 def sample_trunc_laplace(params: TruncLaplaceParams, rng: np.random.Generator, size=None):
     """Draw from the truncated Laplace density via a closed-form inverse CDF.
 
@@ -68,21 +98,19 @@ def sample_trunc_laplace(params: TruncLaplaceParams, rng: np.random.Generator, s
     fixed and seeded runs are reproducible. A uniform of exactly 0 maps to
     exactly ``-s``. Returns a float for ``size=None``, else an ndarray.
     """
-    sigma, s = params.sigma, params.s
-    ratio = s / sigma
     u = rng.random() if size is None else rng.random(size)
-    u_arr = np.asarray(u, dtype=float)
-    decay = -math.expm1(-ratio)  # 1 - e^{-s/sigma}
-    if ratio <= 700.0:
-        lower = -s + sigma * np.log1p(2.0 * u_arr * math.expm1(ratio))
-    else:
-        # equivalent form that never overflows; exp(-ratio) may underflow
-        # and u = 0 then maps to -inf, clipped back to the -s endpoint
-        with np.errstate(divide="ignore"):
-            lower = sigma * np.log(2.0 * u_arr + (1.0 - 2.0 * u_arr) * math.exp(-ratio))
-    upper = -sigma * np.log1p(-(2.0 * u_arr - 1.0) * decay)
-    z = np.clip(np.where(u_arr <= 0.5, lower, upper), -s, s)
+    z = _inverse_cdf(np.asarray(u, dtype=float), np.asarray(params.s, dtype=float), params.sigma)
     return float(z) if size is None else z
+
+
+def _noisy_rows(A, free, sup, u, s, sigma):
+    """``(A~, z)`` for a block of rows: ``min(a + (s + z), sup)`` where free, ``a`` elsewhere.
+
+    The shift is computed as ``a + (s + z)`` with ``z >= -s`` so the sum can
+    never round below ``a``.
+    """
+    z = _inverse_cdf(u, s, sigma)
+    return np.where(free, np.minimum(A + (s + z), sup), A), z
 
 
 @dataclass(frozen=True)
@@ -91,13 +119,15 @@ class PrivatizedSystem:
 
     ``row_supports[i]`` is the half-width s_i used for row i (0.0 for fully
     masked rows, which are never privatized); ``row_nonzero_counts[i]`` the
-    number of privatized entries. ``noise_log`` optionally records the raw
-    noise draws (NaN at masked entries) for distributional tests.
+    number of privatized entries; ``clipped_counts[i]`` how many of them
+    landed on ``sup_A``. ``noise_log`` optionally records the raw noise
+    draws (NaN at masked entries) for distributional tests.
     """
 
     A_tilde: np.ndarray
     row_supports: np.ndarray
     row_nonzero_counts: np.ndarray
+    clipped_counts: np.ndarray
     params: PrivacyParams
     seed: int
     noise_log: np.ndarray | None = None
@@ -108,9 +138,9 @@ def privatize_row(row, mask_row, sup_row, p: PrivacyParams,
     """Privatize one constraint row.
 
     Masked entries pass through unchanged. Every other entry ``a`` becomes
-    ``min(a + s_i + z, sup)`` and therefore lands in ``[a, sup]``: the noise
-    is bounded below by ``-s_i`` and the shift is computed as ``a + (s_i + z)``
-    so the sum can never round below ``a``.
+    ``min(a + s_i + z, sup)`` and therefore lands in ``[a, sup]``. The
+    transform is the one :func:`privatize_matrix` runs over all rows, fed
+    with ``n0`` uniforms from ``rng``.
 
     Returns ``(row_tilde, s_i, z_draws)`` with ``z_draws`` in entry order;
     for a fully masked row, ``(row, 0.0, empty)``.
@@ -125,38 +155,48 @@ def privatize_row(row, mask_row, sup_row, p: PrivacyParams,
     if n0 == 0:
         return row.copy(), 0.0, np.empty(0)
     s_i = support_width(p.k, p.epsilon, p.delta, n0)
-    z = sample_trunc_laplace(TruncLaplaceParams(sigma=p.sigma, s=s_i), rng, size=n0)
-    out = row.copy()
-    out[free] = np.minimum(row[free] + (s_i + z), sup_row[free])
-    return out, s_i, z
+    u = np.zeros(row.shape)
+    u[free] = rng.random(n0)
+    out, z = _noisy_rows(row, free, sup_row, u, np.asarray(s_i), p.sigma)
+    return out, s_i, z[free]
 
 
 def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
                      record_noise: bool = False) -> PrivatizedSystem:
     """Privatize each row of a validated system independently.
 
-    Row ``i`` draws its noise from a stream keyed by ``(seed, i)``, so the
-    output is a pure function of (system, params, seed) regardless of
-    execution order. Fixed seed, identical output. Fully masked (public)
-    rows are copied without building a stream.
+    Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by
+    ``(seed, i)``, so the output is a pure function of (system, params,
+    seed) regardless of execution order. Fixed seed, identical output. The
+    noise transform then runs once over the rows with a free entry; fully
+    masked (public) rows are copied without building a stream.
     """
     m, n = sys.shape
+    counts = sys.row_nonzero_counts()
+    rows = np.flatnonzero(counts)
     A_tilde = sys.A.copy()
     supports = np.zeros(m)
-    counts = np.zeros(m, dtype=int)
+    clipped = np.zeros(m, dtype=int)
     noise = np.full((m, n), np.nan) if record_noise else None
-    for i in np.flatnonzero(~sys.zero_mask.all(axis=1)).tolist():
-        out, s_i, z = privatize_row(sys.A[i], sys.zero_mask[i], sys.sup_A[i], p,
-                                    row_stream(seed, i))
-        A_tilde[i] = out
-        supports[i] = s_i
-        counts[i] = z.size
+    if rows.size:
+        n0 = counts[rows].tolist()
+        widths = {c: support_width(p.k, p.epsilon, p.delta, c) for c in set(n0)}
+        s = np.array([widths[c] for c in n0])
+        supports[rows] = s
+        block = ~sys.zero_mask[rows]
+        u = np.zeros(block.shape)
+        u[block] = np.concatenate([row_stream(seed, i).random(c)
+                                   for i, c in zip(rows.tolist(), n0)])
+        sup = sys.sup_A[rows]
+        out, z = _noisy_rows(sys.A[rows], block, sup, u, s[:, None], p.sigma)
+        A_tilde[rows] = out
+        clipped[rows] = (block & (out == sup)).sum(axis=1)
         if record_noise:
-            noise[i, ~sys.zero_mask[i]] = z
+            noise[rows] = np.where(block, z, np.nan)
     A_tilde.flags.writeable = False
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
-                            row_nonzero_counts=counts, params=p, seed=seed,
-                            noise_log=noise)
+                            row_nonzero_counts=counts, clipped_counts=clipped,
+                            params=p, seed=seed, noise_log=noise)
 
 
 def privatized_system(sys: ConstraintSystem, priv: PrivatizedSystem) -> ConstraintSystem:

@@ -35,6 +35,10 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 
 def row_stream(seed: int, row_index: int) -> np.random.Generator:
-    """Independent generator for one matrix row, keyed by (seed, row)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed & _MASK64,
-                                                        spawn_key=(row_index,)))
+    """Independent generator for one matrix row, keyed by (seed, row).
+
+    The stream of ``default_rng(SeedSequence(...))``, built without its
+    argument dispatch.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed & _MASK64, spawn_key=(row_index,))))

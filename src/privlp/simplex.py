@@ -114,7 +114,7 @@ class _Tableau:
         art = np.zeros((m, art_rows.size))
         art[art_rows, np.arange(art_rows.size)] = 1.0
         self.basis[art_rows] = self.art_cols
-        self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
+        self.T = body if art_rows.size == 0 else np.hstack([body[:, :-1], art, body[:, -1:]])
         self.width = n + m + art_rows.size
         self.pivots = 0
 

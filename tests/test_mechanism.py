@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from privlp import (
     support_width,
 )
 from privlp.problem import LinearProgram
+from privlp.seeds import row_stream
 
 from oracles import support_width_hp, trunc_laplace_cdf, trunc_laplace_moment
 
@@ -195,7 +198,6 @@ def test_fully_masked_matrix_passes_through(rng):
 
 def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
     import privlp.mechanism as mechanism
-    from privlp.seeds import row_stream
     calls = []
 
     def counting_stream(seed, row_index):
@@ -260,3 +262,68 @@ def test_privatized_document_round_trip(rng):
     tightened = privatized_system(sys_, priv)
     assert np.array_equal(tightened.A, priv.A_tilde)
     assert np.array_equal(tightened.b, sys_.b)
+
+
+def _mixed_system(rng, m, n, free_counts):
+    """System whose row i has ``free_counts[i]`` free entries; 0 makes a public row."""
+    mask = np.ones((m, n), bool)
+    for i, count in enumerate(free_counts):
+        mask[i, rng.choice(n, count, replace=False)] = False
+    A = rng.uniform(-1.0, 2.0, (m, n))
+    A[mask & (rng.random((m, n)) < 0.5)] = 0.0
+    sup = np.where(mask, A, A + rng.uniform(0.05, 2.0, (m, n)))
+    return ConstraintSystem(A=A, b=np.ones(m), zero_mask=mask, sup_A=sup)
+
+
+@pytest.mark.parametrize("seed, row", [(0, 0), (7, 3), (2 ** 64 + 5, 11), (-1, 2), (123456789, 50)])
+def test_row_stream_is_the_default_rng_stream(seed, row):
+    reference = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2 ** 64 - 1),
+                                                             spawn_key=(row,)))
+    stream = row_stream(seed, row)
+    assert np.array_equal(stream.random(9), reference.random(9))
+    assert np.array_equal(stream.integers(0, 2 ** 62, 5), reference.integers(0, 2 ** 62, 5))
+
+
+def _hexes(values):
+    return np.vectorize(float.hex, otypes=[object])(values).tolist()
+
+
+@pytest.mark.parametrize("case", ["mixed", "one_private_row", "huge_epsilon"])
+def test_privatize_matrix_matches_pinned_bytes(case):
+    # written by the per-row implementation this batched one replaced
+    doc = json.loads((Path(__file__).parent / "data" / f"privatize_{case}.json").read_text())
+    from_hex = np.vectorize(float.fromhex)
+    sys_ = ConstraintSystem(A=from_hex(doc["A"]), b=np.ones(len(doc["A"])),
+                            zero_mask=np.array(doc["zero_mask"]), sup_A=from_hex(doc["sup_A"]))
+    p = PrivacyParams(**doc["privacy"])
+    for expected in doc["outputs"]:
+        priv = privatize_matrix(sys_, p, expected["seed"], record_noise=True)
+        assert _hexes(priv.A_tilde) == expected["A_tilde"]
+        assert _hexes(priv.row_supports) == expected["row_supports"]
+        assert _hexes(priv.noise_log) == expected["noise_log"]
+
+
+@pytest.mark.parametrize("epsilon, k", [(1.0, 0.3), (0.2, 1.0), (695.0, 0.01), (1e4, 1e-3)])
+def test_matrix_rows_equal_privatize_row_on_their_stream(rng, epsilon, k):
+    p = PrivacyParams(epsilon=epsilon, delta=0.05, k=k)
+    sys_ = _mixed_system(rng, 7, 20, [20, 3, 0, 11, 1, 3, 20])
+    priv = privatize_matrix(sys_, p, seed=31, record_noise=True)
+    for i in range(7):
+        out, s_i, z = privatize_row(sys_.A[i], sys_.zero_mask[i], sys_.sup_A[i], p,
+                                    row_stream(31, i))
+        assert out.tobytes() == priv.A_tilde[i].tobytes()
+        assert s_i == priv.row_supports[i]
+        assert z.tobytes() == priv.noise_log[i, ~sys_.zero_mask[i]].tobytes()
+
+
+def test_clipped_counts_match_entrywise_scan(rng):
+    total = 0
+    for trial in range(50):
+        sys_ = _mixed_system(rng, 6, 9, [9, 0, 4, 1, 7, 0])
+        priv = privatize_matrix(sys_, PP, seed=trial)
+        free = ~sys_.zero_mask
+        expected = np.count_nonzero((priv.A_tilde == sys_.sup_A) & free, axis=1)
+        assert np.array_equal(priv.clipped_counts, expected)
+        assert priv.clipped_counts[[1, 5]].tolist() == [0, 0]  # fully masked rows
+        total += int(priv.clipped_counts.sum())
+    assert total > 0
