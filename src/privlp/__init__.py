@@ -29,7 +29,7 @@ from .mechanism import (
     sample_trunc_laplace,
     support_width,
 )
-from .simplex import Solution, max_norm_point, phase1_feasible, solve_lp
+from .simplex import Solution, WarmStart, max_norm_point, phase1_feasible, solve_lp
 from .accuracy import (
     AccuracyReport,
     BoundGeometry,
@@ -63,7 +63,7 @@ __all__ = [
     "DimensionError", "FeasibilityAssumptionError", "GridConfig",
     "HoffmanSizeError", "InfeasibleBudgetError", "LinearProgram",
     "MembershipError", "Policy", "PrivacyParams", "PrivatizedSystem",
-    "SchemaError", "Solution", "TruncLaplaceParams", "ValidatedProblem",
+    "SchemaError", "Solution", "TruncLaplaceParams", "ValidatedProblem", "WarmStart",
     "bound_geometry", "build_gridworld", "cost_bound", "cost_of_privacy", "default_grid",
     "derive_seed", "hoffman_constant", "inner_cone_min",
     "load_grid_config", "load_problem", "max_norm_point", "occupancy_lp", "phase1_feasible",

@@ -12,10 +12,13 @@ run with the same config is byte-identical.
 
 Each trial's simplex starts from the baseline solve's final basis: a trial
 changes only the private rows, so that basis usually stays feasible and is
-often still optimal. Only the sweep does this. It is a non-private
-evaluation against the true baseline; a released private solution
-(``privlp solve --private``) starts from the slack basis, so that it is a
-function of the privatized matrix alone and post-processing covers it.
+often still optimal. The basis is factored once per sweep; a gridworld
+trial, with one private row of 51, updates that factorization by rank one,
+and an LP whose rows are all private is re-factored. Only the sweep
+warm-starts. It is a non-private evaluation against the true baseline; a
+released private solution (``privlp solve --private``) starts from the
+slack basis, so that it is a function of the privatized matrix alone and
+post-processing covers it.
 """
 from __future__ import annotations
 
@@ -100,10 +103,10 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
 
     ``score`` maps a solved point to the value whose percent loss is the
     cost of privacy. The worst case is validated and the baseline checked
-    before any geometry or trial work. Every trial starts the simplex from
-    the baseline's basis, and its point is re-checked against all original
-    rows. Beyond the exact-Hoffman row cap the bound is recorded as
-    ``inf``, which is still a valid bound.
+    before any geometry or trial work. The baseline's basis is factored
+    once, every trial starts the simplex from it, and each trial's point is
+    re-checked against all original rows. Beyond the exact-Hoffman row cap
+    the bound is recorded as ``inf``, which is still a valid bound.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -116,6 +119,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
         geometry = bound_geometry(lp)
     except HoffmanSizeError:
         geometry = None
+    start = simplex.WarmStart(sys_, base.basic_columns)
     records = []
     for ei, eps in enumerate(config.eps_grid):
         params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
@@ -125,7 +129,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
             seed = derive_seed(config.base_seed, ei, trial)
             priv = privatize_matrix(sys_, params, seed)
             tightened = dataclasses.replace(sys_, A=priv.A_tilde)
-            sol = simplex.solve_lp(lp.c, tightened, start=base.basic_columns)
+            sol = simplex.solve_lp(lp.c, tightened, start=start)
             if not sol.is_optimal:
                 raise SweepAbort(
                     f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "

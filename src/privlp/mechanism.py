@@ -169,11 +169,12 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     ``(seed, i)``, so the output is a pure function of (system, params,
     seed) regardless of execution order. Fixed seed, identical output. The
     noise transform then runs once over the rows with a free entry; fully
-    masked (public) rows are copied without building a stream.
+    masked (public) rows are copied without building a stream. Which rows
+    those are, and their blocks, is read from ``sys.private_rows``, which a
+    system computes once.
     """
     m, n = sys.shape
-    counts = sys.row_nonzero_counts()
-    rows = np.flatnonzero(counts)
+    counts, rows, block, A_rows, sup = sys.private_rows
     A_tilde = sys.A.copy()
     supports = np.zeros(m)
     clipped = np.zeros(m, dtype=int)
@@ -183,12 +184,10 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
         widths = {c: support_width(p.k, p.epsilon, p.delta, c) for c in set(n0)}
         s = np.array([widths[c] for c in n0])
         supports[rows] = s
-        block = ~sys.zero_mask[rows]
         u = np.zeros(block.shape)
         u[block] = np.concatenate([row_stream(seed, i).random(c)
                                    for i, c in zip(rows.tolist(), n0)])
-        sup = sys.sup_A[rows]
-        out, z = _noisy_rows(sys.A[rows], block, sup, u, s[:, None], p.sigma)
+        out, z = _noisy_rows(A_rows, block, sup, u, s[:, None], p.sigma)
         A_tilde[rows] = out
         clipped[rows] = (block & (out == sup)).sum(axis=1)
         if record_noise:

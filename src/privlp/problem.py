@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,18 @@ class ConstraintSystem:
     def row_nonzero_counts(self) -> np.ndarray:
         """Number of non-masked coefficients in each row."""
         return (~self.zero_mask).sum(axis=1)
+
+    @cached_property
+    def private_rows(self) -> tuple[np.ndarray, ...]:
+        """Read-only ``(counts, rows, free, A, sup_A)``, computed once per system.
+
+        ``counts`` is :meth:`row_nonzero_counts`; ``rows`` are the rows with
+        a non-masked entry, and the rest are blocks of those rows.
+        """
+        counts = self.row_nonzero_counts()
+        rows = np.flatnonzero(counts)
+        return tuple(_readonly(a) for a in (counts, rows, ~self.zero_mask[rows],
+                                            self.A[rows], self.sup_A[rows]))
 
 
 @dataclass(frozen=True)

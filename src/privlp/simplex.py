@@ -6,9 +6,9 @@ index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
-A solve starts from the slack basis, or from a given basis ``start`` such
-as the final ``basic_columns`` of a solve of a problem that differs only in
-its data. A start is factored once; rows whose start value is negative are
+A solve starts from the slack basis, or from a :class:`WarmStart` such as
+the final ``basic_columns`` of a baseline solve, factored once and updated
+per system (see ``warmstart``). Rows whose start value is negative are
 sign-flipped and get an artificial, so phase 1 runs over those rows only,
 and a start that is still feasible goes straight to phase 2. The returned
 vertex is re-derived from the original data through its final basis, so
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ConstraintSystem
+from .warmstart import PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau
 
 FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 200_000
 _MAX_VERTEX_BASES = 5_000_000
 _VERTEX_CHUNK = 256
@@ -44,9 +44,11 @@ class Solution:
     ``basis`` lists the active constraint indices at the returned point:
     ``0..m-1`` for rows of A, ``m + j`` for the bound ``x_j >= 0``.
     ``basic_columns`` is the final simplex basis, one column index into
-    ``[x | slacks]`` per row; pass it as ``start`` to re-solve a problem
-    that differs only in its data. ``phase1_pivots`` and ``phase2_pivots``
-    count the pivots of each phase.
+    ``[x | slacks]`` per row; a :class:`WarmStart` built on it starts
+    re-solves of problems that differ only in their data.
+    ``phase1_pivots`` and ``phase2_pivots`` count the pivots of each phase,
+    and ``start_path`` names the start that ran: ``"slack"``, ``"factored"``
+    or ``"updated"``.
     """
 
     status: str
@@ -56,6 +58,7 @@ class Solution:
     basic_columns: tuple[int, ...] = field(default=())
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    start_path: str = "slack"
 
     @property
     def is_optimal(self) -> bool:
@@ -65,45 +68,28 @@ class Solution:
 _STALL_LIMIT = 200
 
 
-def _factor_start(B: np.ndarray, body: np.ndarray, n: int) -> np.ndarray | None:
-    """``B^-1 [A | I | b]``, or None when ``B`` is singular to working precision.
-
-    LU reports only an exactly zero pivot, so the 1-norm condition number is
-    checked too, against ``1 / PIVOT_TOL``; ``B^-1`` is the slack block of
-    the result.
-    """
-    try:
-        solved = np.linalg.solve(B, body)
-    except np.linalg.LinAlgError:  # singular, or not m columns
-        return None
-    condition = np.linalg.norm(B, 1) * np.linalg.norm(solved[:, n:n + B.shape[0]], 1)
-    if not (np.isfinite(solved).all() and condition < 1 / PIVOT_TOL):
-        return None
-    return solved
-
-
 class _Tableau:
     """Simplex tableau over columns [x | slacks | artificials | rhs].
 
-    ``start`` is the initial basis: m column indices into ``[x | slacks]``.
-    ``None`` is the slack basis, whose tableau is ``[A | I | b]`` with no
-    factorization. Any other start is factored once, ``B^-1 [A | I | b]``,
-    and falls back to the slack basis when that fails. A row whose start
-    value is negative is sign-flipped and gets an artificial, so phase 1
-    runs over those rows only; a factored value in ``[-FEAS_TOL, 0)`` is
-    round-off and is set to 0.
+    ``start`` is a :class:`WarmStart`, or ``None`` for the slack basis,
+    whose tableau is ``[A | I | b]``; a start singular for ``A`` falls back
+    to it. ``start_path`` is ``"slack"``, ``"factored"`` or ``"updated"``.
+    A row whose start value is negative is sign-flipped and gets an
+    artificial, so phase 1 runs over those rows only; a factored value in
+    ``[-FEAS_TOL, 0)`` is round-off and is set to 0.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, start=None):
+    def __init__(self, A: np.ndarray, b: np.ndarray, start: WarmStart | None = None):
         m, n = A.shape
         self.m, self.n = m, n
         self.n_slack = m
-        self.AI, self.b = np.hstack([A, np.eye(m)]), b  # original data, for extraction
-        body = np.hstack([self.AI, b[:, None]])
-        self.basis = np.arange(n, n + m)
-        factored = None if start is None else _factor_start(self.AI[:, start], body, n)
-        if factored is not None:
-            body, self.basis = factored, np.array(start, dtype=int)
+        self.A, self.b = A, b  # original data, for extraction
+        started = None if start is None else start.tableau(A, b)
+        if started is None:
+            body, self.basis, self.start_path = _slack_tableau(A, b), np.arange(n, n + m), "slack"
+        else:
+            body, self.start_path = started
+            self.basis = start.basis.copy()
             body[:, self.basis] = np.eye(m)
             rhs = body[:, -1]
             rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0  # round-off of the factorization
@@ -227,7 +213,7 @@ class _Tableau:
         # solve succeeds, whatever the start. A dropped redundant row leaves
         # the basis short of m columns, and then the tableau values stand.
         try:
-            exact = np.linalg.solve(self.AI[:, self.basis], self.b)
+            exact = np.linalg.solve(_basis_matrix(self.A, self.basis), self.b)
         except np.linalg.LinAlgError:
             return
         if np.isfinite(exact).all() and np.max(np.abs(exact - self.T[:, -1])) < 1e-4:
@@ -242,30 +228,32 @@ class _Tableau:
         return np.maximum(x, 0.0)
 
 
-def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray, start=None) -> Solution:
+def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+               start: WarmStart | None = None) -> Solution:
     m, n = A.shape
     tab = _Tableau(A, b, start)
     if not tab.solve_phase1():
-        return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots)
+        return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots, start_path=tab.start_path)
     phase1 = tab.pivots
     status = tab.solve_phase2(c)
-    pivots = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots - phase1}
+    stats = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots - phase1,
+             "start_path": tab.start_path}
     if status == UNBOUNDED:
-        return Solution(status=UNBOUNDED, **pivots)
+        return Solution(status=UNBOUNDED, **stats)
     x = tab.extract_x()
     residual = A @ x - b
     active = [int(i) for i in np.flatnonzero(np.abs(residual) <= FEAS_TOL)]
     active += [m + int(j) for j in np.flatnonzero(x <= FEAS_TOL)]
     return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
-                    basic_columns=tuple(int(j) for j in tab.basis), **pivots)
+                    basic_columns=tuple(int(j) for j in tab.basis), **stats)
 
 
-def solve_lp(c, sys: ConstraintSystem, start=None) -> Solution:
+def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
     """Maximize ``c.x`` over {x >= 0 : A x <= b}.
 
-    ``start`` is an initial basis, such as the ``basic_columns`` of a
-    solve of a problem with the same shape; ``None`` starts from the slack
-    basis. Returns a :class:`Solution` whose point, when optimal,
+    ``start`` is a :class:`WarmStart` built on a system of the same shape,
+    such as a baseline and its ``basic_columns``; ``None`` starts from the
+    slack basis. Returns a :class:`Solution` whose point, when optimal,
     re-verifies against the constraints at tolerance 1e-9.
     """
     c = np.asarray(c, dtype=float)

@@ -169,19 +169,25 @@ def _refine_nonneg_min(M: np.ndarray, v0: np.ndarray) -> float:
     return math.sqrt(max(min(result.fun, objective(np.sqrt(np.abs(v0)))), 0.0))
 
 
-def sphere_inner_min(M, n_dirs=1_000_000, seed=0, bank=None, refine=True) -> float:
-    """min ||M^T v|| over nonnegative unit v, by dense sampling + polish."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    r = M.shape[0]
-    if bank is None:
-        bank = np.abs(np.random.default_rng(seed).standard_normal((n_dirs, r)))
-    V = bank[:, :r] / np.linalg.norm(bank[:, :r], axis=1, keepdims=True)
+def _unit_rows(bank: np.ndarray) -> np.ndarray:
+    return bank / np.linalg.norm(bank, axis=1, keepdims=True)
+
+
+def _sampled_min(M: np.ndarray, V: np.ndarray, refine: bool = True) -> float:
+    """min ||M^T v|| over the unit directions V (one per row), then polished."""
     vals = np.linalg.norm(V @ M, axis=1)
     i = int(np.argmin(vals))
     best = float(vals[i])
     if refine:
         best = min(best, _refine_nonneg_min(M, V[i]))
     return best
+
+
+def sphere_inner_min(M, n_dirs=1_000_000, seed=0, refine=True) -> float:
+    """min ||M^T v|| over nonnegative unit v, by dense sampling + polish."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    bank = np.abs(np.random.default_rng(seed).standard_normal((n_dirs, M.shape[0])))
+    return _sampled_min(M, _unit_rows(bank), refine)
 
 
 def hoffman_bruteforce(A, n_dirs=1_000_000, seed=0, admit_tol=1e-6) -> float:
@@ -191,16 +197,17 @@ def hoffman_bruteforce(A, n_dirs=1_000_000, seed=0, admit_tol=1e-6) -> float:
     polish cannot certify an inner minimum below ~1e-8, so subsets whose
     polished minimum lands under the tolerance are treated as degenerate
     (not admissible). Random instances used in tests keep a wide margin on
-    both sides of it.
+    both sides of it. Every subset of one size is sampled over the same
+    directions: the first ``size`` columns of one bank, normalized once.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m = A.shape[0]
     bank = np.abs(np.random.default_rng(seed).standard_normal((n_dirs, m)))
     best = None
     for size in range(1, m + 1):
+        V = _unit_rows(bank[:, :size])
         for subset in itertools.combinations(range(m), size):
-            sub_bank = bank[:, : size]
-            value = sphere_inner_min(A[list(subset)], bank=sub_bank)
+            value = _sampled_min(A[list(subset)], V)
             if value > admit_tol:
                 best = value if best is None else min(best, value)
     if best is None:

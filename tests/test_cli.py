@@ -266,17 +266,19 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
 
     class Recording(simplex._Tableau):
         def __init__(self, A, b, start=None):
-            starts.append(start)
             super().__init__(A, b, start)
+            starts.append((start, self.start_path))
 
     monkeypatch.setattr(simplex, "_Tableau", Recording)
     for seed in range(5):
         assert main(["solve", problem_file, "--private", "--seed", str(seed),
                      "--out", str(tmp_path / "out.json")]) == 0
+        assert "start_path" not in json.loads((tmp_path / "out.json").read_text())
     lp = load_problem(json.dumps(BASIC))
     validate(lp)
     simplex.max_norm_point(lp.system)
-    assert len(starts) > 10 and all(start is None for start in starts)
+    assert len(starts) > 10 and set(starts) == {(None, "slack")}
     starts.clear()
     sweep_gridworld(default_grid(), ExperimentConfig(eps_grid=(1.0,), trials=2, k=0.25))
-    assert sum(start is not None for start in starts) == 2  # the control: trials warm-start
+    # the control: both trials start from the updated baseline tableau
+    assert [path for start, path in starts if start is not None] == ["updated"] * 2

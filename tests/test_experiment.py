@@ -181,3 +181,27 @@ def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
     assert len(trials) == 150
     assert baseline[0] > 50  # the slack start takes about 74 pivots on the occupancy LP
     assert sum(trials) / len(trials) < 2
+
+
+def test_sweep_trials_report_their_start_path(monkeypatch, rng):
+    # one private row of 51 is a rank-one update of the baseline tableau;
+    # a 12x6 LP whose rows are all private is re-factored in every trial
+    import privlp.simplex as simplex
+    solve = simplex.solve_lp
+    paths = {"slack start": [], "trial": []}
+
+    def recording(c, sys_, start=None):
+        sol = solve(c, sys_, start=start)
+        paths["slack start" if start is None else "trial"].append(sol.start_path)
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    sweep_gridworld(default_grid(), ExperimentConfig(
+        eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0, delta=0.05, k=0.25))
+    assert paths == {"slack start": ["slack"], "trial": ["updated"] * 150}
+    paths = {"slack start": [], "trial": []}
+    lp = random_validated_lp(rng, m=12, n=6, positive_costs=True)
+    assert (lp.system.row_nonzero_counts() > 0).all()
+    sweep_linear_program(lp, ExperimentConfig(eps_grid=(0.5, 1.0, 5.0), trials=10, k=0.02))
+    assert set(paths["slack start"]) == {"slack"}
+    assert paths["trial"] == ["factored"] * 30

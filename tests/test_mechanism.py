@@ -327,3 +327,26 @@ def test_clipped_counts_match_entrywise_scan(rng):
         assert priv.clipped_counts[[1, 5]].tolist() == [0, 0]  # fully masked rows
         total += int(priv.clipped_counts.sum())
     assert total > 0
+
+
+def test_privatize_matrix_reads_the_system_part_once(monkeypatch):
+    # a sweep privatizes one system in every trial; its private rows and
+    # their blocks are computed on the first call only
+    from privlp import ConstraintSystem
+    calls = []
+    counts = ConstraintSystem.row_nonzero_counts
+    monkeypatch.setattr(ConstraintSystem, "row_nonzero_counts",
+                        lambda self: calls.append(1) or counts(self))
+    A = np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    mask = (A == 0.0) | (np.arange(3) == 2)[:, None]  # row 2 is public
+
+    def system():
+        return ConstraintSystem(A=A, b=np.ones(3), zero_mask=mask,
+                                sup_A=np.where(mask, A, A + 1.0))
+
+    sys_ = system()
+    p = PrivacyParams(1.0, 0.05, 0.5)
+    first = [privatize_matrix(sys_, p, seed).A_tilde for seed in range(3)]
+    assert len(calls) == 1
+    fresh = [privatize_matrix(system(), p, seed).A_tilde for seed in range(3)]
+    assert all(np.array_equal(a, b) for a, b in zip(first, fresh))

@@ -9,6 +9,7 @@ from privlp.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    WarmStart,
     enumerate_vertices,
     max_norm_point,
     phase1_feasible,
@@ -215,7 +216,7 @@ def test_warm_start_from_baseline_matches_slack_start(rng, k):
         for eps in (0.5, 5.0):
             tightened = _privatized(lp, eps, k, seed=trial)
             cold = solve_lp(lp.c, tightened)
-            warm = solve_lp(lp.c, tightened, start=base.basic_columns)
+            warm = solve_lp(lp.c, tightened, start=WarmStart(lp.system, base.basic_columns))
             assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
             assert np.max(tightened.A @ warm.x - tightened.b) <= 1e-9
@@ -230,7 +231,7 @@ def test_warm_start_with_negative_rows_runs_phase1():
     system = _sys([[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0])
     c = [1.0, 2.0]
     cold = solve_lp(c, system)
-    warm = solve_lp(c, system, start=(0, 3))
+    warm = solve_lp(c, system, start=WarmStart(system, (0, 3)))
     assert warm.phase1_pivots >= 1
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -241,7 +242,8 @@ def test_singular_start_falls_back_to_slack_basis(rng):
     c, A, b = _random_instance(rng, 5, 4)
     cold = solve_lp(c, _sys(A, b))
     for start in [(0, 0, 4, 5, 6), (0, 1, 2)]:  # repeated column; too few columns
-        warm = solve_lp(c, _sys(A, b), start=start)
+        warm = solve_lp(c, _sys(A, b), start=WarmStart(_sys(A, b), start))
+        assert warm.start_path == "slack"
         assert warm.status == cold.status
         assert (warm.phase1_pivots, warm.phase2_pivots) == (cold.phase1_pivots, cold.phase2_pivots)
         if cold.status == OPTIMAL:
@@ -256,7 +258,7 @@ def test_optimal_start_takes_no_pivots(rng):
         cold = solve_lp(c, _sys(A, b))
         if cold.status != OPTIMAL:
             continue
-        warm = solve_lp(c, _sys(A, b), start=cold.basic_columns)
+        warm = solve_lp(c, _sys(A, b), start=WarmStart(_sys(A, b), cold.basic_columns))
         assert (warm.phase1_pivots, warm.phase2_pivots) == (0, 0)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
         assert warm.x == pytest.approx(cold.x, abs=1e-12)
@@ -281,8 +283,123 @@ def test_warm_start_on_degenerate_lp_matches_vertex_oracle(rng):
                            system=ConstraintSystem(A=A, b=b, zero_mask=public, sup_A=sup_A))
         base = solve_lp(lp.c, lp.system)
         tightened = _privatized(lp, 1.0, 0.3, seed=trial)
-        warm = solve_lp(lp.c, tightened, start=base.basic_columns)
+        warm = solve_lp(lp.c, tightened, start=WarmStart(lp.system, base.basic_columns))
         status, best = lp_oracle(lp.c, tightened.A, tightened.b)
         assert warm.status == status == OPTIMAL
         assert warm.objective == pytest.approx(best, abs=1e-9)
 
+
+
+def _changed_rows(rng, lp, count):
+    """``A`` with ``count`` random rows moved up inside the bound set."""
+    A, sup_A = np.asarray(lp.system.A), np.asarray(lp.system.sup_A)
+    movable = np.flatnonzero((sup_A > A).any(axis=1))
+    rows = rng.choice(movable, count, replace=False)
+    moved = A.copy()
+    moved[rows] += rng.uniform(0.0, 1.0, (count, 1)) * (sup_A - A)[rows]
+    return moved
+
+
+def _solve_pair(monkeypatch, c, system, start):
+    """The solve from ``start`` and the same solve with the update switched off."""
+    warm = solve_lp(c, system, start=start)
+    with monkeypatch.context() as patched:
+        patched.setattr(WarmStart, "_updated", lambda self, A, b: None)
+        full = solve_lp(c, system, start=start)
+    return warm, full
+
+
+def _assert_same_solve(one, two):
+    assert one.status == two.status
+    assert one.x.tobytes() == two.x.tobytes()
+    assert (one.basis, one.basic_columns) == (two.basis, two.basic_columns)
+    assert (one.phase1_pivots, one.phase2_pivots) == (two.phase1_pivots, two.phase2_pivots)
+
+
+def test_low_rank_update_matches_the_full_factorization(rng, monkeypatch):
+    import dataclasses
+    from conftest import random_validated_lp
+    from privlp.warmstart import _factor_start
+    updates = 0
+    for trial in range(40):
+        m = int(rng.integers(2, 13))
+        lp = random_validated_lp(rng, m=m, n=int(rng.integers(2, 8)),
+                                 positive_costs=trial % 2 == 0)
+        base = solve_lp(lp.c, lp.system)
+        start = WarmStart(lp.system, base.basic_columns)
+        b = np.asarray(lp.system.b)
+        for count in range(1, m // 2 + 1):
+            A = _changed_rows(rng, lp, count)
+            T, path = start.tableau(A, b)
+            full = _factor_start(A, b, start.basis)
+            assert path == "updated"
+            assert np.max(np.abs(T - full)) <= 1e-10
+            warm, factored = _solve_pair(monkeypatch, lp.c,
+                                         dataclasses.replace(lp.system, A=A), start)
+            assert (warm.start_path, factored.start_path) == ("updated", "factored")
+            assert warm.is_optimal
+            _assert_same_solve(warm, factored)
+            updates += 1
+    assert updates > 80
+
+
+def _fallback_case(rng, kind):
+    """A start and a system it must not update to, of the given kind."""
+    import dataclasses
+    from conftest import random_validated_lp
+    lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
+    base = solve_lp(lp.c, lp.system)
+    start = WarmStart(lp.system, base.basic_columns)
+    if kind == "b changed":
+        return lp, start, dataclasses.replace(lp.system, A=_changed_rows(rng, lp, 1),
+                                              b=np.asarray(lp.system.b) + 0.25)
+    if kind == "more than half of the rows":
+        return lp, start, dataclasses.replace(lp.system, A=_changed_rows(rng, lp, 5))
+    # a row r moved so that C = 1 + d_B . u is about 1e-13: the new basis is
+    # singular to working precision, though its LU pivots are not exactly 0
+    A = np.array(lp.system.A)
+    m, n = A.shape
+    x = np.flatnonzero(start.basis < n)
+    r = next(r for r in range(m) if np.any(start.T0[x, n + r] != 0.0))
+    u = start.T0[x, n + r]
+    d = np.zeros(n)
+    d[start.basis[x]] = -(1.0 - 1e-13) * u / (u @ u)
+    A[r] += d
+    C = 1.0 + d[start.basis[x]] @ u
+    assert 0 < abs(C) < 1e-12
+    return lp, start, ConstraintSystem(A=A, b=lp.system.b, zero_mask=np.zeros_like(A, dtype=bool),
+                                       sup_A=np.maximum(lp.system.sup_A, A))
+
+
+@pytest.mark.parametrize("kind", ["b changed", "more than half of the rows", "singular update"])
+def test_update_falls_back_to_the_full_factorization(rng, monkeypatch, kind):
+    from privlp.warmstart import _factor_start
+    for _ in range(5):
+        lp, start, system = _fallback_case(rng, kind)
+        A, b = np.asarray(system.A), np.asarray(system.b)
+        full = _factor_start(A, b, start.basis)
+        started = start.tableau(A, b)
+        if kind == "singular update":
+            assert full is None and started is None
+        else:
+            assert started[1] == "factored" and np.array_equal(started[0], full)
+        warm, factored = _solve_pair(monkeypatch, lp.c, system, start)
+        assert warm.start_path == factored.start_path != "updated"
+        assert warm.status == factored.status
+        if warm.is_optimal:
+            _assert_same_solve(warm, factored)
+
+
+def test_half_of_the_rows_still_update(rng):
+    from conftest import random_validated_lp
+    lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
+    start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+    _, path = start.tableau(_changed_rows(rng, lp, 4), np.asarray(lp.system.b))
+    assert path == "updated"
+
+
+def test_start_must_match_the_system_shape(rng):
+    c, A, b = _random_instance(rng, 4, 3)
+    start = WarmStart(_sys(A, b), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="shape"):
+        solve_lp(c[:2], _sys(A[:, :2], b), start=start)
