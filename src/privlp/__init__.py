@@ -21,11 +21,8 @@ from .problem import (
 )
 from .mechanism import (
     PrivatizedSystem,
-    TruncLaplaceParams,
     privatize_matrix,
-    privatize_row,
     privatized_document,
-    privatized_system,
     sample_trunc_laplace,
     support_width,
 )
@@ -63,11 +60,10 @@ __all__ = [
     "DimensionError", "FeasibilityAssumptionError", "GridConfig",
     "HoffmanSizeError", "InfeasibleBudgetError", "LinearProgram",
     "MembershipError", "Policy", "PrivacyParams", "PrivatizedSystem",
-    "SchemaError", "Solution", "TruncLaplaceParams", "ValidatedProblem", "WarmStart",
+    "SchemaError", "Solution", "ValidatedProblem", "WarmStart",
     "bound_geometry", "build_gridworld", "cost_bound", "cost_of_privacy", "default_grid",
     "derive_seed", "hoffman_constant", "inner_cone_min",
     "load_grid_config", "load_problem", "max_norm_point", "occupancy_lp", "phase1_feasible",
-    "privatize_matrix", "privatize_row", "privatized_document",
-    "privatized_system", "sample_trunc_laplace", "solve_lp", "support_width",
-    "synthesize_policy", "validate", "value_function", "xi_term",
+    "privatize_matrix", "privatized_document", "sample_trunc_laplace", "solve_lp",
+    "support_width", "synthesize_policy", "validate", "value_function", "xi_term",
 ]

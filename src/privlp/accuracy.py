@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mechanism import support_width
+from .mechanism import _row_calibration
 from .problem import ConstraintSystem, LinearProgram, PrivacyParams
 from . import simplex
 
@@ -184,36 +184,25 @@ class AccuracyReport:
 def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     """Expected-perturbation bound xi and which case produced it.
 
+    ``n0`` and ``s_i`` per row come from ``mechanism._row_calibration``.
     Interior case (no entry can reach its public bound even after the full
     shift, a + 2 s_i < sup for every non-masked entry):
 
-        xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 )
+        xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 ), in row order
 
     Clipped case (some entry can hit its bound): xi is the Frobenius norm
     of (A - sup_A), the worst tightening the clipping allows.
     """
-    m = sys.shape[0]
-    counts = sys.row_nonzero_counts()
-    clipped = False
-    for i in range(m):
-        if counts[i] == 0:
-            continue
-        s_i = support_width(p.k, p.epsilon, p.delta, int(counts[i]))
-        free = ~sys.zero_mask[i]
-        if np.any(sys.A[i, free] + 2.0 * s_i >= sys.sup_A[i, free]):
-            clipped = True
-            break
-    if clipped:
+    _, _, free, A, sup = sys.private_rows
+    n0, widths = _row_calibration(sys, p)
+    if (free & (A + 2.0 * widths[n0][:, None] >= sup)).any():
         return float(np.linalg.norm(sys.A - sys.sup_A)), XI_CLIPPED
-    total = 0.0
+    m = sys.shape[0]
     ratio = p.k / p.epsilon
-    for i in range(m):
-        n0 = int(counts[i])
-        if n0 == 0:
-            continue
-        s_i = support_width(p.k, p.epsilon, p.delta, n0)
-        total += 2.0 * m * ratio * ratio * n0 + (n0 * s_i) ** 2
-    return math.sqrt(total), XI_INTERIOR
+    terms = np.zeros_like(widths)
+    for c in np.flatnonzero(widths).tolist():  # a float's ** 2 may differ from numpy's x * x
+        terms[c] = 2.0 * m * ratio * ratio * c + (c * float(widths[c])) ** 2
+    return math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1]), XI_INTERIOR
 
 
 class BoundGeometry(NamedTuple):

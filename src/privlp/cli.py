@@ -115,13 +115,13 @@ def cmd_sweep(args) -> int:
     eps_grid = tuple(float(tok) for tok in args.eps_grid.split(",") if tok.strip())
     if args.problem is not None:
         problem = load_problem(_read(args.problem))  # the sweep validates it first
-        source, base = args.problem, problem.privacy
+        base = problem.privacy
     else:
         problem = load_grid_config(_read(args.grid_config))
-        source, base = args.grid_config, None
+        base = None
     delta, k = _resolve_delta_k(base, args)
     config = ExperimentConfig(eps_grid=eps_grid, trials=args.trials, base_seed=args.seed,
-                              delta=delta, k=k, source=source, out=args.out)
+                              delta=delta, k=k)
     records = run_sweep(problem, config)
     csv_text = records_to_csv(records)
     if args.out:

@@ -50,15 +50,13 @@ class SweepAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep parameters. ``source`` and ``out`` are informational paths."""
+    """Sweep parameters."""
 
     eps_grid: tuple[float, ...]
     trials: int = 100
     base_seed: int = 0
     delta: float = 0.05
     k: float = 1.0
-    source: str | None = None
-    out: str | None = None
 
     def __post_init__(self):
         grid = tuple(float(e) for e in self.eps_grid)

@@ -8,11 +8,12 @@ where ``sigma = k/epsilon`` and ``s_i`` is the per-row support half-width
 calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
-feasible for it is feasible for the true constraints. Rows are privatized
-independently (disjoint data, parallel composition): row ``i`` still draws
-its uniforms from its own stream keyed by ``(seed, i)``, and the inverse
-CDF, shift and clip then run once over all private rows together, with
-each row's ``s_i`` broadcast as a column.
+feasible for it is feasible for the true constraints. There is one path,
+:func:`privatize_matrix`. Rows are privatized independently (disjoint data,
+parallel composition): row ``i`` still draws its uniforms from its own
+stream keyed by ``(seed, i)``, and the inverse CDF, shift and clip then run
+once over all private rows together, with each row's ``s_i`` broadcast as a
+column. ``s_i`` comes from :func:`_row_calibration`, which ``xi_term`` reads too.
 """
 from __future__ import annotations
 
@@ -43,26 +44,6 @@ def support_width(k: float, epsilon: float, delta: float, n0: int) -> float:
     return (k / epsilon) * math.log1p(n0 * math.expm1(epsilon) / delta)
 
 
-@dataclass(frozen=True)
-class TruncLaplaceParams:
-    """Scale sigma and support half-width s of a truncated Laplace density."""
-
-    sigma: float
-    s: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and self.s > 0):
-            raise ValueError(f"sigma and s must be positive, got sigma={self.sigma}, s={self.s}")
-
-    def cdf(self, z):
-        """Distribution function of the density ~ exp(-|z|/sigma) on [-s, s]."""
-        z = np.clip(np.asarray(z, dtype=float), -self.s, self.s)
-        half_mass = -np.expm1(-self.s / self.sigma)  # integral of e^{-|t|/sigma}/sigma over [0, s]
-        lower = np.exp(z / self.sigma) - np.exp(-self.s / self.sigma)
-        upper = half_mass - np.expm1(-z / self.sigma)
-        return np.where(z < 0, lower, upper) / (2.0 * half_mass)
-
-
 def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float) -> np.ndarray:
     """Closed-form inverse CDF of the truncated Laplace density, elementwise.
 
@@ -91,16 +72,31 @@ def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float) -> np.ndarray:
     return np.where(u <= 0.5, lower, upper).clip(-s, s)
 
 
-def sample_trunc_laplace(params: TruncLaplaceParams, rng: np.random.Generator, size=None):
-    """Draw from the truncated Laplace density via a closed-form inverse CDF.
+def sample_trunc_laplace(sigma: float, s: float, rng: np.random.Generator, size=None):
+    """Draw from the density ~ exp(-|z|/sigma) on [-s, s] via a closed-form inverse CDF.
 
     One uniform per draw, no rejection loop, so the draw count per entry is
     fixed and seeded runs are reproducible. A uniform of exactly 0 maps to
     exactly ``-s``. Returns a float for ``size=None``, else an ndarray.
     """
+    if not (sigma > 0 and s > 0):
+        raise ValueError(f"sigma and s must be positive, got sigma={sigma}, s={s}")
     u = rng.random() if size is None else rng.random(size)
-    z = _inverse_cdf(np.asarray(u, dtype=float), np.asarray(params.s, dtype=float), params.sigma)
+    z = _inverse_cdf(np.asarray(u, dtype=float), np.asarray(s, dtype=float), sigma)
     return float(z) if size is None else z
+
+
+def _row_calibration(sys: ConstraintSystem, p: PrivacyParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(n0, widths)``: free-entry counts of ``sys.private_rows``, in row order,
+    and ``widths[c] = support_width(k, epsilon, delta, c)`` once per distinct
+    count ``c`` (0 elsewhere), so ``widths[n0]`` is each row's ``s_i``.
+    """
+    counts, rows = sys.private_rows[:2]
+    n0 = counts[rows]
+    widths = np.zeros(sys.shape[1] + 1)
+    for c in set(n0.tolist()):
+        widths[c] = support_width(p.k, p.epsilon, p.delta, c)
+    return n0, widths
 
 
 def _noisy_rows(A, free, sup, u, s, sigma):
@@ -133,34 +129,6 @@ class PrivatizedSystem:
     noise_log: np.ndarray | None = None
 
 
-def privatize_row(row, mask_row, sup_row, p: PrivacyParams,
-                  rng: np.random.Generator):
-    """Privatize one constraint row.
-
-    Masked entries pass through unchanged. Every other entry ``a`` becomes
-    ``min(a + s_i + z, sup)`` and therefore lands in ``[a, sup]``. The
-    transform is the one :func:`privatize_matrix` runs over all rows, fed
-    with ``n0`` uniforms from ``rng``.
-
-    Returns ``(row_tilde, s_i, z_draws)`` with ``z_draws`` in entry order;
-    for a fully masked row, ``(row, 0.0, empty)``.
-    """
-    row = np.asarray(row, dtype=float)
-    mask_row = np.asarray(mask_row, dtype=bool)
-    sup_row = np.asarray(sup_row, dtype=float)
-    if not (row.shape == mask_row.shape == sup_row.shape):
-        raise ValueError("row, mask_row and sup_row must have identical shapes")
-    free = ~mask_row
-    n0 = int(free.sum())
-    if n0 == 0:
-        return row.copy(), 0.0, np.empty(0)
-    s_i = support_width(p.k, p.epsilon, p.delta, n0)
-    u = np.zeros(row.shape)
-    u[free] = rng.random(n0)
-    out, z = _noisy_rows(row, free, sup_row, u, np.asarray(s_i), p.sigma)
-    return out, s_i, z[free]
-
-
 def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
                      record_noise: bool = False) -> PrivatizedSystem:
     """Privatize each row of a validated system independently.
@@ -171,7 +139,7 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     noise transform then runs once over the rows with a free entry; fully
     masked (public) rows are copied without building a stream. Which rows
     those are, and their blocks, is read from ``sys.private_rows``, which a
-    system computes once.
+    system computes once; their half-widths from :func:`_row_calibration`.
     """
     m, n = sys.shape
     counts, rows, block, A_rows, sup = sys.private_rows
@@ -180,13 +148,12 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     clipped = np.zeros(m, dtype=int)
     noise = np.full((m, n), np.nan) if record_noise else None
     if rows.size:
-        n0 = counts[rows].tolist()
-        widths = {c: support_width(p.k, p.epsilon, p.delta, c) for c in set(n0)}
-        s = np.array([widths[c] for c in n0])
+        n0, widths = _row_calibration(sys, p)
+        s = widths[n0]
         supports[rows] = s
         u = np.zeros(block.shape)
         u[block] = np.concatenate([row_stream(seed, i).random(c)
-                                   for i, c in zip(rows.tolist(), n0)])
+                                   for i, c in zip(rows.tolist(), n0.tolist())])
         out, z = _noisy_rows(A_rows, block, sup, u, s[:, None], p.sigma)
         A_tilde[rows] = out
         clipped[rows] = (block & (out == sup)).sum(axis=1)
@@ -196,12 +163,6 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
                             row_nonzero_counts=counts, clipped_counts=clipped,
                             params=p, seed=seed, noise_log=noise)
-
-
-def privatized_system(sys: ConstraintSystem, priv: PrivatizedSystem) -> ConstraintSystem:
-    """The tightened constraint system A~ x <= b inherited from ``sys``."""
-    return ConstraintSystem(A=priv.A_tilde, b=sys.b, zero_mask=sys.zero_mask,
-                            sup_A=sys.sup_A)
 
 
 def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:

@@ -232,13 +232,6 @@ def load_problem(text: str) -> LinearProgram:
     sup_A = _finite_matrix(doc, "sup_A")
     b = _finite_vector(doc, "b")
     c = _finite_vector(doc, "c")
-    m, n = A.shape
-    if b.shape[0] != m:
-        raise DimensionError(f"b has length {b.shape[0]} but A has {m} rows")
-    if sup_A.shape != (m, n):
-        raise DimensionError(f"sup_A has shape {sup_A.shape} but A has shape {(m, n)}")
-    if c.shape[0] != n:
-        raise DimensionError(f"c has length {c.shape[0]} but A has {n} columns")
 
     if "zero_mask" in doc:
         raw = doc["zero_mask"]
@@ -247,8 +240,6 @@ def load_problem(text: str) -> LinearProgram:
         _require(all(isinstance(v, bool) for r in raw for v in r),
                  "zero_mask", "entries must be booleans")
         mask = np.asarray(raw, dtype=bool)
-        if mask.shape != (m, n):
-            raise DimensionError(f"zero_mask has shape {mask.shape} but A has shape {(m, n)}")
     else:
         mask = A == 0.0
 

@@ -242,6 +242,9 @@ def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         return Solution(status=UNBOUNDED, **stats)
     x = tab.extract_x()
     residual = A @ x - b
+    worst = float(np.max(residual, initial=0.0))
+    if worst > FEAS_TOL:
+        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
     active = [int(i) for i in np.flatnonzero(np.abs(residual) <= FEAS_TOL)]
     active += [m + int(j) for j in np.flatnonzero(x <= FEAS_TOL)]
     return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
@@ -259,12 +262,7 @@ def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Soluti
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.shape[1],):
         raise ValueError(f"c must have shape ({sys.shape[1]},), got {c.shape}")
-    sol = _solve_raw(c, np.asarray(sys.A), np.asarray(sys.b), start)
-    if sol.is_optimal:
-        worst = float(np.max(sys.A @ sol.x - sys.b, initial=0.0))
-        if worst > FEAS_TOL or sol.x.min(initial=0.0) < -FEAS_TOL:
-            raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
-    return sol
+    return _solve_raw(c, np.asarray(sys.A), np.asarray(sys.b), start)
 
 
 def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:

@@ -14,7 +14,6 @@ from privlp import (
     ConstraintSystem,
     HoffmanSizeError,
     PrivacyParams,
-    TruncLaplaceParams,
     cost_bound,
     default_grid,
     hoffman_constant,
@@ -94,7 +93,7 @@ def test_criterion_02_mechanism_distribution():
     """KS distance between 1e5 samples (sigma=1, s=2) and the CDF < 0.01."""
     sigma, s = 1.0, 2.0
     rng = np.random.default_rng(52_001)
-    z = np.sort(sample_trunc_laplace(TruncLaplaceParams(sigma, s), rng, size=100_000))
+    z = np.sort(sample_trunc_laplace(sigma, s, rng, size=100_000))
     # reference CDF by dense trapezoid integration of the density
     grid = np.linspace(-s, s, 200_001)
     density = np.exp(-np.abs(grid) / sigma)
@@ -114,10 +113,9 @@ def test_criterion_03_empirical_dp_ratio():
     n_draws = 1_000_000
     a, a_adj, sup = 0.5, 1.5, 1e9
     s = support_width(PP.k, PP.epsilon, PP.delta, 1)
-    params = TruncLaplaceParams(sigma=PP.sigma, s=s)
 
     def mechanism_outputs(value, seed):
-        z = sample_trunc_laplace(params, np.random.default_rng(seed), size=n_draws)
+        z = sample_trunc_laplace(PP.sigma, s, np.random.default_rng(seed), size=n_draws)
         return np.minimum(value + (s + z), sup)
 
     out_a = mechanism_outputs(a, 9_001)

@@ -10,7 +10,6 @@ from privlp import (
     HoffmanSizeError,
     LinearProgram,
     PrivacyParams,
-    TruncLaplaceParams,
     cost_bound,
     hoffman_constant,
     inner_cone_min,
@@ -169,6 +168,25 @@ def test_xi_interior_decreasing_in_epsilon():
         previous = xi
 
 
+@pytest.mark.parametrize("seed, epsilon, k, expected", [
+    (35, 0.3, 1.0, "0x1.fd79cbf990025p+7"),
+    (40, 1.0, 0.3, "0x1.e430b05391874p+4"),
+    (58, 1.0, 0.3, "0x1.e6ea6411c63c5p+4"),
+])
+def test_xi_interior_bits_pinned(seed, epsilon, k, expected):
+    # written by the row-by-row implementation; on these 12-row systems,
+    # adding the rows' terms in reverse order, or by numpy's pairwise sum,
+    # changes the last bits
+    rng = np.random.default_rng(seed)
+    mask = rng.random((12, 9)) < 0.4
+    A = np.where(mask, 0.0, rng.uniform(-1.0, 1.0, (12, 9)))
+    sys_ = ConstraintSystem(A=A, b=np.ones(12), zero_mask=mask,
+                            sup_A=np.where(mask, A, A + 1e4))
+    xi, case = xi_term(sys_, PrivacyParams(epsilon, 0.05, k))
+    assert case == XI_INTERIOR
+    assert xi.hex() == expected
+
+
 def test_xi_matches_term_by_term_recomputation(rng):
     for _ in range(20):
         lp = random_validated_lp(rng)
@@ -208,7 +226,7 @@ def test_shifted_noise_second_moment(rng):
     # exact truncated second moment, not the looser untruncated stand-in
     n0 = 3
     s = support_width(PP.k, PP.epsilon, PP.delta, n0)
-    z = sample_trunc_laplace(TruncLaplaceParams(PP.sigma, s), rng, size=1_000_000)
+    z = sample_trunc_laplace(PP.sigma, s, rng, size=1_000_000)
     sample_moment = ((s + z) ** 2).mean()
     expected = s ** 2 + trunc_laplace_moment(PP.sigma, s)
     assert sample_moment == pytest.approx(expected, rel=1e-2)

@@ -14,6 +14,7 @@ from privlp import (
     load_problem,
     validate,
 )
+from privlp.cli import main
 
 BASIC_DOC = {
     "c": [1.0, 1.0],
@@ -53,10 +54,30 @@ def test_row_length_mismatch_is_dimension_error():
         load_problem(json.dumps(doc))
 
 
-def test_b_length_mismatch_is_dimension_error():
+def test_b_length_mismatch_is_dimension_error(tmp_path, capsys):
     doc = dict(BASIC_DOC, b=[1.0, 1.0, 1.0])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^b "):
         load_problem(json.dumps(doc))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: b ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sup_A", [[3.0, 3.0, 3.0], [3.0, 3.0, 3.0]]),
+    ("zero_mask", [[False, False]]),
+    ("c", [1.0, 1.0, 1.0]),
+])
+def test_field_shape_mismatch_is_dimension_error(field, value, tmp_path,
+                                                 capsys):
+    doc = dict(BASIC_DOC, **{field: value})
+    with pytest.raises(DimensionError, match=f"^{field} "):
+        load_problem(json.dumps(doc))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
 
 
 @pytest.mark.parametrize("field", ["c", "A", "b", "sup_A"])
