@@ -5,7 +5,6 @@ optimum is always feasible for the true, non-private problem, and its
 objective can only be lower. This script hammers that guarantee across
 many seeds and reports the observed objective spread.
 """
-import dataclasses
 
 import numpy as np
 
@@ -35,7 +34,7 @@ objectives = []
 violations = 0
 for seed in range(400):
     priv = privatize_matrix(system, params, seed=seed)
-    sol = solve_lp(problem.c, dataclasses.replace(system, A=priv.A_tilde))
+    sol = solve_lp(problem.c, system.tightened(priv.A_tilde))
     assert sol.is_optimal
     worst = float(np.max(A @ sol.x - system.b))
     if worst > 1e-9:

@@ -6,7 +6,6 @@ constant of the constraint matrix, and a closed-form bound on the expected
 matrix perturbation. The script prints each piece, then validates the
 prediction against a Monte Carlo estimate of the realized loss.
 """
-import dataclasses
 
 import numpy as np
 
@@ -44,7 +43,7 @@ baseline = solve_lp(problem.c, system)
 gaps = []
 for seed in range(2000):
     priv = privatize_matrix(system, params, seed=seed)
-    sol = solve_lp(problem.c, dataclasses.replace(system, A=priv.A_tilde))
+    sol = solve_lp(problem.c, system.tightened(priv.A_tilde))
     gaps.append(abs(baseline.objective - sol.objective))
 print(f"\nMonte Carlo over {len(gaps)} draws:")
 print(f"  mean realized loss = {np.mean(gaps):.6f}")

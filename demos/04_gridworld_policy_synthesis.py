@@ -8,7 +8,6 @@ so privatizing the system perturbs only that row. The noise tightens the
 budget, so the private policy is more cautious, and its value at the start
 state measures what the privacy costs.
 """
-import dataclasses
 
 import numpy as np
 
@@ -39,7 +38,7 @@ print(f"\nnon-private policy: value at start = {v_star:.4f}, "
 
 params = PrivacyParams(epsilon=2.0, delta=0.05, k=0.25)
 priv = privatize_matrix(system, params, seed=99)
-occ_p, policy_p, _ = synthesize_policy(mdp, dataclasses.replace(system, A=priv.A_tilde))
+occ_p, policy_p, _ = synthesize_policy(mdp, system.tightened(priv.A_tilde))
 v_priv = float(mdp.mu @ value_function(mdp, policy_p))
 usage_p = float(system.A[0] @ occ_p.reshape(-1))
 print(f"private policy (eps={params.epsilon}): value at start = {v_priv:.4f}, "

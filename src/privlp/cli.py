@@ -9,7 +9,6 @@ that privatizes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,7 +90,7 @@ def cmd_solve(args) -> int:
     else:
         params = _resolve_privacy(lp, args)
         priv = privatize_matrix(lp.system, params, args.seed)
-        tightened = dataclasses.replace(lp.system, A=priv.A_tilde)
+        tightened = lp.system.tightened(priv.A_tilde)
         sol = simplex.solve_lp(lp.c, tightened)
         payload = _solution_payload(sol)
         if sol.is_optimal:

@@ -126,7 +126,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, ei, trial)
             priv = privatize_matrix(sys_, params, seed)
-            tightened = dataclasses.replace(sys_, A=priv.A_tilde)
+            tightened = sys_.tightened(priv.A_tilde)
             sol = simplex.solve_lp(lp.c, tightened, start=start)
             if not sol.is_optimal:
                 raise SweepAbort(

@@ -118,6 +118,21 @@ class ConstraintSystem:
         object.__setattr__(self, "zero_mask", _readonly(mask))
         object.__setattr__(self, "sup_A", _readonly(sup_A))
 
+    def tightened(self, A_tilde: np.ndarray) -> ConstraintSystem:
+        """This system with ``A`` replaced by ``privatize_matrix(self, ...).A_tilde``.
+
+        Skips the checks of construction: ``A_tilde`` has ``A``'s shape, is
+        float and read-only, equals ``A`` at masked entries and stays under
+        ``sup_A``, by construction of the mechanism (acceptance criterion
+        04). The copy holds no cached :attr:`private_rows`, whose ``A`` block
+        would be the original's.
+        """
+        system = object.__new__(ConstraintSystem)
+        for name, value in (("A", A_tilde), ("b", self.b), ("zero_mask", self.zero_mask),
+                            ("sup_A", self.sup_A)):
+            object.__setattr__(system, name, value)
+        return system
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
@@ -181,13 +196,18 @@ def _require(condition: bool, field_name: str, message: str):
         raise SchemaError(f"{field_name}: {message}")
 
 
+def _require_rectangular(rows: list, key: str):
+    """Every row of the array of arrays ``rows`` has the first row's length, and it is not 0."""
+    _require(all(len(r) == len(rows[0]) > 0 for r in rows), key,
+             "rows must all have the same length")
+
+
 def _finite_matrix(doc: dict, key: str) -> np.ndarray:
     _require(key in doc, key, "missing required field")
     value = doc[key]
     _require(isinstance(value, list) and value and all(isinstance(r, list) for r in value),
              key, "must be a non-empty array of arrays")
-    width = len(value[0])
-    _require(width > 0 and all(len(r) == width for r in value), key, "rows must all have the same length")
+    _require_rectangular(value, key)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -239,6 +259,7 @@ def load_problem(text: str) -> LinearProgram:
                  "zero_mask", "must be an array of arrays of booleans")
         _require(all(isinstance(v, bool) for r in raw for v in r),
                  "zero_mask", "entries must be booleans")
+        _require_rectangular(raw, "zero_mask")
         mask = np.asarray(raw, dtype=bool)
     else:
         mask = A == 0.0

@@ -12,8 +12,10 @@ per system (see ``warmstart``). Rows whose start value is negative are
 sign-flipped and get an artificial, so phase 1 runs over those rows only,
 and a start that is still feasible goes straight to phase 2. The returned
 vertex is re-derived from the original data through its final basis, so
-tableau round-off never reaches the caller, whatever the start. Built for
-desk-scale instances (tens of rows and columns); dense, no sparsity.
+tableau round-off never reaches the caller, whatever the start; while no
+pivot has changed a warm start's basis, that solve reuses the start's
+basis matrix. Built for desk-scale instances (tens of rows and columns);
+dense, no sparsity.
 """
 from __future__ import annotations
 
@@ -76,7 +78,9 @@ class _Tableau:
     to it. ``start_path`` is ``"slack"``, ``"factored"`` or ``"updated"``.
     A row whose start value is negative is sign-flipped and gets an
     artificial, so phase 1 runs over those rows only; a factored value in
-    ``[-FEAS_TOL, 0)`` is round-off and is set to 0.
+    ``[-FEAS_TOL, 0)`` is round-off and is set to 0. ``B`` is the warm
+    start's basis matrix while its basis stands: None from the first pivot
+    on, and for a slack start or a start with artificials.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, start: WarmStart | None = None):
@@ -87,22 +91,26 @@ class _Tableau:
         started = None if start is None else start.tableau(A, b)
         if started is None:
             body, self.basis, self.start_path = _slack_tableau(A, b), np.arange(n, n + m), "slack"
+            self.B = None
         else:
-            body, self.start_path = started
+            body, self.B, self.start_path = started
             self.basis = start.basis.copy()
             body[:, self.basis] = np.eye(m)
             rhs = body[:, -1]
             rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0  # round-off of the factorization
-        flip = body[:, -1] < 0
-        body[flip] *= -1.0
-        art_rows = np.flatnonzero(flip)
-        self.art_cols = list(range(n + m, n + m + art_rows.size))
-        art = np.zeros((m, art_rows.size))
-        art[art_rows, np.arange(art_rows.size)] = 1.0
-        self.basis[art_rows] = self.art_cols
-        self.T = body if art_rows.size == 0 else np.hstack([body[:, :-1], art, body[:, -1:]])
-        self.width = n + m + art_rows.size
+        self.T, self.width, self.art_cols = body, n + m, []
         self.pivots = 0
+        flip = body[:, -1] < 0
+        if flip.any():
+            body[flip] *= -1.0
+            art_rows = np.flatnonzero(flip)
+            self.art_cols = list(range(n + m, n + m + art_rows.size))
+            art = np.zeros((m, art_rows.size))
+            art[art_rows, np.arange(art_rows.size)] = 1.0
+            self.basis[art_rows] = self.art_cols
+            self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
+            self.width += art_rows.size
+            self.B = None
 
     def _pivot(self, row: int, col: int, obj: np.ndarray):
         T = self.T
@@ -113,13 +121,14 @@ class _Tableau:
         obj -= obj[col] * T[row]
         self.basis[row] = col
         self.pivots += 1
+        self.B = None
 
     def _priced_objective(self, costs: np.ndarray) -> np.ndarray:
         # obj[j] holds the reduced cost z_j - c_j; rhs cell holds the value.
         obj = np.concatenate([-costs, [0.0]])
-        for i, var in enumerate(self.basis):
-            if costs[var] != 0.0:
-                obj += costs[var] * self.T[i]
+        basic_costs = costs[self.basis]
+        for i in np.flatnonzero(basic_costs).tolist():
+            obj += basic_costs[i] * self.T[i]
         return obj
 
     def _leaving_row(self, col: int, bland: bool) -> int | None:
@@ -213,18 +222,21 @@ class _Tableau:
         # solve succeeds, whatever the start. A dropped redundant row leaves
         # the basis short of m columns, and then the tableau values stand.
         try:
-            exact = np.linalg.solve(_basis_matrix(self.A, self.basis), self.b)
+            exact = np.linalg.solve(self.basis_matrix(), self.b)
         except np.linalg.LinAlgError:
             return
         if np.isfinite(exact).all() and np.max(np.abs(exact - self.T[:, -1])) < 1e-4:
             self.T[:, -1] = exact
 
+    def basis_matrix(self) -> np.ndarray:
+        """Columns ``basis`` of ``[A | I]``: the warm start's ``B`` until the first pivot."""
+        return _basis_matrix(self.A, self.basis) if self.B is None else self.B
+
     def extract_x(self) -> np.ndarray:
         self._refine()
         x = np.zeros(self.n)
-        for i, var in enumerate(self.basis):
-            if var < self.n:
-                x[var] = self.T[i, -1]
+        basic = self.basis < self.n
+        x[self.basis[basic]] = self.T[basic, -1]
         return np.maximum(x, 0.0)
 
 
@@ -245,10 +257,10 @@ def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     worst = float(np.max(residual, initial=0.0))
     if worst > FEAS_TOL:
         raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
-    active = [int(i) for i in np.flatnonzero(np.abs(residual) <= FEAS_TOL)]
-    active += [m + int(j) for j in np.flatnonzero(x <= FEAS_TOL)]
+    active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
+    active += (m + np.flatnonzero(x <= FEAS_TOL)).tolist()
     return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
-                    basic_columns=tuple(int(j) for j in tab.basis), **stats)
+                    basic_columns=tuple(tab.basis.tolist()), **stats)
 
 
 def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:

@@ -1,4 +1,12 @@
-"""Start tableaus for the simplex: the slack basis, a factored basis, and its update."""
+"""Start tableaus for the simplex: the slack basis, a factored basis, and its update.
+
+A warm start hands the simplex its tableau together with the basis matrix
+``B``, the basis columns of ``[A | I]``, which the simplex reuses to refine
+the returned vertex while no pivot has changed the basis. A factored start
+gathers ``B`` to factor it; an updated start copies the baseline's ``B0``
+and overwrites only the changed rows, which gives the same bits as a fresh
+gather.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -30,8 +38,8 @@ def _slack_tableau(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return T
 
 
-def _checked(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
-    """``T = B^-1 [A | I | b]``, or None when ``B`` is singular to working precision.
+def _checked(B: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(T, B)`` for ``T = B^-1 [A | I | b]``, or None when ``B`` is singular to working precision.
 
     LU reports only an exactly zero pivot, so besides finiteness the 1-norm
     condition number ``||B||_1 ||B^-1||_1`` must stay under
@@ -40,11 +48,12 @@ def _checked(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
     m = B.shape[0]
     n = T.shape[1] - m - 1
     condition = np.abs(B).sum(axis=0).max() * np.abs(T[:, n:n + m]).sum(axis=0).max()
-    return T if np.isfinite(T).all() and condition < 1 / PIVOT_TOL else None
+    return (T, B) if np.isfinite(T).all() and condition < 1 / PIVOT_TOL else None
 
 
-def _factor_start(A: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """``B^-1 [A | I | b]`` by a full factorization of ``B``, or None when it is singular."""
+def _factor_start(A: np.ndarray, b: np.ndarray,
+                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(B^-1 [A | I | b], B)`` by a full factorization of ``B``, or None when it is singular."""
     body = _slack_tableau(A, b)
     B = body[:, :-1][:, basis]  # the columns of [A | I]
     try:
@@ -58,48 +67,53 @@ class WarmStart:
     """A basis factored once, to start solves of systems that differ in data.
 
     Holds the baseline ``A`` and ``b``, the basis (m column indices into
-    ``[x | slacks]``, such as a solve's ``basic_columns``) and the baseline
-    tableau ``T0 = B^-1 [A | I | b]``, or None when the basis is singular
-    for the baseline.
+    ``[x | slacks]``, such as a solve's ``basic_columns``), the baseline
+    basis matrix ``B0`` and tableau ``T0 = B0^-1 [A | I | b]``; both are
+    None when the basis is singular for the baseline.
     """
 
     def __init__(self, system: ConstraintSystem, basic_columns):
         self.A, self.b = np.asarray(system.A), np.asarray(system.b)
         self.basis = np.array(basic_columns, dtype=int)
-        self.T0 = _factor_start(self.A, self.b, self.basis)
+        self.T0, self.B0 = _factor_start(self.A, self.b, self.basis) or (None, None)
 
-    def tableau(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str] | None:
-        """``(B^-1 [A | I | b], path)``, a new array and ``"updated"`` or ``"factored"``.
+    def tableau(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, str] | None:
+        """``(B^-1 [A | I | b], B, path)``: new arrays, and ``"updated"`` or ``"factored"``.
 
-        None when ``B`` is singular for ``A``.
+        ``B`` is the basis matrix, the basis columns of ``[A | I]``. None
+        when ``B`` is singular for ``A``.
         """
         if A.shape != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
                              f"not {A.shape}")
-        T = None if self.T0 is None else self._updated(A, b)
-        if T is not None:
-            return T, "updated"
-        T = _factor_start(A, b, self.basis)
-        return None if T is None else (T, "factored")
+        started = None if self.T0 is None else self._updated(A, b)
+        if started is not None:
+            return (*started, "updated")
+        started = _factor_start(A, b, self.basis)
+        return None if started is None else (*started, "factored")
 
-    def _updated(self, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """``T0`` updated to ``A`` by the Woodbury identity, or None to re-factor.
+    def _updated(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(T, B)`` from ``(T0, B0)`` updated to ``A`` by the Woodbury identity, or None.
 
         With ``R`` the changed rows, ``D = A[R] - A0[R]``, ``D_B`` its basis
         columns (0 at slacks) and ``U = T0[:, n + R]`` (columns ``R`` of
         ``B0^-1``): ``T = T0 - U C^-1 (D_B T0 - [D | 0 | 0])``, with
-        ``C = I + D_B U``. Re-factor when ``b`` changed, when more than half
-        of the rows changed (no cheaper than a factorization then), when
-        ``C`` is singular, or when ``T`` fails the checks.
+        ``C = I + D_B U``. ``B`` is ``B0`` with rows ``R`` of its basic x
+        columns taken from ``A``. None, to re-factor, when ``b`` changed,
+        when more than half of the rows changed (no cheaper than a
+        factorization then), when ``C`` is singular, or when ``T`` fails the
+        checks.
         """
         m, n = A.shape
         rows = np.flatnonzero((A != self.A).any(axis=1))
-        if 2 * rows.size > m or not np.array_equal(b, self.b):
+        if 2 * rows.size > m or (b is not self.b and not np.array_equal(b, self.b)):
             return None
-        D = A[rows] - self.A[rows]
-        x = self.basis < n
+        A_rows = A[rows]
+        D = A_rows - self.A[rows]
+        x = np.flatnonzero(self.basis < n)
+        x_vars = self.basis[x]
         D_B = np.zeros((rows.size, m))
-        D_B[:, x] = D[:, self.basis[x]]
+        D_B[:, x] = D[:, x_vars]
         U = self.T0[:, n + rows]
         W = np.dot(D_B, self.T0)  # np.dot: matmul is slow on these thin products
         W[:, :n] -= D
@@ -109,4 +123,6 @@ class WarmStart:
             return None
         T = np.dot(U, Y)
         np.subtract(self.T0, T, out=T)
-        return _checked(_basis_matrix(A, self.basis), T)
+        B = self.B0.copy()  # C order like _basis_matrix's, so _checked sums it in the same order
+        B[rows[:, None], x] = A_rows[:, x_vars]
+        return _checked(B, T)

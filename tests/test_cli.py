@@ -255,6 +255,24 @@ def test_grid_sweep_bytes_match_the_pinned_csv(capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("source, pinned", [
+    (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
+      "--delta", "0.05", "--trials", "25"], "grid5_sweep_seed0_trials25"),
+    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "20"],
+     "lp12x6_sweep_k0.02_seed0_trials20"),
+])
+def test_sweep_json_matches_the_pinned_full_precision_bytes(tmp_path, source, pinned):
+    # the JSON carries every bit of each aggregate, which the 9-digit CSV
+    # cannot; the 12x6 LP is conftest.random_validated_lp(default_rng(20240817),
+    # m=12, n=6, positive_costs=True), a sweep whose trials all re-factor
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / tok) if tok.endswith(".json") else tok for tok in source]
+    assert main(["sweep", *paths, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    expected = (root / "tests" / "data" / f"{pinned}.json").read_bytes()
+    assert (tmp_path / "out.json").read_bytes() == expected
+
+
 def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, monkeypatch,
                                                                   tmp_path):
     # a released private solution must depend on A_tilde alone, so only the

@@ -80,6 +80,17 @@ def test_field_shape_mismatch_is_dimension_error(field, value, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {field} ")
 
 
+def test_ragged_zero_mask_is_schema_error(tmp_path, capsys):
+    doc = dict(BASIC_DOC, zero_mask=[[False], [False, False]])
+    message = "zero_mask: rows must all have the same length"
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        load_problem(json.dumps(doc))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("field", ["c", "A", "b", "sup_A"])
 def test_missing_field_named_in_error(field):
     doc = dict(BASIC_DOC)
@@ -187,3 +198,28 @@ def test_witness_feasible_on_random_suite(rng):
 def test_c_dimension_checked():
     with pytest.raises(DimensionError):
         LinearProgram(c=[1.0, 2.0], system=_system([[1.0]], [1.0], [[2.0]]))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_tightened_system_equals_the_checked_replacement(rng, grid):
+    import dataclasses
+    from conftest import random_validated_lp
+    from privlp import default_grid, privatize_matrix
+    from privlp.cmdp import build_gridworld, occupancy_lp
+    lp = (occupancy_lp(build_gridworld(default_grid())) if grid
+          else random_validated_lp(rng, m=8, n=5))
+    system = lp.system
+    original_rows = system.private_rows  # cached on the original before tightening
+    priv = privatize_matrix(system, PrivacyParams(1.0, 0.05, 0.5), seed=7)
+    fast = system.tightened(priv.A_tilde)
+    checked = dataclasses.replace(system, A=priv.A_tilde)
+    assert type(fast) is ConstraintSystem
+    for name in ("A", "b", "zero_mask", "sup_A"):
+        one, two = getattr(fast, name), getattr(checked, name)
+        assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
+        assert not one.flags.writeable
+    assert np.array_equal(fast.A, priv.A_tilde)
+    rows = fast.private_rows
+    assert all(np.array_equal(a, b) for a, b in zip(rows, checked.private_rows))
+    assert np.array_equal(rows[3], priv.A_tilde[rows[1]])
+    assert not np.array_equal(rows[3], original_rows[3])  # the original's block is stale

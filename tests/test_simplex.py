@@ -330,8 +330,8 @@ def test_low_rank_update_matches_the_full_factorization(rng, monkeypatch):
         b = np.asarray(lp.system.b)
         for count in range(1, m // 2 + 1):
             A = _changed_rows(rng, lp, count)
-            T, path = start.tableau(A, b)
-            full = _factor_start(A, b, start.basis)
+            T, _, path = start.tableau(A, b)
+            full, _ = _factor_start(A, b, start.basis)
             assert path == "updated"
             assert np.max(np.abs(T - full)) <= 1e-10
             warm, factored = _solve_pair(monkeypatch, lp.c,
@@ -382,7 +382,7 @@ def test_update_falls_back_to_the_full_factorization(rng, monkeypatch, kind):
         if kind == "singular update":
             assert full is None and started is None
         else:
-            assert started[1] == "factored" and np.array_equal(started[0], full)
+            assert started[2] == "factored" and np.array_equal(started[0], full[0])
         warm, factored = _solve_pair(monkeypatch, lp.c, system, start)
         assert warm.start_path == factored.start_path != "updated"
         assert warm.status == factored.status
@@ -394,7 +394,7 @@ def test_half_of_the_rows_still_update(rng):
     from conftest import random_validated_lp
     lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
     start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
-    _, path = start.tableau(_changed_rows(rng, lp, 4), np.asarray(lp.system.b))
+    _, _, path = start.tableau(_changed_rows(rng, lp, 4), np.asarray(lp.system.b))
     assert path == "updated"
 
 
@@ -403,3 +403,37 @@ def test_start_must_match_the_system_shape(rng):
     start = WarmStart(_sys(A, b), (0, 1, 2, 3))
     with pytest.raises(ValueError, match="shape"):
         solve_lp(c[:2], _sys(A[:, :2], b), start=start)
+
+
+def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch):
+    # a warm start's basis matrix is reused until the first pivot; whatever
+    # the path, the matrix must be the final basis columns of [A | I], bit for bit
+    import dataclasses
+    from privlp import simplex
+    from privlp.warmstart import _basis_matrix
+    from conftest import random_validated_lp
+    seen = {}
+    refine = simplex._Tableau._refine
+
+    def checking(tab):
+        used = tab.basis_matrix()
+        assert used.tobytes() == _basis_matrix(tab.A, tab.basis).tobytes()
+        reused = tab.start_path != "slack" and tab.pivots == 0
+        assert (tab.B is not None) == reused
+        key = (tab.start_path, tab.pivots > 0)
+        seen[key] = seen.get(key, 0) + 1
+        refine(tab)
+
+    monkeypatch.setattr(simplex._Tableau, "_refine", checking)
+    for trial in range(30):
+        lp = random_validated_lp(rng, m=int(rng.integers(4, 13)), n=int(rng.integers(2, 7)),
+                                 positive_costs=True)
+        base = solve_lp(lp.c, lp.system)
+        solve_lp(-lp.c, lp.system)  # costs <= 0: the slack start is optimal when b >= 0
+        start = WarmStart(lp.system, base.basic_columns)
+        # one changed row takes the update, every row changed a full factorization
+        for moved in (_changed_rows(rng, lp, 1), _privatized(lp, 1.0, 1.0, trial).A):
+            for c in (lp.c, rng.uniform(0.1, 2.0, lp.system.shape[1])):
+                solve_lp(c, dataclasses.replace(lp.system, A=moved), start=start)
+    assert {key for key, count in seen.items() if count >= 3} == {
+        (path, pivoted) for path in ("slack", "factored", "updated") for pivoted in (False, True)}
