@@ -249,14 +249,17 @@ def policy_from_occupancy(m: Cmdp, x: np.ndarray) -> Policy:
     """The policy pi(a | s) proportional to the occupancy x(s, a).
 
     States with zero occupancy (unreachable under the optimum) get the
-    uniform action distribution.
+    uniform action distribution. Skips the checks of construction: the
+    rows are nonnegative and normalized just above.
     """
     q = m.n_actions
     occupancy = np.maximum(np.reshape(x, (m.n_states, q)), 0.0)
     totals = occupancy.sum(axis=1, keepdims=True)
     pi = np.where(totals > 1e-12, occupancy / np.where(totals > 0, totals, 1.0), 1.0 / q)
     pi /= pi.sum(axis=1, keepdims=True)
-    return Policy(pi=pi)
+    policy = object.__new__(Policy)
+    object.__setattr__(policy, "pi", pi)
+    return policy
 
 
 def synthesize_policy(m: Cmdp, system: ConstraintSystem):

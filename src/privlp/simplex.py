@@ -16,11 +16,18 @@ tableau round-off never reaches the caller, whatever the start; while no
 pivot has changed a warm start's basis, that solve reuses the start's
 basis matrix. Built for desk-scale instances (tens of rows and columns);
 dense, no sparsity.
+
+``enumerate_vertices`` lists the vertices of the feasible region by walking
+its graph of feasible bases from the vertex phase 1 ends on, so its work
+follows the number of vertices, not the C(m+n, n) candidate bases. It accepts
+a basis by the same per-basis solve and filter as a scan over every
+candidate, and sorts the accepted bases into the scan's order, so the output
+is the scan's to the bit. The walk stops with a ``ValueError`` as soon as it
+meets more than ``_MAX_VERTEX_BASES`` bases.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +37,7 @@ from .warmstart import PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau
 
 FEAS_TOL = 1e-9
 _MAX_PIVOTS = 200_000
-_MAX_VERTEX_BASES = 5_000_000
+_MAX_VERTEX_BASES = 500_000  # bases one vertex enumeration may meet
 _VERTEX_CHUNK = 256
 
 OPTIMAL = "Optimal"
@@ -285,34 +292,103 @@ def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
     return tab.extract_x()
 
 
+def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted bases of ``rows x <= rhs`` met by walking from ``start``, and their vertices.
+
+    Bases are expanded ``_VERTEX_CHUNK`` at a time. A basis is accepted as
+    the full scan accepts it: no exact zero pivot in its LU factorization
+    (``slogdet``), a finite per-matrix ``solve`` and a vertex feasible at
+    ``tol``. Only accepted bases are expanded. Leaving ``S[j]`` moves along
+    column ``j`` of ``-inv(rows[S])``, and one ratio test over all n
+    directions gives each bounded edge's far basis. At a degenerate vertex
+    (more than n constraints within ``tol``), every n-subset of its tight
+    constraints joins the walk: then every basis of the vertex is met, and
+    each edge leaving it is the direction of one of them. Raises
+    ``ValueError`` as soon as more than ``_MAX_VERTEX_BASES`` bases are met.
+    """
+    n = rows.shape[1]
+    met = {start}
+    queue = [start]  # met, not yet expanded
+    degenerate = set()  # tight sets of the degenerate vertices already expanded
+    accepted, vertices = [], []
+
+    def meet(candidates):
+        for S in candidates:
+            if S not in met:
+                if len(met) == _MAX_VERTEX_BASES:
+                    raise ValueError(f"vertex enumeration met over {_MAX_VERTEX_BASES} "
+                                     "bases; the system is too large")
+                met.add(S)
+                queue.append(S)
+
+    while queue:
+        frontier = np.array(queue[-_VERTEX_CHUNK:], dtype=np.intp)
+        del queue[-_VERTEX_CHUNK:]
+        squares = rows[frontier]
+        sign, _ = np.linalg.slogdet(squares)
+        frontier, squares = frontier[sign != 0], squares[sign != 0]
+        X = np.linalg.solve(squares, rhs[frontier][:, :, None])[:, :, 0]
+        keep = np.isfinite(X).all(axis=1)
+        frontier, squares, X = frontier[keep], squares[keep], X[keep]
+        excess = X @ rows.T - rhs
+        keep = ~(excess.max(axis=1) > tol)
+        frontier, squares, X, slack = frontier[keep], squares[keep], X[keep], -excess[keep]
+        accepted.append(frontier)
+        vertices.append(X)
+        inv = np.linalg.inv(squares)
+        keep = np.isfinite(inv).all(axis=(1, 2))
+        frontier, inv, slack = frontier[keep], inv[keep], slack[keep]
+        tight = slack <= tol
+        rate = -(rows @ inv)  # rate[a, i, j]: how fast slack i falls along edge j of basis a
+        # a basis' own rows stay tight along its edges; round-off there must not block at 0
+        rate[np.arange(frontier.shape[0])[:, None], frontier] = 0.0
+        ratio = np.divide(np.where(tight, 0.0, slack)[:, :, None], rate,
+                          out=np.full(rate.shape, np.inf), where=rate > 0)
+        a, j = np.nonzero(np.isfinite(ratio).any(axis=1))  # bounded edges
+        far = frontier[a]
+        far[np.arange(a.size), j] = ratio[a, :, j].argmin(axis=1)
+        far.sort(axis=1)
+        meet(map(tuple, far.tolist()))
+        for i in np.flatnonzero(tight.sum(axis=1) > n):
+            if (key := tight[i].tobytes()) not in degenerate:
+                degenerate.add(key)
+                meet(itertools.combinations(np.flatnonzero(tight[i]).tolist(), n))
+    return np.concatenate(accepted), np.concatenate(vertices)
+
+
 def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
     """All vertices of {x >= 0 : A x <= b}, one per row, deduplicated.
 
     Vertices are intersections of n active constraints drawn from the m
-    inequality rows and the n sign bounds. Candidate bases are solved in
-    batches of ``_VERTEX_CHUNK``; a basis whose LU factorization meets an
-    exact zero pivot is singular and skipped. Rows come out in basis order,
-    each vertex at its first basis. Intended for desk-scale systems; raises
-    when the number of candidate bases is unreasonably large.
+    inequality rows and the n sign bounds. Rather than solve all C(m+n, n)
+    candidate bases, this walks the graph of feasible bases from the vertex
+    phase 1 ends on (:func:`_walk_bases`; Avis & Fukuda 1992), so the work
+    follows the number of vertices. The walk accepts a basis by the full
+    scan's own test: a basis whose LU factorization meets an exact zero
+    pivot is singular and skipped, the rest are solved per matrix and kept
+    when finite and feasible at ``tol``. The walk meets every basis the scan
+    accepts; sorted into the scan's lexicographic basis order, each vertex
+    is kept at its first basis, so the output is the scan's, byte for byte.
+    Raises ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
+    bases; returns a ``(0, n)`` array for an empty region.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    if math.comb(m + n, n) > _MAX_VERTEX_BASES:
-        raise ValueError(f"vertex enumeration over C({m + n},{n}) bases is too large")
+    tab = _Tableau(A, b)
+    if not tab.solve_phase1():
+        return np.zeros((0, n))
+    # phase 1's vertex: nonbasic x_j is active bound m + j, nonbasic slack i is row i
+    # (a mask, not np.setdiff1d, which imports numpy.ma: about 1 MB of memory)
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[tab.basis] = False
+    nonbasic = np.flatnonzero(nonbasic)
+    start = tuple(np.sort(np.where(nonbasic < n, m + nonbasic, nonbasic - n)).tolist())
     rows = np.vstack([A, -np.eye(n)])
     rhs = np.concatenate([b, np.zeros(n)])
-    found = []
-    bases = itertools.combinations(range(m + n), n)
-    while chunk := list(itertools.islice(bases, _VERTEX_CHUNK)):
-        idx = np.array(chunk)
-        squares = rows[idx]
-        sign, _ = np.linalg.slogdet(squares)
-        idx, squares = idx[sign != 0], squares[sign != 0]
-        X = np.linalg.solve(squares, rhs[idx][:, :, None])[:, :, 0]
-        X = X[np.isfinite(X).all(axis=1)]
-        found.append(X[~((X @ rows.T - rhs).max(axis=1) > tol)])
-    X = np.concatenate(found)
+    bases, X = _walk_bases(rows, rhs, start, tol)
+    X = X[np.lexsort(bases.T[::-1])]  # the scan's order: by S[0], then S[1], ...
     first = {}
     for i, key in enumerate(np.round(X, 9) + 0.0):
         first.setdefault(key.tobytes(), i)
@@ -324,9 +400,12 @@ def max_norm_point(sys: ConstraintSystem):
 
     The norm is convex, so the maximum over a bounded polyhedron sits at a
     vertex; this enumerates vertices and returns the max-norm one, breaking
-    norm ties by lexicographically smallest coordinates. Returns
-    ``(x_bar, norm)``, or the string status ``"Unbounded"`` when
-    ``max 1.x`` is unbounded (the region then has no largest element).
+    norm ties by lexicographically smallest coordinates. The vertices come
+    from :func:`enumerate_vertices`' walk over feasible bases, equal to the
+    bit to a scan of every basis, so ``x_bar`` is the scan's; it raises
+    ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
+    bases. Returns ``(x_bar, norm)``, or the string status ``"Unbounded"``
+    when ``max 1.x`` is unbounded (the region then has no largest element).
     """
     if solve_lp(np.ones(sys.shape[1]), sys).status == UNBOUNDED:
         return UNBOUNDED  # the region lies in x >= 0, so this is the recession check

@@ -82,6 +82,36 @@ def region_vertices(A, b, tol=1e-9) -> np.ndarray:
     return np.array(vertices) if vertices else np.empty((0, n))
 
 
+def vertex_scan(A, b, tol=1e-9) -> np.ndarray:
+    """``simplex.enumerate_vertices`` as a scan over all C(m+n, n) candidate bases.
+
+    The scan the walk replaced, kept verbatim: bases are solved in
+    lexicographic order in batches of 256; a basis whose LU factorization
+    meets an exact zero pivot is singular and skipped; each vertex is kept
+    at its first basis. The walk must return these bytes.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    rows = np.vstack([A, -np.eye(n)])
+    rhs = np.concatenate([b, np.zeros(n)])
+    found = []
+    bases = itertools.combinations(range(m + n), n)
+    while chunk := list(itertools.islice(bases, 256)):
+        idx = np.array(chunk)
+        squares = rows[idx]
+        sign, _ = np.linalg.slogdet(squares)
+        idx, squares = idx[sign != 0], squares[sign != 0]
+        X = np.linalg.solve(squares, rhs[idx][:, :, None])[:, :, 0]
+        X = X[np.isfinite(X).all(axis=1)]
+        found.append(X[~((X @ rows.T - rhs).max(axis=1) > tol)])
+    X = np.concatenate(found)
+    first = {}
+    for i, key in enumerate(np.round(X, 9) + 0.0):
+        first.setdefault(key.tobytes(), i)
+    return X[list(first.values())]
+
+
 def lp_oracle(c, A, b):
     """Brute-force LP verdict: ('Infeasible' | 'Unbounded' | 'Optimal', objective).
 

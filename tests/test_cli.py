@@ -273,6 +273,18 @@ def test_sweep_json_matches_the_pinned_full_precision_bytes(tmp_path, source, pi
     assert (tmp_path / "out.json").read_bytes() == expected
 
 
+def test_bound_json_matches_the_pinned_bytes(tmp_path):
+    # x_bar_norm comes from the vertex enumeration; the walk over feasible
+    # bases must reproduce the scan's report bit for bit
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "bound.json"
+    assert main(["bound", str(root / "tests" / "data" / "lp12x6_seed20240817.json"),
+                 "--epsilon", "1", "--k", "0.02", "--delta", "0.05", "--out", str(out)]) == 0
+    expected = (root / "tests" / "data" / "lp12x6_bound_eps1_k0.02.json").read_bytes()
+    assert out.read_bytes() == expected
+
+
 def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, monkeypatch,
                                                                   tmp_path):
     # a released private solution must depend on A_tilde alone, so only the

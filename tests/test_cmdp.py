@@ -159,6 +159,33 @@ def test_policy_rows_are_distributions():
     assert (policy.pi >= 0).all()
 
 
+def test_policy_from_occupancy_equals_the_checked_construction():
+    # the unchecked construction must give what Policy(pi=...) gives, and
+    # Policy's checks must pass on its rows
+    from privlp.cmdp import Policy, policy_from_occupancy
+    mdp = build_gridworld(default_grid())
+    occupancy, _, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
+    unreached = occupancy.copy()
+    unreached[[0, 3]] = 0.0  # states with zero occupancy get the uniform row
+    for x in (occupancy, unreached):
+        totals = x.sum(axis=1, keepdims=True)
+        pi = np.where(totals > 1e-12, x / np.where(totals > 0, totals, 1.0), 1.0 / mdp.n_actions)
+        pi /= pi.sum(axis=1, keepdims=True)
+        checked = Policy(pi=pi)
+        policy = policy_from_occupancy(mdp, x.reshape(-1))
+        assert type(policy) is Policy
+        assert policy.pi.dtype == checked.pi.dtype and policy.pi.shape == checked.pi.shape
+        assert policy.pi.tobytes() == checked.pi.tobytes()
+    assert (policy.pi[[0, 3]] == 1.0 / mdp.n_actions).all()
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0.6]], [[1.5, -0.5]], [[0.2, 0.2]]])
+def test_policy_rejects_rows_that_are_not_distributions(rows):
+    from privlp.cmdp import Policy
+    with pytest.raises(ValueError, match="probability distribution"):
+        Policy(pi=np.array(rows))
+
+
 def test_infeasible_budget_raises():
     mdp = build_gridworld(default_grid())
     sys_ = occupancy_lp(mdp).system

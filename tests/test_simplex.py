@@ -1,5 +1,5 @@
 import itertools
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,13 +174,13 @@ def test_max_norm_agrees_with_oracle_vertices(rng):
         assert norm == pytest.approx(oracle_norm, abs=1e-8)
 
 
-def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng):
+def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng, monkeypatch):
     # integer rows with many structural zeros make a large share of the
-    # C(14, 4) = 1001 candidate bases singular, and the bases span several
-    # solve batches
-    from privlp.simplex import _VERTEX_CHUNK
+    # C(14, 4) = 1001 candidate bases singular; a small chunk makes the walk
+    # expand its bases over many batches
+    import privlp.simplex as simplex
+    monkeypatch.setattr(simplex, "_VERTEX_CHUNK", 3)
     m, n = 10, 4
-    assert math.comb(m + n, n) > 3 * _VERTEX_CHUNK
     for _ in range(4):
         A = rng.integers(-1, 3, size=(m, n)).astype(float)
         A[rng.random((m, n)) < 0.5] = 0.0
@@ -195,6 +195,113 @@ def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng
         assert V.shape == oracle.shape
         assert {tuple(np.round(v, 9) + 0.0) for v in V} == \
             {tuple(np.round(v, 9) + 0.0) for v in oracle}
+
+
+def _integer_system(rng, m, n):
+    # structural zeros and a repeated row: singular bases and degenerate vertices
+    A = rng.integers(-1, 3, size=(m, n)).astype(float)
+    A[rng.random((m, n)) < 0.5] = 0.0
+    A[m - 1] = A[0]
+    return A, rng.integers(1, 4, size=m).astype(float)
+
+
+def _zero_rhs_system(rng, m, n):
+    # zero entries of b make the origin a vertex where more than n constraints meet
+    A, b = _integer_system(rng, m, n)
+    b[rng.random(m) < 0.5] = 0.0
+    return A, b
+
+
+def _unbounded_system(rng, m, n):
+    A = rng.normal(size=(m, n))
+    A[:, 0] = -np.abs(A[:, 0])  # x_0 grows without bound
+    return A, np.abs(rng.normal(size=m))
+
+
+def _empty_system(rng, m, n):
+    A = np.abs(rng.normal(size=(m, n)))
+    b = rng.normal(size=m)
+    b[0] = -1.0  # a nonnegative row with a negative bound admits no x >= 0
+    return A, b
+
+
+def _validated_system(rng, m, n):
+    from conftest import random_validated_lp
+    system = random_validated_lp(rng, m, n).system
+    return system.A, system.b
+
+
+@pytest.mark.parametrize("build, m, n", [
+    (_validated_system, 12, 6),
+    (_validated_system, 8, 4),
+    (_validated_system, 5, 3),
+    (_integer_system, 10, 4),
+    (_integer_system, 8, 3),
+    (_zero_rhs_system, 8, 4),
+    (_unbounded_system, 6, 3),
+    (_empty_system, 5, 3),
+    (_integer_system, 5, 1),
+    (_unbounded_system, 4, 1),
+], ids=["valid12x6", "valid8x4", "valid5x3", "integer10x4", "integer8x3", "zero_rhs8x4",
+        "unbounded6x3", "empty5x3", "integer5x1", "unbounded4x1"])
+def test_enumerate_vertices_bytes_match_the_full_scan(build, m, n, monkeypatch):
+    # the walk must meet every basis the scan accepts, so the rows, their
+    # order and every bit (signed zeros included) are the scan's, whatever
+    # the batches the walk expands its bases in
+    import privlp.simplex as simplex
+    from oracles import vertex_scan
+    rng = np.random.default_rng([20240817, m, n])
+    for _ in range(3 if m * n > 40 else 8):
+        A, b = build(rng, m, n)
+        expected = vertex_scan(A, b)
+        for chunk in (simplex._VERTEX_CHUNK, 3):
+            monkeypatch.setattr(simplex, "_VERTEX_CHUNK", chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the ratio test divides only where a slack falls
+                V = enumerate_vertices(A, b)
+            assert V.shape == expected.shape
+            assert V.tobytes() == expected.tobytes()
+        monkeypatch.undo()
+
+
+def test_enumerate_vertices_degenerate_vertex_with_a_redundant_tight_row():
+    # -x - y <= 0 holds on all of x >= 0 and is tight only at the origin; no
+    # ratio test from the origin's bound basis enters it, yet the scan's first
+    # basis of the origin is (0, 2)
+    from oracles import vertex_scan
+    A = np.array([[-1.0, -1.0], [0.0, -1.0]])
+    b = np.array([0.0, 1.0])
+    V = enumerate_vertices(A, b)
+    assert V.tobytes() == vertex_scan(A, b).tobytes()
+    assert V.shape == (1, 2)
+
+
+def test_enumerate_vertices_caps_the_bases_it_visits(monkeypatch):
+    import privlp.simplex as simplex
+    A, b = _bounded_instance(np.random.default_rng(3), 6, 3)
+    assert enumerate_vertices(A, b).shape[0] > 4
+    monkeypatch.setattr(simplex, "_MAX_VERTEX_BASES", 4)
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_vertices(A, b)
+
+
+def test_enumerate_vertices_caps_the_bases_of_a_degenerate_vertex(monkeypatch):
+    # A x <= 0 with A <= 0 holds on all of x >= 0, so the origin is tight for
+    # all 20 constraints and has C(20, 10) = 184756 bases; the cap must stop
+    # the walk before it builds them (about 25 MB as tuples)
+    import tracemalloc
+    import privlp.simplex as simplex
+    m = n = 10
+    A = -np.abs(np.random.default_rng(5).normal(size=(m, n)))
+    monkeypatch.setattr(simplex, "_MAX_VERTEX_BASES", 50)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            enumerate_vertices(A, np.zeros(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _privatized(lp, eps, k, seed):
