@@ -16,7 +16,7 @@ from privlp import (
     support_width,
 )
 from privlp.problem import LinearProgram
-from privlp.seeds import row_stream
+from privlp.seeds import derive_seed, row_stream
 
 from oracles import support_width_hp, trunc_laplace_cdf, trunc_laplace_moment
 
@@ -283,13 +283,44 @@ def _mixed_system(rng, m, n, free_counts):
     return ConstraintSystem(A=A, b=np.ones(m), zero_mask=mask, sup_A=sup)
 
 
-@pytest.mark.parametrize("seed, row", [(0, 0), (7, 3), (2 ** 64 + 5, 11), (-1, 2), (123456789, 50)])
-def test_row_stream_is_the_default_rng_stream(seed, row):
+def _assert_default_rng_stream(seed, row):
     reference = np.random.default_rng(np.random.SeedSequence(entropy=seed & (2 ** 64 - 1),
                                                              spawn_key=(row,)))
     stream = row_stream(seed, row)
     assert np.array_equal(stream.random(9), reference.random(9))
     assert np.array_equal(stream.integers(0, 2 ** 62, 5), reference.integers(0, 2 ** 62, 5))
+
+
+@pytest.mark.parametrize("seed, row", [
+    (0, 0), (7, 3), (2 ** 64 + 5, 11), (-1, 2), (123456789, 50),
+    # seeds on either side of one and two entropy words, rows up to one spawn word
+    (2 ** 32 - 1, 1), (2 ** 32, 2 ** 31), (2 ** 64 - 1, 2 ** 32 - 1), (2 ** 32, 0),
+])
+def test_row_stream_is_the_default_rng_stream(seed, row):
+    _assert_default_rng_stream(seed, row)
+
+
+def test_row_stream_matches_default_rng_on_interleaved_seeds():
+    # 2000 streams whose seed switches between three at random: about two
+    # thirds of the calls replace the per-seed cache, the rest hit it
+    draw = np.random.default_rng(5)
+    seeds = [*draw.integers(-2 ** 63, 2 ** 63, 2).tolist(), 2 ** 32 + 1]
+    for seed, row in zip(draw.choice(seeds, 2000).tolist(), draw.integers(0, 2 ** 32, 2000).tolist()):
+        _assert_default_rng_stream(seed, row)
+
+
+@pytest.mark.parametrize("row", [-1, 2 ** 32])
+def test_row_stream_rejects_rows_beyond_one_spawn_word(row):
+    with pytest.raises(ValueError):
+        row_stream(3, row)
+
+
+@pytest.mark.parametrize("numpy_seed", [np.int64(7), np.uint64(7), np.int64(-7), np.uint64(2 ** 64 - 7)])
+def test_numpy_integer_seed_privatizes_like_the_python_int(rng, numpy_seed):
+    sys_ = _mixed_system(rng, 5, 8, [8, 2, 0, 5, 1])
+    expected = privatize_matrix(sys_, PP, int(numpy_seed)).A_tilde
+    assert privatize_matrix(sys_, PP, numpy_seed).A_tilde.tobytes() == expected.tobytes()
+    assert derive_seed(numpy_seed, 1, 2) == derive_seed(int(numpy_seed), 1, 2)
 
 
 def _hexes(values):
