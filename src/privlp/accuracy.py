@@ -24,6 +24,12 @@ Hoffman constants for systems of linear constraints", Math. Programming,
 Only ``xi`` depends on the privacy parameters. :func:`bound_geometry`
 computes the other three factors once per problem, and
 :meth:`BoundGeometry.report` completes the bound for each epsilon.
+
+The bound reads a system in the paper's form ``A x <= b``: a system with
+equality rows is read through ``ConstraintSystem.inequality_form()``, each
+equality as its pair of opposed rows. For the Hoffman constant that is the
+same constant as the mixed system's, since ``(e.x - d)_+`` and
+``(d - e.x)_+`` together have the Euclidean norm of ``|e.x - d|``.
 """
 from __future__ import annotations
 
@@ -72,7 +78,8 @@ def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     rhs = np.concatenate([np.zeros(r), [1.0, -1.0]])
     cost = np.zeros(2 * d + 2)
     cost[-2], cost[-1] = 1.0, -1.0
-    sol = simplex._solve_raw(cost, rows, rhs)
+    public = ConstraintSystem(A=rows, b=rhs, zero_mask=np.ones(rows.shape, dtype=bool), sup_A=rows)
+    sol = simplex.solve_lp(cost, public)
     return sol.is_optimal and sol.objective >= -1e-9
 
 
@@ -185,14 +192,19 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     """Expected-perturbation bound xi and which case produced it.
 
     ``n0`` and ``s_i`` per row come from ``mechanism._row_calibration``.
-    Interior case (no entry can reach its public bound even after the full
-    shift, a + 2 s_i < sup for every non-masked entry):
+    Every row is read as an inequality, so a system with equality rows
+    raises ``ValueError``: pass its ``inequality_form()``, as
+    :meth:`BoundGeometry.report` does. Interior case (no entry can reach its
+    public bound even after the full shift, a + 2 s_i < sup for every
+    non-masked entry):
 
         xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 ), in row order
 
     Clipped case (some entry can hit its bound): xi is the Frobenius norm
     of (A - sup_A), the worst tightening the clipping allows.
     """
+    if sys.equality is not None:
+        raise ValueError("xi_term reads A x <= b; pass the system's inequality_form()")
     _, _, free, A, sup = sys.private_rows
     n0, widths = _row_calibration(sys, p)
     if (free & (A + 2.0 * widths[n0][:, None] >= sup)).any():
@@ -221,9 +233,10 @@ class BoundGeometry(NamedTuple):
 
         An unbounded feasible region yields an infinite bound unless the
         objective is constant or the mechanism cannot perturb anything
-        (xi = 0), in which case the loss is exactly zero.
+        (xi = 0), in which case the loss is exactly zero. ``xi`` reads
+        ``system.inequality_form()``.
         """
-        xi, xi_case = xi_term(system, p)
+        xi, xi_case = xi_term(system.inequality_form(), p)
         if self.L == 0.0 or xi == 0.0:
             bound = 0.0
         elif math.isinf(self.x_bar_norm):
@@ -238,10 +251,11 @@ def bound_geometry(lp: LinearProgram) -> BoundGeometry:
     """Compute L, ||x_bar|| and H(A) once per problem.
 
     Uses the original (non-private) matrix for both the Hoffman constant
-    and the max-norm point.
+    and the max-norm point, in its ``inequality_form()``.
     """
-    hoffman = hoffman_constant(lp.system.A)
-    located = simplex.max_norm_point(lp.system)
+    form = lp.system.inequality_form()
+    hoffman = hoffman_constant(form.A)
+    located = simplex.max_norm_point(form)
     x_bar_norm = math.inf if located == simplex.UNBOUNDED else located[1]
     return BoundGeometry(L=lp.lipschitz, x_bar_norm=x_bar_norm, hoffman=hoffman)
 

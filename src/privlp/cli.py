@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
         sol = simplex.solve_lp(lp.c, tightened)
         payload = _solution_payload(sol)
         if sol.is_optimal:
-            violation = float(np.max(lp.system.A @ sol.x - lp.system.b))
+            violation = float(np.max(lp.system.residuals(sol.x)))
             payload["original_feasible"] = bool(violation <= 1e-9)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -6,12 +6,13 @@ one hazard-budget row that caps discounted exposure to hazardous states,
 and flow conservation. :func:`occupancy_lp` builds all of it as one
 constraint system. Only the hazard row carries sensitive data (the
 per-state hazard weights); the flow-conservation rows encode public
-dynamics, so they are fully masked rows of the same system and are never
-privatized.
+dynamics, so they are fully masked equality rows of the same system and
+are never privatized.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +121,29 @@ class GridConfig:
 _REQUIRED = object()
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str = "") -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name}must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _cell(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2):
         raise ValueError("must be a [row, column] pair of integers")
-    return value[0], value[1]
+    return _integer(value[0]), _integer(value[1])
 
 
 def _hazards(value) -> tuple[tuple[tuple[int, int], float], ...]:
     if not (isinstance(value, list)
             and all(isinstance(h, dict) and "cell" in h and "beta" in h for h in value)):
         raise ValueError('must be an array of {"cell": [row, column], "beta": weight} objects')
-    return tuple((_cell(h["cell"]), float(h["beta"])) for h in value)
+    return tuple((_cell(h["cell"]), _real(h["beta"], "beta ")) for h in value)
 
 
 def _grid_field(doc: dict, key: str, convert, default=_REQUIRED):
@@ -146,21 +158,25 @@ def _grid_field(doc: dict, key: str, convert, default=_REQUIRED):
 
 
 def load_grid_config(text: str) -> GridConfig:
-    """Parse the GridConfig JSON schema; raises :class:`SchemaError` naming a bad field."""
+    """Parse the GridConfig JSON schema; raises :class:`SchemaError` naming a bad field.
+
+    Sizes and cells are JSON integers, and the other numbers finite.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError("document: top level must be a JSON object")
-    return GridConfig(width=_grid_field(doc, "width", int), height=_grid_field(doc, "height", int),
+    return GridConfig(width=_grid_field(doc, "width", _integer),
+                      height=_grid_field(doc, "height", _integer),
                       start=_grid_field(doc, "start", _cell), goal=_grid_field(doc, "goal", _cell),
                       hazards=_grid_field(doc, "hazards", _hazards, ()),
-                      slip=_grid_field(doc, "slip", float, 0.1),
-                      gamma=_grid_field(doc, "gamma", float, 0.9),
-                      f0=_grid_field(doc, "f0", float, 0.3),
-                      goal_reward=_grid_field(doc, "goal_reward", float, 1.0),
-                      sup_a=_grid_field(doc, "sup_a", float, 3.0))
+                      slip=_grid_field(doc, "slip", _real, 0.1),
+                      gamma=_grid_field(doc, "gamma", _real, 0.9),
+                      f0=_grid_field(doc, "f0", _real, 0.3),
+                      goal_reward=_grid_field(doc, "goal_reward", _real, 1.0),
+                      sup_a=_grid_field(doc, "sup_a", _real, 3.0))
 
 
 def default_grid() -> GridConfig:
@@ -221,9 +237,8 @@ def occupancy_lp(m: Cmdp) -> LinearProgram:
     Row 0 is the hazard budget: hazardous (s, a) coordinates carry
     ``beta_s * gamma`` and the public bound ``hazard_sup``; its other
     coefficients are masked structural zeros. Flow conservation follows as
-    fully masked (public) inequality pairs, ``flow x <= mu`` then
-    ``-flow x <= -mu``. The hazard row comes first so that its noise stream
-    is keyed by row 0.
+    fully masked (public) equality rows, ``flow x = mu``, one per state.
+    The hazard row comes first so that its noise stream is keyed by row 0.
     """
     p, q = m.n_states, m.n_actions
     hazardous = np.zeros(p, dtype=bool)
@@ -231,13 +246,13 @@ def occupancy_lp(m: Cmdp) -> LinearProgram:
     private = np.repeat(hazardous, q)
     hazard = np.where(private, np.repeat(m.beta * m.gamma, q), 0.0)
     flow = np.repeat(np.eye(p), q, axis=1) - m.gamma * m.transitions.reshape(p * q, p).T
-    A = np.vstack([hazard, flow, -flow])
+    A = np.vstack([hazard, flow])
     mask = np.ones_like(A, dtype=bool)
     mask[0] = ~private
     sup_A = A.copy()
     sup_A[0, private] = m.hazard_sup
-    system = ConstraintSystem(A=A, b=np.concatenate([[m.f0], m.mu, -m.mu]),
-                              zero_mask=mask, sup_A=sup_A)
+    system = ConstraintSystem(A=A, b=np.concatenate([[m.f0], m.mu]), zero_mask=mask,
+                              sup_A=sup_A, equality=np.arange(1 + p) > 0)
     return LinearProgram(c=m.rewards.reshape(p * q), system=system)
 
 

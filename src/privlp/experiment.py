@@ -4,8 +4,8 @@ Runs repeated privatize-and-solve rounds over a grid of epsilon values and
 aggregates the cost of privacy, the realized objective gap, and the
 predicted performance-loss bound into one record per epsilon. A plain LP
 and the gridworld CMDP go through one trial loop: both are a
-:class:`LinearProgram` (the CMDP's public flow rows are fully masked rows),
-and they differ only in how a solved point is scored. Per-trial seeds are
+:class:`LinearProgram` (the CMDP's public flow rows are fully masked
+equality rows), and they differ only in how a solved point is scored. Per-trial seeds are
 hashed from (base seed, epsilon index, trial index), so enlarging the grid
 or the trial count never changes existing trials' draws, and a repeated
 run with the same config is byte-identical.
@@ -13,7 +13,7 @@ run with the same config is byte-identical.
 Each trial's simplex starts from the baseline solve's final basis: a trial
 changes only the private rows, so that basis usually stays feasible and is
 often still optimal. The basis is factored once per sweep; a gridworld
-trial, with one private row of 51, updates that factorization by rank one,
+trial, with one private row of 26, updates that factorization by rank one,
 and an LP whose rows are all private is re-factored. Only the sweep
 warm-starts. It is a non-private evaluation against the true baseline; a
 released private solution (``privlp solve --private``) starts from the
@@ -132,7 +132,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
                 raise SweepAbort(
                     f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "
                     "a tightened validated problem must stay solvable")
-            worst = float(np.max(sys_.A @ sol.x - sys_.b))
+            worst = float(np.max(sys_.residuals(sol.x)))
             if worst > 1e-9:
                 raise SweepAbort(
                     f"trial {trial} at epsilon={eps} violates the original constraints "

@@ -18,6 +18,7 @@ column. ``s_i`` comes from :func:`_row_calibration`, which ``xi_term`` reads too
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,19 +171,23 @@ def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:
 
     Same schema as the input problem (with ``A`` replaced by the privatized
     matrix) plus a ``mechanism`` block recording the per-row supports, the
-    noise scale and the seed.
+    noise scale and the seed. The schema has no equality rows, so the
+    document holds the system's ``inequality_form()``: each equality row
+    as its pair, the appended public copies with support 0.
     """
-    sys = lp.system
+    m = lp.system.shape[0]
+    form = lp.system.inequality_form()
+    supports = np.concatenate([priv.row_supports, np.zeros(form.shape[0] - m)])
     doc = {
         "c": lp.c.tolist(),
-        "A": priv.A_tilde.tolist(),
-        "b": sys.b.tolist(),
-        "sup_A": sys.sup_A.tolist(),
-        "zero_mask": sys.zero_mask.tolist(),
+        "A": np.vstack([priv.A_tilde, form.A[m:]]).tolist(),
+        "b": form.b.tolist(),
+        "sup_A": form.sup_A.tolist(),
+        "zero_mask": form.zero_mask.tolist(),
         "mechanism": {
-            "row_supports": priv.row_supports.tolist(),
+            "row_supports": supports.tolist(),
             "sigma": priv.params.sigma,
-            "seed": priv.seed,
+            "seed": operator.index(priv.seed),
         },
     }
     if lp.privacy is not None:

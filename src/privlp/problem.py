@@ -9,7 +9,10 @@ where only the coefficient matrix ``A`` is sensitive. Public knowledge about
 structural zero is the commonest case) and an entrywise upper bound
 (``sup_A``, equal to ``A`` at masked entries); together they describe the
 set of matrices the true ``A`` is known to belong to. A public constraint is
-a fully masked row of the same system.
+a fully masked row of the same system, and a public row may be an equality
+``a.x = b_i``: the simplex solves it as one row, and the bound side reads
+it as the pair ``a.x <= b_i``, ``-a.x <= -b_i`` (see
+:meth:`ConstraintSystem.inequality_form`).
 """
 from __future__ import annotations
 
@@ -55,6 +58,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_finite(arr: np.ndarray, name: str):
+    if not np.isfinite(arr).all():
+        at = next(zip(*np.nonzero(~np.isfinite(arr))))
+        raise ValueError(f"{name}[{']['.join(map(str, at))}] is {arr[at]}; entries must be finite")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy budget (epsilon, delta) and adjacency bound k.
@@ -83,12 +92,15 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Inequality system A x <= b with public structure.
+    """Constraint system A x <= b with public structure.
 
     ``zero_mask`` marks public, exact coefficients, which are never
     privatized; structural zeros are the usual case, and a fully masked row
     is a public constraint. ``sup_A`` is the entrywise supremum of the public
-    bound set; masked entries must have ``sup_A == A``. Arrays are frozen
+    bound set; masked entries must have ``sup_A == A``. ``equality`` marks
+    the rows that hold with equality, ``A[i] x = b[i]``; only fully masked
+    rows may. It is None when there are none, and an all-False array is
+    stored as None. ``A`` and ``b`` must be finite. Arrays are frozen
     read-only so instances can be shared across threads.
     """
 
@@ -96,6 +108,7 @@ class ConstraintSystem:
     b: np.ndarray
     zero_mask: np.ndarray
     sup_A: np.ndarray
+    equality: np.ndarray | None = None
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -105,6 +118,8 @@ class ConstraintSystem:
         m, n = A.shape
         if b.shape != (m,):
             raise DimensionError(f"b must have shape ({m},), got {b.shape}")
+        _require_finite(A, "A")
+        _require_finite(b, "b")
         if sup_A.shape != (m, n):
             raise DimensionError(f"sup_A must have shape ({m}, {n}), got {sup_A.shape}")
         if mask.shape != (m, n):
@@ -113,10 +128,21 @@ class ConstraintSystem:
             i, j = next(zip(*np.nonzero(mask & (sup_A != A))))
             raise ValueError(f"A[{i}][{j}] = {A[i, j]} is masked as public, so sup_A[{i}][{j}] "
                              f"must equal it, got {sup_A[i, j]}")
+        equality = self.equality
+        if equality is not None:
+            equality = np.array(equality, dtype=bool)
+            if equality.shape != (m,):
+                raise DimensionError(f"equality must have shape ({m},), got {equality.shape}")
+            private = equality & ~mask.all(axis=1)
+            if private.any():
+                raise ValueError(f"row {np.flatnonzero(private)[0]} is an equality, so it must "
+                                 "be public: every entry of it masked in zero_mask")
+            equality = _readonly(equality) if equality.any() else None
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b", _readonly(b))
         object.__setattr__(self, "zero_mask", _readonly(mask))
         object.__setattr__(self, "sup_A", _readonly(sup_A))
+        object.__setattr__(self, "equality", equality)
 
     def tightened(self, A_tilde: np.ndarray) -> ConstraintSystem:
         """This system with ``A`` replaced by ``privatize_matrix(self, ...).A_tilde``.
@@ -129,13 +155,35 @@ class ConstraintSystem:
         """
         system = object.__new__(ConstraintSystem)
         for name, value in (("A", A_tilde), ("b", self.b), ("zero_mask", self.zero_mask),
-                            ("sup_A", self.sup_A)):
+                            ("sup_A", self.sup_A), ("equality", self.equality)):
             object.__setattr__(system, name, value)
         return system
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Each row's violation at ``x``: ``A x - b``, and ``|A x - b|`` on equality rows."""
+        r = self.A @ x - self.b
+        if self.equality is not None:
+            np.abs(r, out=r, where=self.equality)
+        return r
+
+    def inequality_form(self) -> ConstraintSystem:
+        """The same region as ``A x <= b`` alone: the paper's form, which the bound reads.
+
+        Each equality row becomes its pair ``a.x <= b_i``, ``-a.x <= -b_i``:
+        the row stays in place, and the negated copies follow all rows, in
+        row order. A system without equality rows is returned as is.
+        """
+        if self.equality is None:
+            return self
+        eq = self.equality
+        return ConstraintSystem(A=np.vstack([self.A, -self.A[eq]]),
+                                b=np.concatenate([self.b, -self.b[eq]]),
+                                zero_mask=np.vstack([self.zero_mask, self.zero_mask[eq]]),
+                                sup_A=np.vstack([self.sup_A, -self.A[eq]]))
 
     def row_nonzero_counts(self) -> np.ndarray:
         """Number of non-masked coefficients in each row."""
@@ -167,6 +215,7 @@ class LinearProgram:
         n = self.system.shape[1]
         if c.shape != (n,):
             raise DimensionError(f"c must have shape ({n},), got {c.shape}")
+        _require_finite(c, "c")
         object.__setattr__(self, "c", _readonly(c))
 
     @property
@@ -179,7 +228,8 @@ class LinearProgram:
 class ValidatedProblem:
     """A problem that passed :func:`validate`, plus the feasibility witness.
 
-    ``witness`` satisfies sup_A x <= b and x >= 0, certifying that a point
+    ``witness`` satisfies sup_A x <= b and x >= 0 (with equality on
+    equality rows, where ``sup_A == A``), certifying that a point
     exists that is feasible under every realization of the bound set.
     """
 
@@ -303,7 +353,8 @@ def validate(p: LinearProgram) -> ValidatedProblem:
         raise MembershipError(
             f"A[{i}][{j}] = {sys_.A[i, j]} exceeds sup_A[{i}][{j}] = {sys_.sup_A[i, j]}")
 
-    worst = ConstraintSystem(A=sys_.sup_A, b=sys_.b, zero_mask=sys_.zero_mask, sup_A=sys_.sup_A)
+    worst = ConstraintSystem(A=sys_.sup_A, b=sys_.b, zero_mask=sys_.zero_mask, sup_A=sys_.sup_A,
+                             equality=sys_.equality)
     witness = phase1_feasible(worst)
     if witness is None:
         raise FeasibilityAssumptionError(

@@ -62,11 +62,12 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     """Hash (base_seed, i_1, ..., i_k) to an independent 64-bit seed.
 
     Appending further grid points or trials never changes the seed derived
-    for an existing (base, indices) combination.
+    for an existing (base, indices) combination. The seed and indices are
+    integers (NumPy integers too); a float raises ``TypeError``.
     """
     state = _splitmix64(operator.index(base_seed) & _MASK64)
     for index in indices:
-        state = _splitmix64(state ^ (int(index) & _MASK64))
+        state = _splitmix64(state ^ (operator.index(index) & _MASK64))
     return state
 
 

@@ -1,6 +1,7 @@
 """Dense two-phase primal simplex for small LPs, plus vertex utilities.
 
-Solves  maximize c.x  s.t.  A x <= b, x >= 0.  Pivoting is fully
+Solves  maximize c.x  s.t.  A x <= b, x >= 0,  where some rows of a
+:class:`ConstraintSystem` may be equalities.  Pivoting is fully
 deterministic: steepest reduced cost enters (ties to the lowest column
 index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
@@ -10,7 +11,10 @@ A solve starts from the slack basis, or from a :class:`WarmStart` such as
 the final ``basic_columns`` of a baseline solve, factored once and updated
 per system (see ``warmstart``). Rows whose start value is negative are
 sign-flipped and get an artificial, so phase 1 runs over those rows only,
-and a start that is still feasible goes straight to phase 2. The returned
+and a start that is still feasible goes straight to phase 2. An equality
+row keeps one row of the tableau; its own unit column is an artificial
+rather than a slack, so phase 1 drives it out of the basis and it never
+enters again. The returned
 vertex is re-derived from the original data through its final basis, so
 tableau round-off never reaches the caller, whatever the start; while no
 pivot has changed a warm start's basis, that solve reuses the start's
@@ -21,9 +25,11 @@ dense, no sparsity.
 its graph of feasible bases from the vertex phase 1 ends on, so its work
 follows the number of vertices, not the C(m+n, n) candidate bases. It accepts
 a basis by the same per-basis solve and filter as a scan over every
-candidate, and sorts the accepted bases into the scan's order, so the output
-is the scan's to the bit. The walk stops with a ``ValueError`` as soon as it
-meets more than ``_MAX_VERTEX_BASES`` bases.
+candidate, and sorts the accepted bases into the scan's order, so on a
+bounded region the output is the scan's to the bit. The walk stops with a
+``ValueError`` as soon as it meets more than ``_MAX_VERTEX_BASES`` bases,
+and returns None at the first ray it meets. Both vertex utilities read
+every row as an inequality.
 """
 from __future__ import annotations
 
@@ -51,7 +57,8 @@ class Solution:
 
     ``x`` and ``objective`` are populated only when ``status == "Optimal"``.
     ``basis`` lists the active constraint indices at the returned point:
-    ``0..m-1`` for rows of A, ``m + j`` for the bound ``x_j >= 0``.
+    ``0..m-1`` for rows of A (an equality row is always one), ``m + j`` for
+    the bound ``x_j >= 0``.
     ``basic_columns`` is the final simplex basis, one column index into
     ``[x | slacks]`` per row; a :class:`WarmStart` built on it starts
     re-solves of problems that differ only in their data.
@@ -78,7 +85,7 @@ _STALL_LIMIT = 200
 
 
 class _Tableau:
-    """Simplex tableau over columns [x | slacks | artificials | rhs].
+    """Simplex tableau over columns [x | one per row | artificials | rhs].
 
     ``start`` is a :class:`WarmStart`, or ``None`` for the slack basis,
     whose tableau is ``[A | I | b]``; a start singular for ``A`` falls back
@@ -87,10 +94,14 @@ class _Tableau:
     artificial, so phase 1 runs over those rows only; a factored value in
     ``[-FEAS_TOL, 0)`` is round-off and is set to 0. ``B`` is the warm
     start's basis matrix while its basis stands: None from the first pivot
-    on, and for a slack start or a start with artificials.
+    on, and for a slack start or a start with artificials. ``equality``
+    marks the equality rows: the unit column of such a row is an
+    artificial, not a slack, so ``artificial`` marks it with the appended
+    columns.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, start: WarmStart | None = None):
+    def __init__(self, A: np.ndarray, b: np.ndarray, start: WarmStart | None = None,
+                 equality: np.ndarray | None = None):
         m, n = A.shape
         self.m, self.n = m, n
         self.n_slack = m
@@ -105,18 +116,21 @@ class _Tableau:
             body[:, self.basis] = np.eye(m)
             rhs = body[:, -1]
             rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0  # round-off of the factorization
-        self.T, self.width, self.art_cols = body, n + m, []
+        self.T, self.width = body, n + m
+        self.artificial = np.zeros(n + m, dtype=bool)
+        if equality is not None:
+            self.artificial[n:] = equality
         self.pivots = 0
         flip = body[:, -1] < 0
         if flip.any():
             body[flip] *= -1.0
             art_rows = np.flatnonzero(flip)
-            self.art_cols = list(range(n + m, n + m + art_rows.size))
             art = np.zeros((m, art_rows.size))
             art[art_rows, np.arange(art_rows.size)] = 1.0
-            self.basis[art_rows] = self.art_cols
+            self.basis[art_rows] = np.arange(n + m, n + m + art_rows.size)
             self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
             self.width += art_rows.size
+            self.artificial = np.concatenate([self.artificial, np.ones(art_rows.size, dtype=bool)])
             self.B = None
 
     def _pivot(self, row: int, col: int, obj: np.ndarray):
@@ -184,13 +198,16 @@ class _Tableau:
         raise RuntimeError("simplex exceeded the pivot budget; input looks pathological")
 
     def solve_phase1(self) -> bool:
-        """Drive artificials to zero. Returns False when infeasible."""
-        if not self.art_cols:
+        """Drive artificials to zero. Returns False when infeasible.
+
+        An appended artificial may re-enter in phase 1; an equality row's
+        unit column never enters.
+        """
+        if not self.artificial[self.basis].any():
             return True
-        costs = np.zeros(self.width)
-        costs[self.art_cols] = -1.0
-        obj = self._priced_objective(costs)
+        obj = self._priced_objective(np.where(self.artificial, -1.0, 0.0))
         allowed = np.ones(self.width, dtype=bool)
+        allowed[: self.n + self.n_slack] = ~self.artificial[: self.n + self.n_slack]
         status = self._run(obj, allowed)
         assert status == OPTIMAL  # phase-1 objective is bounded by 0
         if obj[-1] < -FEAS_TOL:
@@ -199,12 +216,13 @@ class _Tableau:
         return True
 
     def _evict_artificials(self):
-        art = set(self.art_cols)
+        enterable = ~self.artificial[: self.n + self.n_slack]
         drop_rows = []
         for i in range(self.m):
-            if self.basis[i] not in art:
+            if not self.artificial[self.basis[i]]:
                 continue
-            candidates = np.flatnonzero(np.abs(self.T[i, : self.n + self.n_slack]) > PIVOT_TOL)
+            candidates = np.flatnonzero(enterable
+                                        & (np.abs(self.T[i, : self.n + self.n_slack]) > PIVOT_TOL))
             if candidates.size:
                 self._pivot(i, int(candidates[0]), np.zeros(self.width + 1))
             else:
@@ -219,9 +237,7 @@ class _Tableau:
         costs = np.zeros(self.width)
         costs[: self.n] = c
         obj = self._priced_objective(costs)
-        allowed = np.ones(self.width, dtype=bool)
-        allowed[self.n + self.n_slack :] = False  # artificials never re-enter
-        return self._run(obj, allowed)
+        return self._run(obj, ~self.artificial)  # artificials never re-enter
 
     def _refine(self):
         # Re-derive basic values from the original, unflipped [A | I] and b;
@@ -247,10 +263,20 @@ class _Tableau:
         return np.maximum(x, 0.0)
 
 
-def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-               start: WarmStart | None = None) -> Solution:
-    m, n = A.shape
-    tab = _Tableau(A, b, start)
+def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
+    """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
+
+    ``start`` is a :class:`WarmStart` built on a system of the same shape,
+    such as a baseline and its ``basic_columns``; ``None`` starts from the
+    slack basis. Returns a :class:`Solution` whose point, when optimal,
+    re-verifies against the constraints at tolerance 1e-9
+    (:meth:`ConstraintSystem.residuals`).
+    """
+    c = np.asarray(c, dtype=float)
+    m, n = sys.shape
+    if c.shape != (n,):
+        raise ValueError(f"c must have shape ({n},), got {c.shape}")
+    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), start, sys.equality)
     if not tab.solve_phase1():
         return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots, start_path=tab.start_path)
     phase1 = tab.pivots
@@ -260,7 +286,7 @@ def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED, **stats)
     x = tab.extract_x()
-    residual = A @ x - b
+    residual = sys.residuals(x)
     worst = float(np.max(residual, initial=0.0))
     if worst > FEAS_TOL:
         raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
@@ -270,30 +296,16 @@ def _solve_raw(c: np.ndarray, A: np.ndarray, b: np.ndarray,
                     basic_columns=tuple(tab.basis.tolist()), **stats)
 
 
-def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
-    """Maximize ``c.x`` over {x >= 0 : A x <= b}.
-
-    ``start`` is a :class:`WarmStart` built on a system of the same shape,
-    such as a baseline and its ``basic_columns``; ``None`` starts from the
-    slack basis. Returns a :class:`Solution` whose point, when optimal,
-    re-verifies against the constraints at tolerance 1e-9.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (sys.shape[1],):
-        raise ValueError(f"c must have shape ({sys.shape[1]},), got {c.shape}")
-    return _solve_raw(c, np.asarray(sys.A), np.asarray(sys.b), start)
-
-
 def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
-    """Find any point of {x >= 0 : A x <= b}, or None when the set is empty."""
-    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b))
+    """Find any point of {x >= 0 : A x <= b} (``=`` on equality rows), or None when it is empty."""
+    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), None, sys.equality)
     if not tab.solve_phase1():
         return None
     return tab.extract_x()
 
 
 def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+                tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """The accepted bases of ``rows x <= rhs`` met by walking from ``start``, and their vertices.
 
     Bases are expanded ``_VERTEX_CHUNK`` at a time. A basis is accepted as
@@ -304,8 +316,10 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
     directions gives each bounded edge's far basis. At a degenerate vertex
     (more than n constraints within ``tol``), every n-subset of its tight
     constraints joins the walk: then every basis of the vertex is met, and
-    each edge leaving it is the direction of one of them. Raises
-    ``ValueError`` as soon as more than ``_MAX_VERTEX_BASES`` bases are met.
+    each edge leaving it is the direction of one of them. An edge with no
+    finite ratio is a ray of the region: the walk returns None at the first
+    one it meets. Raises ``ValueError`` as soon as more than
+    ``_MAX_VERTEX_BASES`` bases are met.
     """
     n = rows.shape[1]
     met = {start}
@@ -345,7 +359,10 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
         rate[np.arange(frontier.shape[0])[:, None], frontier] = 0.0
         ratio = np.divide(np.where(tight, 0.0, slack)[:, :, None], rate,
                           out=np.full(rate.shape, np.inf), where=rate > 0)
-        a, j = np.nonzero(np.isfinite(ratio).any(axis=1))  # bounded edges
+        bounded = np.isfinite(ratio).any(axis=1)
+        if not bounded.all():
+            return None  # a ray: the region is unbounded
+        a, j = np.nonzero(bounded)
         far = frontier[a]
         far[np.arange(a.size), j] = ratio[a, :, j].argmin(axis=1)
         far.sort(axis=1)
@@ -357,8 +374,8 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
     return np.concatenate(accepted), np.concatenate(vertices)
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-    """All vertices of {x >= 0 : A x <= b}, one per row, deduplicated.
+def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray | None:
+    """All vertices of a bounded {x >= 0 : A x <= b}, one per row, deduplicated.
 
     Vertices are intersections of n active constraints drawn from the m
     inequality rows and the n sign bounds. Rather than solve all C(m+n, n)
@@ -371,7 +388,8 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     accepts; sorted into the scan's lexicographic basis order, each vertex
     is kept at its first basis, so the output is the scan's, byte for byte.
     Raises ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
-    bases; returns a ``(0, n)`` array for an empty region.
+    bases; returns a ``(0, n)`` array for an empty region, and None for an
+    unbounded one, as soon as the walk meets a ray.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -387,7 +405,10 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     start = tuple(np.sort(np.where(nonbasic < n, m + nonbasic, nonbasic - n)).tolist())
     rows = np.vstack([A, -np.eye(n)])
     rhs = np.concatenate([b, np.zeros(n)])
-    bases, X = _walk_bases(rows, rhs, start, tol)
+    walked = _walk_bases(rows, rhs, start, tol)
+    if walked is None:
+        return None
+    bases, X = walked
     X = X[np.lexsort(bases.T[::-1])]  # the scan's order: by S[0], then S[1], ...
     first = {}
     for i, key in enumerate(np.round(X, 9) + 0.0):
@@ -405,11 +426,15 @@ def max_norm_point(sys: ConstraintSystem):
     bit to a scan of every basis, so ``x_bar`` is the scan's; it raises
     ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
     bases. Returns ``(x_bar, norm)``, or the string status ``"Unbounded"``
-    when ``max 1.x`` is unbounded (the region then has no largest element).
+    when the walk meets a ray (the region then has no largest element).
+    Every row is read as an inequality, so a system with equality rows
+    raises ``ValueError``: pass its ``inequality_form()``.
     """
-    if solve_lp(np.ones(sys.shape[1]), sys).status == UNBOUNDED:
-        return UNBOUNDED  # the region lies in x >= 0, so this is the recession check
+    if sys.equality is not None:
+        raise ValueError("max_norm_point reads A x <= b; pass the system's inequality_form()")
     vertices = enumerate_vertices(np.asarray(sys.A), np.asarray(sys.b))
+    if vertices is None:
+        return UNBOUNDED
     if vertices.shape[0] == 0:
         raise ValueError("region is empty; max_norm_point requires a feasible system")
     norms = np.linalg.norm(vertices, axis=1)

@@ -189,6 +189,36 @@ def test_sweep_bad_grid_config_names_the_field(tmp_path, capsys, field, doc):
     assert err.startswith(f"error: {field}:")
 
 
+def _hazard_beta(value):
+    return dict(GRID, hazards=[dict(GRID["hazards"][0], beta=value)] + GRID["hazards"][1:])
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("hazards", _hazard_beta(float("nan"))),
+    ("hazards", _hazard_beta(float("inf"))),
+    ("f0", dict(GRID, f0=float("nan"))),
+    ("f0", dict(GRID, f0=float("inf"))),
+    ("goal_reward", dict(GRID, goal_reward=float("nan"))),
+    ("goal_reward", dict(GRID, goal_reward=float("-inf"))),
+    ("width", dict(GRID, width=2.7)),
+    ("width", dict(GRID, width="5")),
+    ("height", dict(GRID, height=True)),
+    ("slip", dict(GRID, slip="0.1")),
+], ids=["beta-nan", "beta-inf", "f0-nan", "f0-inf", "reward-nan", "reward-inf",
+        "width-float", "width-string", "height-bool", "slip-string"])
+def test_sweep_non_finite_or_non_integer_grid_field_is_named(tmp_path, capsys, field, doc):
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--grid-config", str(path), "--eps-grid", "1", "--trials", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}:")
+    assert captured.out == ""
+    if field == "hazards":
+        assert "beta must be a finite number" in captured.err
+
+
 def test_sweep_nonpositive_baseline_reported(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(dict(BASIC, c=[-1.0, -1.0])))
@@ -295,8 +325,8 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
     starts = []
 
     class Recording(simplex._Tableau):
-        def __init__(self, A, b, start=None):
-            super().__init__(A, b, start)
+        def __init__(self, A, b, start=None, equality=None):
+            super().__init__(A, b, start, equality)
             starts.append((start, self.start_path))
 
     monkeypatch.setattr(simplex, "_Tableau", Recording)

@@ -115,15 +115,31 @@ def test_hazard_coefficients_are_beta_gamma():
     assert free == 4 * len(hazardous)
 
 
-def test_flow_rows_are_public_inequality_pairs():
+def test_flow_rows_are_public_equality_rows():
     mdp = build_gridworld(default_grid())
     sys_ = occupancy_lp(mdp).system
     p = mdp.n_states
-    assert sys_.shape == (1 + 2 * p, 4 * p)
+    assert sys_.shape == (1 + p, 4 * p)
+    assert np.linalg.matrix_rank(sys_.A) == 1 + p
+    assert sys_.equality.tolist() == [False] + [True] * p
     assert sys_.zero_mask[1:].all()
     assert np.array_equal(sys_.sup_A[1:], sys_.A[1:])
-    assert np.array_equal(sys_.A[1:p + 1], -sys_.A[p + 1:])
-    assert np.array_equal(sys_.b, np.concatenate([[mdp.f0], mdp.mu, -mdp.mu]))
+    assert np.array_equal(sys_.b, np.concatenate([[mdp.f0], mdp.mu]))
+
+
+def test_occupancy_inequality_form_is_the_paired_encoding():
+    # the bound reads the flow rows as the pairs flow x <= mu, -flow x <= -mu,
+    # written out here from the dynamics, array for array
+    mdp = build_gridworld(default_grid())
+    sys_ = occupancy_lp(mdp).system
+    p, q = mdp.n_states, mdp.n_actions
+    flow = np.repeat(np.eye(p), q, axis=1) - mdp.gamma * mdp.transitions.reshape(p * q, p).T
+    form = sys_.inequality_form()
+    assert form.shape == (1 + 2 * p, q * p) and form.equality is None
+    assert np.array_equal(form.A, np.vstack([sys_.A[0], flow, -flow]))
+    assert np.array_equal(form.b, np.concatenate([[mdp.f0], mdp.mu, -mdp.mu]))
+    assert np.array_equal(form.zero_mask, np.vstack([sys_.zero_mask, np.ones((p, q * p), bool)]))
+    assert np.array_equal(form.sup_A, np.vstack([sys_.sup_A, -flow]))
 
 
 # --- policy synthesis --------------------------------------------------------

@@ -179,12 +179,12 @@ def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
                               delta=0.05, k=0.25)
     sweep_gridworld(default_grid(), config)
     assert len(trials) == 150
-    assert baseline[0] > 50  # the slack start takes about 74 pivots on the occupancy LP
+    assert baseline[0] > 25  # the slack start takes 32 pivots on the 26-row occupancy LP
     assert sum(trials) / len(trials) < 2
 
 
 def test_sweep_trials_report_their_start_path(monkeypatch, rng):
-    # one private row of 51 is a rank-one update of the baseline tableau;
+    # one private row of 26 is a rank-one update of the baseline tableau;
     # a 12x6 LP whose rows are all private is re-factored in every trial
     import privlp.simplex as simplex
     solve = simplex.solve_lp

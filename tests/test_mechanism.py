@@ -15,8 +15,10 @@ from privlp import (
     sample_trunc_laplace,
     support_width,
 )
-from privlp.problem import LinearProgram
+from privlp.cmdp import build_gridworld, default_grid, occupancy_lp
+from privlp.problem import LinearProgram, load_problem
 from privlp.seeds import derive_seed, row_stream
+from privlp.simplex import solve_lp
 
 from oracles import support_width_hp, trunc_laplace_cdf, trunc_laplace_moment
 
@@ -272,6 +274,27 @@ def test_privatized_document_round_trip(rng):
     assert doc["A"] == priv.A_tilde.tolist()
 
 
+def test_privatized_document_of_equality_rows_loads_as_the_privatized_region():
+    # the schema has no equality rows, so the document writes each flow
+    # equality as its pair; load_problem must read back the privatized
+    # system's region, not the relaxation flow x <= mu
+    lp = occupancy_lp(build_gridworld(default_grid()))
+    m = lp.system.shape[0]
+    priv = privatize_matrix(lp.system, PrivacyParams(1.0, 0.05, 0.25), seed=3)
+    doc = json.loads(json.dumps(privatized_document(lp, priv)))
+    loaded = load_problem(json.dumps(doc)).system
+    private = lp.system.tightened(priv.A_tilde)
+    form = private.inequality_form()
+    for name in ("A", "b", "zero_mask", "sup_A"):
+        assert np.array_equal(getattr(loaded, name), getattr(form, name))
+    assert loaded.equality is None and loaded.shape[0] == m + lp.system.equality.sum()
+    assert doc["mechanism"]["row_supports"] == priv.row_supports.tolist() + [0.0] * (m - 1)
+    native, read = solve_lp(lp.c, private), solve_lp(lp.c, loaded)
+    assert native.status == read.status == "Optimal"
+    assert read.objective == pytest.approx(native.objective, abs=1e-9)
+    assert private.residuals(read.x).max() <= 1e-9
+
+
 def _mixed_system(rng, m, n, free_counts):
     """System whose row i has ``free_counts[i]`` free entries; 0 makes a public row."""
     mask = np.ones((m, n), bool)
@@ -321,6 +344,25 @@ def test_numpy_integer_seed_privatizes_like_the_python_int(rng, numpy_seed):
     expected = privatize_matrix(sys_, PP, int(numpy_seed)).A_tilde
     assert privatize_matrix(sys_, PP, numpy_seed).A_tilde.tobytes() == expected.tobytes()
     assert derive_seed(numpy_seed, 1, 2) == derive_seed(int(numpy_seed), 1, 2)
+
+
+@pytest.mark.parametrize("numpy_seed", [np.int64(7), np.uint64(2 ** 64 - 7)])
+def test_privatized_document_writes_a_numpy_seed_as_a_json_int(rng, numpy_seed):
+    sys_ = _mixed_system(rng, 3, 4, [4, 0, 2])
+    lp = LinearProgram(c=np.ones(4), system=sys_)
+    doc = privatized_document(lp, privatize_matrix(sys_, PP, numpy_seed))
+    assert json.loads(json.dumps(doc))["mechanism"]["seed"] == int(numpy_seed)
+    assert type(doc["mechanism"]["seed"]) is int
+
+
+def test_derive_seed_takes_integer_indices_only():
+    with pytest.raises(TypeError):
+        derive_seed(0, 1.7)
+    with pytest.raises(TypeError):
+        derive_seed(0, 1, 2.0)
+    for index in (np.int64(3), np.uint64(3), np.int32(-5)):
+        assert derive_seed(0, index, 4) == derive_seed(0, int(index), 4)
+        assert derive_seed(0, 4, index) == derive_seed(0, 4, int(index))
 
 
 def _hexes(values):

@@ -218,8 +218,75 @@ def test_tightened_system_equals_the_checked_replacement(rng, grid):
         one, two = getattr(fast, name), getattr(checked, name)
         assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
         assert not one.flags.writeable
+    if grid:
+        assert fast.equality is system.equality and not fast.equality.flags.writeable
+        assert np.array_equal(checked.equality, system.equality)
+    else:
+        assert fast.equality is None and checked.equality is None
     assert np.array_equal(fast.A, priv.A_tilde)
     rows = fast.private_rows
     assert all(np.array_equal(a, b) for a, b in zip(rows, checked.private_rows))
     assert np.array_equal(rows[3], priv.A_tilde[rows[1]])
     assert not np.array_equal(rows[3], original_rows[3])  # the original's block is stale
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_data_is_refused_at_construction(bad):
+    with pytest.raises(ValueError, match=r"A\[1\]\[0\] is .*finite"):
+        _system([[1.0, 0.0], [bad, 1.0]], [1.0, 1.0], [[2.0, 2.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match=r"b\[1\] is .*finite"):
+        _system([[1.0]] * 2, [1.0, bad], [[2.0]] * 2)
+    with pytest.raises(ValueError, match=r"c\[0\] is .*finite"):
+        LinearProgram(c=[bad], system=_system([[1.0]], [1.0], [[2.0]]))
+
+
+def _public(A, b, equality):
+    A = np.asarray(A, dtype=float)
+    return ConstraintSystem(A=A, b=b, zero_mask=np.ones_like(A, dtype=bool), sup_A=A,
+                            equality=equality)
+
+
+def test_equality_rows_must_be_public():
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    mask = np.array([[True, True], [False, True]])
+    with pytest.raises(ValueError, match="row 1 is an equality, so it must be public"):
+        ConstraintSystem(A=A, b=[1.0, 0.0], zero_mask=mask, sup_A=A + ~mask,
+                         equality=[False, True])
+    with pytest.raises(DimensionError, match="equality"):
+        _public(A, [1.0, 0.0], [True])
+    system = _public(A, [1.0, 0.0], [0, 1])
+    assert system.equality.dtype == bool and system.equality.tolist() == [False, True]
+    with pytest.raises(ValueError):
+        system.equality[0] = True
+    assert _public(A, [1.0, 0.0], [False, False]).equality is None
+
+
+def test_inequality_form_appends_the_negated_equalities_in_order():
+    A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    system = _public(A, [1.0, 2.0, 3.0], [True, False, True])
+    form = system.inequality_form()
+    assert form.equality is None
+    assert np.array_equal(form.A, np.vstack([A, -A[[0, 2]]]))
+    assert np.array_equal(form.b, [1.0, 2.0, 3.0, -1.0, -3.0])
+    assert form.zero_mask.all() and np.array_equal(form.sup_A, form.A)
+    plain = _public(A, [1.0, 2.0, 3.0], None)
+    assert plain.inequality_form() is plain
+
+
+def test_residuals_count_both_sides_of_an_equality():
+    system = _public([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [False, True])
+    assert system.residuals(np.array([0.25, 0.5])).tolist() == [-0.25, 0.25]
+    assert system.residuals(np.array([0.5, 0.25])).tolist() == [-0.25, 0.25]
+    assert system.inequality_form().residuals(np.array([0.25, 0.5])).max() == 0.25
+
+
+def test_validate_reads_equality_rows_as_equalities():
+    # {x0 <= 1, x0 - x1 <= 2} holds at the origin, but x0 - x1 = 2 needs
+    # x0 >= 2 on x >= 0, which x0 <= 1 forbids
+    A = np.array([[1.0, 0.0], [1.0, -1.0]])
+    relaxed = _public(A, [1.0, 2.0], None)
+    assert validate(LinearProgram(c=[1.0, 0.0], system=relaxed)).witness is not None
+    with pytest.raises(FeasibilityAssumptionError):
+        validate(LinearProgram(c=[1.0, 0.0], system=_public(A, [1.0, 2.0], [False, True])))
+    vp = validate(LinearProgram(c=[1.0, 0.0], system=_public(A, [1.0, 0.5], [False, True])))
+    assert vp.witness[0] - vp.witness[1] == pytest.approx(0.5, abs=1e-12)

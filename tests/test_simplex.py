@@ -191,6 +191,9 @@ def test_enumerate_vertices_matches_oracle_across_chunks_with_singular_bases(rng
                        for S in itertools.combinations(range(m + n), n))
         assert singular > 100
         V = enumerate_vertices(A, b)
+        if solve_lp(np.ones(n), _sys(A, b)).status == UNBOUNDED:
+            assert V is None  # the walk stops at its first ray
+            continue
         oracle = region_vertices(A, b)
         assert V.shape == oracle.shape
         assert {tuple(np.round(v, 9) + 0.0) for v in V} == \
@@ -245,35 +248,70 @@ def _validated_system(rng, m, n):
 ], ids=["valid12x6", "valid8x4", "valid5x3", "integer10x4", "integer8x3", "zero_rhs8x4",
         "unbounded6x3", "empty5x3", "integer5x1", "unbounded4x1"])
 def test_enumerate_vertices_bytes_match_the_full_scan(build, m, n, monkeypatch):
-    # the walk must meet every basis the scan accepts, so the rows, their
-    # order and every bit (signed zeros included) are the scan's, whatever
-    # the batches the walk expands its bases in
+    # on a bounded region the walk must meet every basis the scan accepts, so
+    # the rows, their order and every bit (signed zeros included) are the
+    # scan's, whatever the batches the walk expands its bases in; on an
+    # unbounded one it returns None
     import privlp.simplex as simplex
     from oracles import vertex_scan
     rng = np.random.default_rng([20240817, m, n])
     for _ in range(3 if m * n > 40 else 8):
         A, b = build(rng, m, n)
+        unbounded = solve_lp(np.ones(n), _sys(A, b)).status == UNBOUNDED
         expected = vertex_scan(A, b)
         for chunk in (simplex._VERTEX_CHUNK, 3):
             monkeypatch.setattr(simplex, "_VERTEX_CHUNK", chunk)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the ratio test divides only where a slack falls
                 V = enumerate_vertices(A, b)
-            assert V.shape == expected.shape
-            assert V.tobytes() == expected.tobytes()
+            if unbounded:
+                assert V is None and expected.shape[0] > 0
+            else:
+                assert V.shape == expected.shape
+                assert V.tobytes() == expected.tobytes()
         monkeypatch.undo()
 
 
+def _random_system(rng, m, n):
+    return _random_instance(rng, m, n)[1:]
+
+
+@pytest.mark.parametrize("build, m, n", [
+    (_validated_system, 8, 4),
+    (_validated_system, 5, 3),
+    (_integer_system, 8, 3),
+    (_zero_rhs_system, 8, 4),
+    (_unbounded_system, 6, 3),
+    (_unbounded_system, 4, 1),
+    (_empty_system, 5, 3),
+    (_bounded_instance, 5, 3),
+    (_random_system, 4, 3),
+    (_random_system, 6, 2),
+], ids=["valid8x4", "valid5x3", "integer8x3", "zero_rhs8x4", "unbounded6x3", "unbounded4x1",
+        "empty5x3", "bounded5x3", "random4x3", "random6x2"])
+def test_max_norm_recession_check_agrees_with_solve_lp(build, m, n):
+    # the walk's first ray stands in for an unbounded solve of max 1.x
+    rng = np.random.default_rng([20240817, m, n, 1])
+    for _ in range(12):
+        system = _sys(*build(rng, m, n))
+        status = solve_lp(np.ones(n), system).status
+        if status == INFEASIBLE:
+            with pytest.raises(ValueError, match="region is empty"):
+                max_norm_point(system)
+        else:
+            assert (max_norm_point(system) == UNBOUNDED) == (status == UNBOUNDED)
+
+
 def test_enumerate_vertices_degenerate_vertex_with_a_redundant_tight_row():
-    # -x - y <= 0 holds on all of x >= 0 and is tight only at the origin; no
-    # ratio test from the origin's bound basis enters it, yet the scan's first
-    # basis of the origin is (0, 2)
+    # x + 2y <= 1 holds on the triangle 2x + 2y <= 1, y >= 2x and is tight
+    # only at its vertex (0, 0.5); no ratio test enters it, yet the scan's
+    # first basis of that vertex is (0, 1), which lists it first
     from oracles import vertex_scan
-    A = np.array([[-1.0, -1.0], [0.0, -1.0]])
-    b = np.array([0.0, 1.0])
+    A = np.array([[2.0, 2.0], [1.0, 2.0], [2.0, -1.0]])
+    b = np.array([1.0, 1.0, 0.0])
     V = enumerate_vertices(A, b)
     assert V.tobytes() == vertex_scan(A, b).tobytes()
-    assert V.shape == (1, 2)
+    assert V.shape == (3, 2) and V[0].tolist() == [0.0, 0.5]
 
 
 def test_enumerate_vertices_caps_the_bases_it_visits(monkeypatch):
@@ -288,16 +326,18 @@ def test_enumerate_vertices_caps_the_bases_it_visits(monkeypatch):
 def test_enumerate_vertices_caps_the_bases_of_a_degenerate_vertex(monkeypatch):
     # A x <= 0 with A <= 0 holds on all of x >= 0, so the origin is tight for
     # all 20 constraints and has C(20, 10) = 184756 bases; the cap must stop
-    # the walk before it builds them (about 25 MB as tuples)
+    # the walk before it builds them (about 25 MB as tuples). A last row,
+    # sum(x) <= 1, bounds the region, so no ray stops the walk first
     import tracemalloc
     import privlp.simplex as simplex
     m = n = 10
-    A = -np.abs(np.random.default_rng(5).normal(size=(m, n)))
+    A = np.vstack([-np.abs(np.random.default_rng(5).normal(size=(m, n))), np.ones(n)])
+    b = np.append(np.zeros(m), 1.0)
     monkeypatch.setattr(simplex, "_MAX_VERTEX_BASES", 50)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="too large"):
-            enumerate_vertices(A, np.zeros(m))
+            enumerate_vertices(A, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
