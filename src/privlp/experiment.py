@@ -12,19 +12,23 @@ run with the same config is byte-identical.
 
 Each trial's simplex starts from the baseline solve's final basis: a trial
 changes only the private rows, so that basis usually stays feasible and is
-often still optimal. The basis is factored once per sweep; a gridworld
-trial, with one private row of 26, updates that factorization by rank one,
-and an LP whose rows are all private is re-factored. Only the sweep
-warm-starts. It is a non-private evaluation against the true baseline; a
-released private solution (``privlp solve --private``) starts from the
-slack basis, so that it is a function of the privatized matrix alone and
-post-processing covers it.
+often still optimal. The basis is factored once per sweep. Trials are
+privatized one by one into a buffer of ``_TRIAL_BLOCK`` matrices and solved
+as one block (:func:`simplex.solve_block`): a gridworld block, with one
+private row of 26, updates that factorization by rank one per trial, an LP
+whose rows are all private re-factors it per trial, and a trial whose start
+is already optimal finishes without a pivot. Only the sweep warm-starts. It
+is a non-private evaluation against the true baseline; a released private
+solution (``privlp solve --private``) starts from the slack basis, so that
+it is a function of the privatized matrix alone and post-processing covers
+it.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,7 @@ from .seeds import derive_seed
 from . import simplex
 
 CSV_HEADER = "epsilon,mean_cop_percent,std_cop,mean_abs_gap,bound,trials,infeasible"
+_TRIAL_BLOCK = 8  # trials solved as one block; each grid trial holds about 60 KB while it runs
 
 
 class SweepAbort(RuntimeError):
@@ -62,6 +67,11 @@ class ExperimentConfig:
         grid = tuple(float(e) for e in self.eps_grid)
         if not grid or any(e <= 0 for e in grid):
             raise ValueError("eps_grid must be a non-empty list of positive reals")
+        for name in ("trials", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "eps_grid", grid)
@@ -102,9 +112,10 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     ``score`` maps a solved point to the value whose percent loss is the
     cost of privacy. The worst case is validated and the baseline checked
     before any geometry or trial work. The baseline's basis is factored
-    once, every trial starts the simplex from it, and each trial's point is
-    re-checked against all original rows. Beyond the exact-Hoffman row cap
-    the bound is recorded as ``inf``, which is still a valid bound.
+    once, every trial starts the simplex from it, blocks of trials are
+    solved together, and each trial's point is re-checked against all
+    original rows. Beyond the exact-Hoffman row cap the bound is recorded
+    as ``inf``, which is still a valid bound.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -118,27 +129,31 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     except HoffmanSizeError:
         geometry = None
     start = simplex.WarmStart(sys_, base.basic_columns)
+    A_block = np.empty((min(_TRIAL_BLOCK, config.trials), *sys_.shape))
     records = []
     for ei, eps in enumerate(config.eps_grid):
         params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
         bound = math.inf if geometry is None else geometry.report(sys_, params).bound
         cops, gaps = [], []
-        for trial in range(config.trials):
-            seed = derive_seed(config.base_seed, ei, trial)
-            priv = privatize_matrix(sys_, params, seed)
-            tightened = sys_.tightened(priv.A_tilde)
-            sol = simplex.solve_lp(lp.c, tightened, start=start)
-            if not sol.is_optimal:
-                raise SweepAbort(
-                    f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "
-                    "a tightened validated problem must stay solvable")
-            worst = float(np.max(sys_.residuals(sol.x)))
-            if worst > 1e-9:
-                raise SweepAbort(
-                    f"trial {trial} at epsilon={eps} violates the original constraints "
-                    f"by {worst:.3e}")
-            cops.append(cmdp_mod.cost_of_privacy(base_score, score(sol.x)))
-            gaps.append(abs(base.objective - sol.objective))
+        for first in range(0, config.trials, _TRIAL_BLOCK):
+            trials = range(first, min(first + _TRIAL_BLOCK, config.trials))
+            seeds = [derive_seed(config.base_seed, ei, trial) for trial in trials]
+            block = A_block[:len(seeds)]
+            for A, seed in zip(block, seeds):
+                A[...] = privatize_matrix(sys_, params, seed).A_tilde
+            solved = simplex.solve_block(lp.c, sys_, block, start)
+            for trial, seed, sol in zip(trials, seeds, solved):
+                if not sol.is_optimal:
+                    raise SweepAbort(
+                        f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "
+                        "a tightened validated problem must stay solvable")
+                worst = float(np.max(sys_.residuals(sol.x)))
+                if worst > 1e-9:
+                    raise SweepAbort(
+                        f"trial {trial} at epsilon={eps} violates the original constraints "
+                        f"by {worst:.3e}")
+                cops.append(cmdp_mod.cost_of_privacy(base_score, score(sol.x)))
+                gaps.append(abs(base.objective - sol.objective))
         records.append(_aggregate(eps, cops, gaps, bound))
     return records
 

@@ -8,18 +8,21 @@ detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
 A solve starts from the slack basis, or from a :class:`WarmStart` such as
-the final ``basic_columns`` of a baseline solve, factored once and updated
-per system (see ``warmstart``). Rows whose start value is negative are
-sign-flipped and get an artificial, so phase 1 runs over those rows only,
-and a start that is still feasible goes straight to phase 2. An equality
-row keeps one row of the tableau; its own unit column is an artificial
-rather than a slack, so phase 1 drives it out of the basis and it never
-enters again. The returned
-vertex is re-derived from the original data through its final basis, so
-tableau round-off never reaches the caller, whatever the start; while no
-pivot has changed a warm start's basis, that solve reuses the start's
-basis matrix. Built for desk-scale instances (tens of rows and columns);
-dense, no sparsity.
+the final ``basic_columns`` of a baseline solve. Warm solves run in blocks
+(:func:`solve_block`; ``solve_lp`` with a start is a block of one): the
+systems of a block share ``b`` and the start basis, their start tableaus
+come as one stack (see ``warmstart``), and a system whose start is already
+feasible and optimal finishes in the stack, with no pivot. Rows whose
+start value is negative are sign-flipped and get an artificial, so phase 1
+runs over those rows only, and a start that is still feasible goes
+straight to phase 2. An equality row keeps one row of the tableau; its own
+unit column is an artificial rather than a slack, so phase 1 drives it out
+of the basis and it never enters again, except that a redundant equality
+row keeps an artificial basic at 0, so the basis stays square. The
+returned vertex is re-derived from the original data through its final
+basis matrix, so tableau round-off never reaches the caller, whatever the
+start. Built for desk-scale instances (tens of rows and columns); dense,
+no sparsity.
 
 ``enumerate_vertices`` lists the vertices of the feasible region by walking
 its graph of feasible bases from the vertex phase 1 ends on, so its work
@@ -39,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ConstraintSystem
-from .warmstart import PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau
+from .warmstart import (FEAS_TOL, PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau,
+                        _stacked_solve)
 
-FEAS_TOL = 1e-9
 _MAX_PIVOTS = 200_000
 _MAX_VERTEX_BASES = 500_000  # bases one vertex enumeration may meet
 _VERTEX_CHUNK = 256
@@ -84,42 +87,81 @@ class Solution:
 _STALL_LIMIT = 200
 
 
+def _artificial_columns(n: int, m: int, equality: np.ndarray | None) -> np.ndarray:
+    """Which columns of ``[x | one per row]`` are artificial: the unit columns of equality rows."""
+    artificial = np.zeros(n + m, dtype=bool)
+    if equality is not None:
+        artificial[n:] = equality
+    return artificial
+
+
+def _priced_objective(costs: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Reduced costs ``z_j - c_j`` of tableau ``T`` in ``basis``, and its value in the last cell.
+
+    ``T`` may be a stack of tableaus in one basis: each gets the bits it
+    gets on its own, as the rows are added in the same order.
+    """
+    obj = np.zeros(T.shape[:-2] + T.shape[-1:])
+    obj[..., :-1] = -costs
+    basic_costs = costs[basis]
+    for i in np.flatnonzero(basic_costs).tolist():
+        obj += basic_costs[i] * T[..., i, :]
+    return obj
+
+
+def _reduced_costs(obj: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Reduced costs of the columns allowed to enter, +inf at the rest; ``obj`` may be a stack."""
+    return np.where(allowed, obj[..., :-1], np.inf)
+
+
+def _optimal(least):
+    """Whether a tableau whose least reduced cost is ``least`` is optimal (elementwise)."""
+    return least >= -PIVOT_TOL
+
+
+def _refined(B: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The stack ``rhs`` of basic values, re-derived from the original data as ``B^-1 b``.
+
+    Pivoting drift in a tableau's values never reaches the caller: the
+    exact values replace them where the solve is finite and within 1e-4 of
+    them, and otherwise the tableau values stand.
+    """
+    exact = _stacked_solve(B, b[:, None])[..., 0]
+    accept = np.isfinite(exact).all(axis=-1) & (np.abs(exact - rhs).max(axis=-1) < 1e-4)
+    return np.where(accept[:, None], exact, rhs)
+
+
+def _basic_x(rhs: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """``x`` at basic values ``rhs`` (may be a stack): 0 off the basis, and never below 0."""
+    x = np.zeros(rhs.shape[:-1] + (n,))
+    basic = basis < n
+    x[..., basis[basic]] = rhs[..., basic]
+    return np.maximum(x, 0.0, out=x)
+
+
 class _Tableau:
     """Simplex tableau over columns [x | one per row | artificials | rhs].
 
-    ``start`` is a :class:`WarmStart`, or ``None`` for the slack basis,
-    whose tableau is ``[A | I | b]``; a start singular for ``A`` falls back
-    to it. ``start_path`` is ``"slack"``, ``"factored"`` or ``"updated"``.
-    A row whose start value is negative is sign-flipped and gets an
-    artificial, so phase 1 runs over those rows only; a factored value in
-    ``[-FEAS_TOL, 0)`` is round-off and is set to 0. ``B`` is the warm
-    start's basis matrix while its basis stands: None from the first pivot
-    on, and for a slack start or a start with artificials. ``equality``
-    marks the equality rows: the unit column of such a row is an
-    artificial, not a slack, so ``artificial`` marks it with the appended
-    columns.
+    ``start`` is None for the slack basis, whose tableau is ``[A | I | b]``,
+    or a warm start ``(T, basis, start_path)``, one system of
+    :meth:`WarmStart.tableaus`; ``start_path`` is ``"slack"``,
+    ``"factored"`` or ``"updated"``. A row whose start value is negative is
+    sign-flipped and gets an artificial, so phase 1 runs over those rows
+    only. ``equality`` marks the equality rows: the unit column of such a
+    row is an artificial, not a slack, so ``artificial`` marks it with the
+    appended columns.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, start: WarmStart | None = None,
-                 equality: np.ndarray | None = None):
+    def __init__(self, A: np.ndarray, b: np.ndarray, equality: np.ndarray | None = None,
+                 start: tuple | None = None):
         m, n = A.shape
         self.m, self.n = m, n
-        self.n_slack = m
         self.A, self.b = A, b  # original data, for extraction
-        started = None if start is None else start.tableau(A, b)
-        if started is None:
-            body, self.basis, self.start_path = _slack_tableau(A, b), np.arange(n, n + m), "slack"
-            self.B = None
-        else:
-            body, self.B, self.start_path = started
-            self.basis = start.basis.copy()
-            body[:, self.basis] = np.eye(m)
-            rhs = body[:, -1]
-            rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0  # round-off of the factorization
+        if start is None:
+            start = _slack_tableau(A, b), np.arange(n, n + m), "slack"
+        body, self.basis, self.start_path = start
         self.T, self.width = body, n + m
-        self.artificial = np.zeros(n + m, dtype=bool)
-        if equality is not None:
-            self.artificial[n:] = equality
+        self.artificial = _artificial_columns(n, m, equality)
         self.pivots = 0
         flip = body[:, -1] < 0
         if flip.any():
@@ -131,7 +173,6 @@ class _Tableau:
             self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
             self.width += art_rows.size
             self.artificial = np.concatenate([self.artificial, np.ones(art_rows.size, dtype=bool)])
-            self.B = None
 
     def _pivot(self, row: int, col: int, obj: np.ndarray):
         T = self.T
@@ -142,15 +183,6 @@ class _Tableau:
         obj -= obj[col] * T[row]
         self.basis[row] = col
         self.pivots += 1
-        self.B = None
-
-    def _priced_objective(self, costs: np.ndarray) -> np.ndarray:
-        # obj[j] holds the reduced cost z_j - c_j; rhs cell holds the value.
-        obj = np.concatenate([-costs, [0.0]])
-        basic_costs = costs[self.basis]
-        for i in np.flatnonzero(basic_costs).tolist():
-            obj += basic_costs[i] * self.T[i]
-        return obj
 
     def _leaving_row(self, col: int, bland: bool) -> int | None:
         T = self.T
@@ -174,7 +206,7 @@ class _Tableau:
         stall = 0
         last_value = obj[-1]
         for _ in range(_MAX_PIVOTS):
-            reduced = np.where(allowed, obj[:-1], np.inf)
+            reduced = _reduced_costs(obj, allowed)
             if bland:
                 cols = np.flatnonzero(reduced < -PIVOT_TOL)
                 if cols.size == 0:
@@ -182,7 +214,7 @@ class _Tableau:
                 col = int(cols[0])
             else:
                 col = int(np.argmin(reduced))
-                if reduced[col] >= -PIVOT_TOL:
+                if _optimal(reduced[col]):
                     return OPTIMAL
             row = self._leaving_row(col, bland)
             if row is None:
@@ -205,9 +237,9 @@ class _Tableau:
         """
         if not self.artificial[self.basis].any():
             return True
-        obj = self._priced_objective(np.where(self.artificial, -1.0, 0.0))
+        obj = _priced_objective(np.where(self.artificial, -1.0, 0.0), self.basis, self.T)
         allowed = np.ones(self.width, dtype=bool)
-        allowed[: self.n + self.n_slack] = ~self.artificial[: self.n + self.n_slack]
+        allowed[: self.n + self.m] = ~self.artificial[: self.n + self.m]
         status = self._run(obj, allowed)
         assert status == OPTIMAL  # phase-1 objective is bounded by 0
         if obj[-1] < -FEAS_TOL:
@@ -216,67 +248,59 @@ class _Tableau:
         return True
 
     def _evict_artificials(self):
-        enterable = ~self.artificial[: self.n + self.n_slack]
-        drop_rows = []
+        """Pivot each artificial still basic out for a column of ``[x | slacks]`` that may enter.
+
+        A row where none may enter is redundant: it keeps an artificial of
+        ``[x | slacks]`` basic at 0, the unit column of an equality row, so
+        the basis stays m columns that a :class:`WarmStart` can factor. No
+        column that may enter has an entry in that row, so it never leaves,
+        and an artificial never enters again.
+        """
+        width = self.n + self.m
+        enterable = ~self.artificial[:width]
         for i in range(self.m):
             if not self.artificial[self.basis[i]]:
                 continue
-            candidates = np.flatnonzero(enterable
-                                        & (np.abs(self.T[i, : self.n + self.n_slack]) > PIVOT_TOL))
+            entries = np.abs(self.T[i, :width])
+            candidates = np.flatnonzero(enterable & (entries > PIVOT_TOL))
             if candidates.size:
                 self._pivot(i, int(candidates[0]), np.zeros(self.width + 1))
-            else:
-                drop_rows.append(i)  # redundant constraint row
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(self.m), drop_rows)
-            self.T = self.T[keep]
-            self.basis = self.basis[keep]
-            self.m = len(keep)
+            elif self.basis[i] >= width:  # an appended artificial: swap in a unit column
+                self._pivot(i, self.n + int(np.argmax(entries[self.n:])), np.zeros(self.width + 1))
 
     def solve_phase2(self, c: np.ndarray) -> str:
         costs = np.zeros(self.width)
         costs[: self.n] = c
-        obj = self._priced_objective(costs)
+        obj = _priced_objective(costs, self.basis, self.T)
         return self._run(obj, ~self.artificial)  # artificials never re-enter
 
-    def _refine(self):
-        # Re-derive basic values from the original, unflipped [A | I] and b;
-        # pivoting drift in T[:, -1] never reaches the caller when the basis
-        # solve succeeds, whatever the start. A dropped redundant row leaves
-        # the basis short of m columns, and then the tableau values stand.
-        try:
-            exact = np.linalg.solve(self.basis_matrix(), self.b)
-        except np.linalg.LinAlgError:
-            return
-        if np.isfinite(exact).all() and np.max(np.abs(exact - self.T[:, -1])) < 1e-4:
-            self.T[:, -1] = exact
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns ``basis`` of ``[A | I]``: the warm start's ``B`` until the first pivot."""
-        return _basis_matrix(self.A, self.basis) if self.B is None else self.B
-
     def extract_x(self) -> np.ndarray:
-        self._refine()
-        x = np.zeros(self.n)
-        basic = self.basis < self.n
-        x[self.basis[basic]] = self.T[basic, -1]
-        return np.maximum(x, 0.0)
+        B = _basis_matrix(self.A, self.basis)
+        return _basic_x(_refined(B[None], self.b, self.T[None, :, -1])[0], self.basis, self.n)
 
 
-def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
-    """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
-
-    ``start`` is a :class:`WarmStart` built on a system of the same shape,
-    such as a baseline and its ``basic_columns``; ``None`` starts from the
-    slack basis. Returns a :class:`Solution` whose point, when optimal,
-    re-verifies against the constraints at tolerance 1e-9
-    (:meth:`ConstraintSystem.residuals`).
-    """
+def _objective(c, n: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
-    m, n = sys.shape
     if c.shape != (n,):
         raise ValueError(f"c must have shape ({n},), got {c.shape}")
-    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), start, sys.equality)
+    return c
+
+
+def _vertex_solution(c: np.ndarray, system: ConstraintSystem, x: np.ndarray, basis: np.ndarray,
+                     **stats) -> Solution:
+    """The optimal :class:`Solution` at ``x``, once ``x`` re-verifies against ``system``."""
+    residual = system.residuals(x)
+    worst = float(np.max(residual, initial=0.0))
+    if worst > FEAS_TOL:
+        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
+    active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
+    active += (system.shape[0] + np.flatnonzero(x <= FEAS_TOL)).tolist()
+    return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
+                    basic_columns=tuple(basis.tolist()), **stats)
+
+
+def _solved(c: np.ndarray, system: ConstraintSystem, tab: _Tableau) -> Solution:
+    """Run both phases on ``tab``, a tableau of ``system``, and report."""
     if not tab.solve_phase1():
         return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots, start_path=tab.start_path)
     phase1 = tab.pivots
@@ -285,20 +309,69 @@ def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Soluti
              "start_path": tab.start_path}
     if status == UNBOUNDED:
         return Solution(status=UNBOUNDED, **stats)
-    x = tab.extract_x()
-    residual = sys.residuals(x)
-    worst = float(np.max(residual, initial=0.0))
-    if worst > FEAS_TOL:
-        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
-    active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
-    active += (m + np.flatnonzero(x <= FEAS_TOL)).tolist()
-    return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
-                    basic_columns=tuple(tab.basis.tolist()), **stats)
+    return _vertex_solution(c, system, tab.extract_x(), tab.basis, **stats)
+
+
+def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
+    """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
+
+    ``start`` is a :class:`WarmStart` built on a system of the same shape,
+    such as a baseline and its ``basic_columns``; the solve is then a
+    :func:`solve_block` of one. ``None`` starts from the slack basis.
+    Returns a :class:`Solution` whose point, when optimal, re-verifies
+    against the constraints at tolerance 1e-9
+    (:meth:`ConstraintSystem.residuals`).
+    """
+    c = _objective(c, sys.shape[1])
+    A = np.asarray(sys.A)
+    if start is not None:
+        return solve_block(c, sys, A[None], start)[0]
+    return _solved(c, sys, _Tableau(A, np.asarray(sys.b), sys.equality))
+
+
+def solve_block(c, system: ConstraintSystem, A_block: np.ndarray,
+                start: WarmStart) -> list[Solution]:
+    """``solve_lp(c, system.tightened(A), start)`` for each ``A`` of the stack ``A_block``.
+
+    ``A_block`` has shape ``(k, m, n)``, each matrix a privatized ``A`` of
+    ``system``. The start tableaus are built as one stack
+    (:meth:`WarmStart.tableaus`). A system whose start is feasible and
+    optimal finishes in the stack, with no pivot: one stacked refine solve,
+    then its own check of its point against its rows. Any other pivots
+    from its slice of the stack, and one whose start basis is singular
+    from the slack basis. Each :class:`Solution` equals the block-of-one
+    solve's field for field when the systems of the block change the same
+    rows, as privatized matrices of one system do.
+    """
+    m, n = system.shape
+    c = _objective(c, n)
+    b = np.asarray(system.b)
+    T, B, paths = start.tableaus(A_block, b)
+    basis = start.basis
+    warm = paths != "slack"
+    finished = np.zeros(warm.shape, dtype=bool)
+    artificial = _artificial_columns(n, m, system.equality)
+    if warm.any() and not artificial[basis].any():
+        costs = np.zeros(n + m)
+        costs[:n] = c
+        least = _reduced_costs(_priced_objective(costs, basis, T), ~artificial).min(axis=-1)
+        finished = warm & (T[:, :, -1] >= 0).all(axis=-1) & _optimal(least)
+    X = iter(_basic_x(_refined(B[finished], b, T[finished, :, -1]), basis, n)
+             if finished.any() else ())
+    solutions = []
+    for t, A in enumerate(A_block):
+        tightened = system.tightened(A)
+        if finished[t]:
+            solutions.append(_vertex_solution(c, tightened, next(X), basis, start_path=paths[t]))
+        else:
+            started = (T[t], basis.copy(), paths[t]) if warm[t] else None
+            solutions.append(_solved(c, tightened, _Tableau(A, b, system.equality, started)))
+    return solutions
 
 
 def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
     """Find any point of {x >= 0 : A x <= b} (``=`` on equality rows), or None when it is empty."""
-    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), None, sys.equality)
+    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), sys.equality)
     if not tab.solve_phase1():
         return None
     return tab.extract_x()

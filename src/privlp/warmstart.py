@@ -1,11 +1,18 @@
-"""Start tableaus for the simplex: the slack basis, a factored basis, and its update.
+"""Start tableaus for the simplex: the slack basis, and a factored basis updated per block.
 
-A warm start hands the simplex its tableau together with the basis matrix
-``B``, the basis columns of ``[A | I]``, which the simplex reuses to refine
-the returned vertex while no pivot has changed the basis. A factored start
-gathers ``B`` to factor it; an updated start copies the baseline's ``B0``
-and overwrites only the changed rows, which gives the same bits as a fresh
-gather.
+A warm start hands the simplex each system's tableau together with its
+basis matrix ``B``, the basis columns of ``[A | I]``, with which a system
+that needs no pivot refines its vertex. Starts are built for a block of
+systems that share ``b`` and differ in ``A``, as stacks: one
+``(k, m, n + m + 1)`` array of tableaus and one ``(k, m, m)`` array of
+basis matrices. A block of one is a single start. Per block, the union of
+the rows that changed picks the method for every system in it: an update
+of the baseline factorization by the Woodbury identity, or a factorization
+of each ``B``, solved as one stack. An updated ``B`` is the baseline's
+``B0`` with only the changed rows overwritten, which gives the same bits
+as a fresh gather. Each system's products and solves run as they would
+on that system alone, so its tableau depends on the rest of its block only
+through which rows changed.
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from .problem import ConstraintSystem
 # Entries below this are zero to the simplex, and a start basis whose 1-norm
 # condition number reaches its inverse is singular.
 PIVOT_TOL = 1e-10
+FEAS_TOL = 1e-9  # violations up to this are round-off
 
 
 def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -29,38 +37,54 @@ def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _slack_tableau(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[A | I | b]``, the tableau of the slack basis."""
-    m, n = A.shape
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[np.arange(m), np.arange(n, n + m)] = 1.0
-    T[:, -1] = b
+    """``[A | I | b]``, the tableau of the slack basis; ``A`` may be a stack."""
+    m, n = A.shape[-2:]
+    T = np.zeros(A.shape[:-1] + (n + m + 1,))
+    T[..., :n] = A
+    T[..., np.arange(m), np.arange(n, n + m)] = 1.0
+    T[..., -1] = b
     return T
 
 
-def _checked(B: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(T, B)`` for ``T = B^-1 [A | I | b]``, or None when ``B`` is singular to working precision.
+def _checked(B: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Per system of the stack, whether ``T = B^-1 [A | I | b]`` is usable: ``B`` is not singular.
 
     LU reports only an exactly zero pivot, so besides finiteness the 1-norm
     condition number ``||B||_1 ||B^-1||_1`` must stay under
     ``1 / PIVOT_TOL``; ``B^-1`` is the slack block of ``T``.
     """
-    m = B.shape[0]
-    n = T.shape[1] - m - 1
-    condition = np.abs(B).sum(axis=0).max() * np.abs(T[:, n:n + m]).sum(axis=0).max()
-    return (T, B) if np.isfinite(T).all() and condition < 1 / PIVOT_TOL else None
+    m = B.shape[-1]
+    n = T.shape[-1] - m - 1
+    condition = (np.abs(B).sum(axis=-2).max(axis=-1)
+                 * np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1))
+    return np.isfinite(T).all(axis=(-2, -1)) & (condition < 1 / PIVOT_TOL)
 
 
-def _factor_start(A: np.ndarray, b: np.ndarray,
-                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(B^-1 [A | I | b], B)`` by a full factorization of ``B``, or None when it is singular."""
-    body = _slack_tableau(A, b)
-    B = body[:, :-1][:, basis]  # the columns of [A | I]
+def _stacked_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``M^-1 R`` per system of the stack ``M`` (``R`` may be shared); NaN where ``M`` is singular.
+
+    One stacked call solves each system as a call on its own would; only
+    when one of them is singular (which raises for the whole stack) are
+    they solved one by one.
+    """
     try:
-        T = np.linalg.solve(B, body)
-    except np.linalg.LinAlgError:  # singular, or not m columns
-        return None
-    return _checked(B, T)
+        return np.linalg.solve(M, R)
+    except np.linalg.LinAlgError:  # one is singular, or not square
+        R = np.broadcast_to(R, M.shape[:-1] + R.shape[-1:])
+        out = np.full(R.shape, np.nan)
+        for t in range(R.shape[0]):
+            try:
+                out[t] = np.linalg.solve(M[t], R[t])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _factored(A: np.ndarray, b: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(B^-1 [A | I | b], B)`` for a stack ``A``, by a full factorization of each ``B``."""
+    body = _slack_tableau(A, b)
+    B = body[..., :-1][..., basis]  # the columns of [A | I]
+    return _stacked_solve(B, body), B
 
 
 class WarmStart:
@@ -75,54 +99,70 @@ class WarmStart:
     def __init__(self, system: ConstraintSystem, basic_columns):
         self.A, self.b = np.asarray(system.A), np.asarray(system.b)
         self.basis = np.array(basic_columns, dtype=int)
-        self.T0, self.B0 = _factor_start(self.A, self.b, self.basis) or (None, None)
+        T0, B0 = _factored(self.A[None], self.b, self.basis)
+        started = _checked(B0, T0)[0]
+        self.T0, self.B0 = (T0[0], B0[0]) if started else (None, None)
 
-    def tableau(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, str] | None:
-        """``(B^-1 [A | I | b], B, path)``: new arrays, and ``"updated"`` or ``"factored"``.
+    def tableaus(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(T, B, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
 
-        ``B`` is the basis matrix, the basis columns of ``[A | I]``. None
-        when ``B`` is singular for ``A``.
+        ``T[t] = B[t]^-1 [A[t] | I | b]``, ``B[t]`` is the basis matrix, the
+        basis columns of ``[A[t] | I]``, and ``paths[t]`` is ``"updated"``,
+        ``"factored"``, or ``"slack"`` where ``B[t]`` is singular for
+        ``A[t]`` (its ``T[t]`` is then 0, and ``B[t]`` is not to be read). Each
+        usable ``T[t]`` is ready to pivot on: its basis columns are exactly
+        the identity, and a value in ``[-FEAS_TOL, 0)`` is round-off and is
+        set to 0. With ``R`` the rows that changed in any system of the
+        block, every system is updated when ``b`` is the baseline's and
+        ``2 |R| <= m``, and factored otherwise; a system whose update fails
+        the checks is factored after all.
         """
-        if A.shape != self.A.shape:
+        if A.shape[1:] != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
-                             f"not {A.shape}")
-        started = None if self.T0 is None else self._updated(A, b)
-        if started is not None:
-            return (*started, "updated")
-        started = _factor_start(A, b, self.basis)
-        return None if started is None else (*started, "factored")
+                             f"not {A.shape[1:]}")
+        k, m, _ = A.shape
+        paths = np.full(k, "slack", dtype=object)
+        rows = np.flatnonzero((A != self.A).any(axis=(0, 2)))
+        update = (self.T0 is not None and 2 * rows.size <= m
+                  and (b is self.b or np.array_equal(b, self.b)))
+        T, B = self._updated(A, rows) if update else _factored(A, b, self.basis)
+        ok = _checked(B, T)
+        paths[ok] = "updated" if update else "factored"
+        if update and not ok.all():  # a singular update: factor those systems after all
+            redo = np.flatnonzero(~ok)
+            T[redo], B[redo] = _factored(A[redo], b, self.basis)
+            paths[redo[_checked(B[redo], T[redo])]] = "factored"
+        usable = paths != "slack"
+        T[~usable] = 0.0
+        if usable.any():  # then the basis has m columns
+            T[:, :, self.basis] = np.eye(m)
+            rhs = T[:, :, -1]
+            rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0
+        return T, B, paths
 
-    def _updated(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(T, B)`` from ``(T0, B0)`` updated to ``A`` by the Woodbury identity, or None.
+    def _updated(self, A: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(T, B)`` from ``(T0, B0)`` updated to each system of ``A`` by the Woodbury identity.
 
         With ``R`` the changed rows, ``D = A[R] - A0[R]``, ``D_B`` its basis
         columns (0 at slacks) and ``U = T0[:, n + R]`` (columns ``R`` of
         ``B0^-1``): ``T = T0 - U C^-1 (D_B T0 - [D | 0 | 0])``, with
         ``C = I + D_B U``. ``B`` is ``B0`` with rows ``R`` of its basic x
-        columns taken from ``A``. None, to re-factor, when ``b`` changed,
-        when more than half of the rows changed (no cheaper than a
-        factorization then), when ``C`` is singular, or when ``T`` fails the
-        checks.
+        columns taken from ``A``. A system whose ``C`` is singular gets a
+        NaN ``T``. ``np.matmul`` runs each system's products as ``np.dot``
+        runs them on one system, to the bit.
         """
-        m, n = A.shape
-        rows = np.flatnonzero((A != self.A).any(axis=1))
-        if 2 * rows.size > m or (b is not self.b and not np.array_equal(b, self.b)):
-            return None
-        A_rows = A[rows]
+        k, m, n = A.shape
+        A_rows = A[:, rows]
         D = A_rows - self.A[rows]
         x = np.flatnonzero(self.basis < n)
         x_vars = self.basis[x]
-        D_B = np.zeros((rows.size, m))
-        D_B[:, x] = D[:, x_vars]
+        D_B = np.zeros((k, rows.size, m))
+        D_B[:, :, x] = D[:, :, x_vars]
         U = self.T0[:, n + rows]
-        W = np.dot(D_B, self.T0)  # np.dot: matmul is slow on these thin products
-        W[:, :n] -= D
-        try:
-            Y = np.linalg.solve(np.eye(rows.size) + np.dot(D_B, U), W)
-        except np.linalg.LinAlgError:
-            return None
-        T = np.dot(U, Y)
+        W = np.matmul(D_B, self.T0)
+        W[:, :, :n] -= D
+        T = np.matmul(U, _stacked_solve(np.eye(rows.size) + np.matmul(D_B, U), W))
         np.subtract(self.T0, T, out=T)
-        B = self.B0.copy()  # C order like _basis_matrix's, so _checked sums it in the same order
-        B[rows[:, None], x] = A_rows[:, x_vars]
-        return _checked(B, T)
+        B = np.repeat(self.B0[None], k, axis=0)  # C order like _basis_matrix's
+        B[:, rows[:, None], x] = A_rows[:, :, x_vars]
+        return T, B

@@ -37,3 +37,18 @@ def random_validated_lp(rng: np.random.Generator, m=None, n=None,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def assert_block_matches_single_solves(c, system: ConstraintSystem, A_block, start) -> list:
+    """``solve_block`` over ``A_block`` equals ``solve_lp`` of each system, field for field."""
+    from privlp.simplex import solve_block, solve_lp
+    solved = solve_block(c, system, A_block, start)
+    assert len(solved) == len(A_block)
+    for A, sol in zip(A_block, solved):
+        one = solve_lp(c, system.tightened(A), start=start)
+        assert (sol.status, sol.objective, sol.basis, sol.basic_columns) == (
+            one.status, one.objective, one.basis, one.basic_columns)
+        assert (sol.phase1_pivots, sol.phase2_pivots, sol.start_path) == (
+            one.phase1_pivots, one.phase2_pivots, one.start_path)
+        assert (sol.x is None and one.x is None) or sol.x.tobytes() == one.x.tobytes()
+    return solved

@@ -322,14 +322,22 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
     import privlp.simplex as simplex
     from privlp import default_grid, load_problem, validate
     from privlp.experiment import ExperimentConfig, sweep_gridworld
-    starts = []
+    starts, blocks = [], []
 
     class Recording(simplex._Tableau):
-        def __init__(self, A, b, start=None, equality=None):
-            super().__init__(A, b, start, equality)
+        def __init__(self, A, b, equality=None, start=None):
+            super().__init__(A, b, equality, start)
             starts.append((start, self.start_path))
 
+    solve_block = simplex.solve_block
+
+    def recording_block(*args):
+        solved = solve_block(*args)
+        blocks.append([sol.start_path for sol in solved])
+        return solved
+
     monkeypatch.setattr(simplex, "_Tableau", Recording)
+    monkeypatch.setattr(simplex, "solve_block", recording_block)
     for seed in range(5):
         assert main(["solve", problem_file, "--private", "--seed", str(seed),
                      "--out", str(tmp_path / "out.json")]) == 0
@@ -337,8 +345,7 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
     lp = load_problem(json.dumps(BASIC))
     validate(lp)
     simplex.max_norm_point(lp.system)
-    assert len(starts) > 10 and set(starts) == {(None, "slack")}
-    starts.clear()
+    assert len(starts) > 10 and set(starts) == {(None, "slack")} and blocks == []
     sweep_gridworld(default_grid(), ExperimentConfig(eps_grid=(1.0,), trials=2, k=0.25))
     # the control: both trials start from the updated baseline tableau
-    assert [path for start, path in starts if start is not None] == ["updated"] * 2
+    assert blocks == [["updated"] * 2]

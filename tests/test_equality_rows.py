@@ -137,17 +137,32 @@ def test_random_public_systems_solve_alike(rng):
 
 @pytest.mark.parametrize("k", [0.02, 1.0])
 def test_warm_start_with_equality_rows_matches_the_slack_start(rng, k):
-    for _ in range(10):
-        lp = _lp_with_equalities(rng, 5, 4, 2)
+    # the last 10 systems repeat an equality row (doubled): phase 1 keeps that
+    # row's artificial basic at 0, so the basis stays square and can be factored
+    for trial in range(20):
+        redundant = trial >= 10
+        lp = _lp_with_equalities(rng, 3 if redundant else 5, 4, 2, redundant=redundant)
         base = solve_lp(lp.c, lp.system)
+        assert len(base.basic_columns) == lp.system.shape[0]
         start = WarmStart(lp.system, base.basic_columns)
         for seed in range(5):
             priv = privatize_matrix(lp.system, PrivacyParams(1.0, 0.05, k), seed)
             tightened = lp.system.tightened(priv.A_tilde)
             warm, cold = solve_lp(lp.c, tightened, start=start), solve_lp(lp.c, tightened)
-            assert warm.start_path != "slack" and warm.status == cold.status == OPTIMAL
+            assert warm.start_path in ("updated", "factored")
+            assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert lp.system.residuals(warm.x).max() <= 1e-9
+
+
+def test_block_solves_with_equality_rows_match_single_solves(rng):
+    from conftest import assert_block_matches_single_solves
+    for trial in range(12):
+        lp = _lp_with_equalities(rng, 4, 4, 2, redundant=trial % 3 == 0)
+        start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+        params = PrivacyParams(1.0, 0.05, (0.02, 0.3, 1.0)[trial % 3])
+        block = np.array([privatize_matrix(lp.system, params, seed).A_tilde for seed in range(6)])
+        assert_block_matches_single_solves(lp.c, lp.system, block, start)
 
 
 def test_bound_side_reads_both_forms_alike(rng):

@@ -31,6 +31,20 @@ def test_config_validation():
         ExperimentConfig(eps_grid=(1.0,), trials=0)
 
 
+@pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "3"),
+                                          ("base_seed", 1.5), ("base_seed", False)])
+def test_config_rejects_non_integer_counts_before_any_work(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        ExperimentConfig(eps_grid=(1.0,), **{field: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    import numpy as np
+    config = ExperimentConfig(eps_grid=(1.0,), trials=np.int64(3), base_seed=np.uint8(7))
+    assert (config.trials, config.base_seed) == (3, 7)
+    assert type(config.trials) is int and type(config.base_seed) is int
+
+
 def test_record_count_matches_grid():
     records = sweep_gridworld(default_grid(), _grid_config())
     assert len(records) == 2
@@ -164,44 +178,59 @@ def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
         sweep_gridworld(HAZARDOUS_START, _grid_config(eps_grid=(0.5, 1.0), trials=5, k=1.0))
 
 
-def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
+def _record_solves(monkeypatch):
+    """Record the slack-start solves, the Solutions of block trials, and warm tableaus built."""
     import privlp.simplex as simplex
-    solve = simplex.solve_lp
-    baseline, trials = [], []
+    solve, solve_block = simplex.solve_lp, simplex.solve_block
+    record = {"slack start": [], "trial": [], "warm tableaus": 0}
 
     def recording(c, sys_, start=None):
         sol = solve(c, sys_, start=start)
-        (baseline if start is None else trials).append(sol.phase1_pivots + sol.phase2_pivots)
+        record["slack start"].append(sol)
         return sol
 
+    def recording_block(*args):
+        solved = solve_block(*args)
+        record["trial"] += solved
+        return solved
+
+    class Counting(simplex._Tableau):
+        def __init__(self, A, b, equality=None, start=None):
+            super().__init__(A, b, equality, start)
+            record["warm tableaus"] += start is not None
+
     monkeypatch.setattr(simplex, "solve_lp", recording)
+    monkeypatch.setattr(simplex, "solve_block", recording_block)
+    monkeypatch.setattr(simplex, "_Tableau", Counting)
+    return record
+
+
+def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
+    record = _record_solves(monkeypatch)
     config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0,
                               delta=0.05, k=0.25)
     sweep_gridworld(default_grid(), config)
+    (baseline,) = record["slack start"]
+    trials = [sol.phase1_pivots + sol.phase2_pivots for sol in record["trial"]]
     assert len(trials) == 150
-    assert baseline[0] > 25  # the slack start takes 32 pivots on the 26-row occupancy LP
+    assert baseline.phase1_pivots + baseline.phase2_pivots > 25  # 32 on the 26-row occupancy LP
     assert sum(trials) / len(trials) < 2
+    # a trial whose start is already optimal finishes in the stack, with no tableau of its own
+    assert 150 - record["warm tableaus"] >= 80
 
 
 def test_sweep_trials_report_their_start_path(monkeypatch, rng):
     # one private row of 26 is a rank-one update of the baseline tableau;
     # a 12x6 LP whose rows are all private is re-factored in every trial
-    import privlp.simplex as simplex
-    solve = simplex.solve_lp
-    paths = {"slack start": [], "trial": []}
-
-    def recording(c, sys_, start=None):
-        sol = solve(c, sys_, start=start)
-        paths["slack start" if start is None else "trial"].append(sol.start_path)
-        return sol
-
-    monkeypatch.setattr(simplex, "solve_lp", recording)
+    record = _record_solves(monkeypatch)
     sweep_gridworld(default_grid(), ExperimentConfig(
         eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0, delta=0.05, k=0.25))
-    assert paths == {"slack start": ["slack"], "trial": ["updated"] * 150}
-    paths = {"slack start": [], "trial": []}
+    assert [sol.start_path for sol in record["slack start"]] == ["slack"]
+    assert [sol.start_path for sol in record["trial"]] == ["updated"] * 150
+    record["slack start"].clear()
+    record["trial"].clear()
     lp = random_validated_lp(rng, m=12, n=6, positive_costs=True)
     assert (lp.system.row_nonzero_counts() > 0).all()
     sweep_linear_program(lp, ExperimentConfig(eps_grid=(0.5, 1.0, 5.0), trials=10, k=0.02))
-    assert set(paths["slack start"]) == {"slack"}
-    assert paths["trial"] == ["factored"] * 30
+    assert {sol.start_path for sol in record["slack start"]} == {"slack"}
+    assert [sol.start_path for sol in record["trial"]] == ["factored"] * 30

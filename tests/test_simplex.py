@@ -451,7 +451,7 @@ def _solve_pair(monkeypatch, c, system, start):
     """The solve from ``start`` and the same solve with the update switched off."""
     warm = solve_lp(c, system, start=start)
     with monkeypatch.context() as patched:
-        patched.setattr(WarmStart, "_updated", lambda self, A, b: None)
+        patched.setattr(start, "T0", None)  # no baseline tableau to update
         full = solve_lp(c, system, start=start)
     return warm, full
 
@@ -466,7 +466,7 @@ def _assert_same_solve(one, two):
 def test_low_rank_update_matches_the_full_factorization(rng, monkeypatch):
     import dataclasses
     from conftest import random_validated_lp
-    from privlp.warmstart import _factor_start
+    from privlp.warmstart import _factored
     updates = 0
     for trial in range(40):
         m = int(rng.integers(2, 13))
@@ -477,9 +477,9 @@ def test_low_rank_update_matches_the_full_factorization(rng, monkeypatch):
         b = np.asarray(lp.system.b)
         for count in range(1, m // 2 + 1):
             A = _changed_rows(rng, lp, count)
-            T, _, path = start.tableau(A, b)
-            full, _ = _factor_start(A, b, start.basis)
-            assert path == "updated"
+            T, _, paths = start.tableaus(A[None], b)
+            full, _ = _factored(A[None], b, start.basis)
+            assert paths.tolist() == ["updated"]
             assert np.max(np.abs(T - full)) <= 1e-10
             warm, factored = _solve_pair(monkeypatch, lp.c,
                                          dataclasses.replace(lp.system, A=A), start)
@@ -520,16 +520,19 @@ def _fallback_case(rng, kind):
 
 @pytest.mark.parametrize("kind", ["b changed", "more than half of the rows", "singular update"])
 def test_update_falls_back_to_the_full_factorization(rng, monkeypatch, kind):
-    from privlp.warmstart import _factor_start
+    from privlp.warmstart import _checked, _factored
     for _ in range(5):
         lp, start, system = _fallback_case(rng, kind)
-        A, b = np.asarray(system.A), np.asarray(system.b)
-        full = _factor_start(A, b, start.basis)
-        started = start.tableau(A, b)
+        A, b = np.asarray(system.A)[None], np.asarray(system.b)
+        full, B = _factored(A, b, start.basis)
+        T, _, paths = start.tableaus(A, b)
         if kind == "singular update":
-            assert full is None and started is None
+            assert not _checked(B, full)[0] and paths.tolist() == ["slack"]
         else:
-            assert started[2] == "factored" and np.array_equal(started[0], full[0])
+            full[:, :, start.basis] = np.eye(A.shape[1])  # handed over ready to pivot on
+            rhs = full[:, :, -1]
+            rhs[(rhs < 0) & (rhs >= -1e-9)] = 0.0
+            assert paths.tolist() == ["factored"] and np.array_equal(T, full)
         warm, factored = _solve_pair(monkeypatch, lp.c, system, start)
         assert warm.start_path == factored.start_path != "updated"
         assert warm.status == factored.status
@@ -541,8 +544,8 @@ def test_half_of_the_rows_still_update(rng):
     from conftest import random_validated_lp
     lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
     start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
-    _, _, path = start.tableau(_changed_rows(rng, lp, 4), np.asarray(lp.system.b))
-    assert path == "updated"
+    _, _, paths = start.tableaus(_changed_rows(rng, lp, 4)[None], np.asarray(lp.system.b))
+    assert paths.tolist() == ["updated"]
 
 
 def test_start_must_match_the_system_shape(rng):
@@ -553,34 +556,108 @@ def test_start_must_match_the_system_shape(rng):
 
 
 def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch):
-    # a warm start's basis matrix is reused until the first pivot; whatever
-    # the path, the matrix must be the final basis columns of [A | I], bit for bit
+    # a warm solve that finishes in the stack refines with its start's basis
+    # matrix, any other with its gathered final one; whatever the path, the
+    # matrix must be the final basis columns of [A | I], bit for bit
     import dataclasses
     from privlp import simplex
     from privlp.warmstart import _basis_matrix
     from conftest import random_validated_lp
     seen = {}
-    refine = simplex._Tableau._refine
+    used = []
+    refined = simplex._refined
 
-    def checking(tab):
-        used = tab.basis_matrix()
-        assert used.tobytes() == _basis_matrix(tab.A, tab.basis).tobytes()
-        reused = tab.start_path != "slack" and tab.pivots == 0
-        assert (tab.B is not None) == reused
-        key = (tab.start_path, tab.pivots > 0)
+    def recording(B, b, rhs):
+        used.append(B.copy())
+        return refined(B, b, rhs)
+
+    def checked_solve(c, system, start=None):
+        used.clear()
+        sol = solve_lp(c, system, start=start)
+        assert sol.is_optimal and len(used) == 1 and used[0].shape[0] == 1
+        final = _basis_matrix(np.asarray(system.A), np.array(sol.basic_columns))
+        assert used[0][0].tobytes() == final.tobytes()
+        key = (sol.start_path, sol.phase1_pivots + sol.phase2_pivots > 0)
         seen[key] = seen.get(key, 0) + 1
-        refine(tab)
+        return sol
 
-    monkeypatch.setattr(simplex._Tableau, "_refine", checking)
+    monkeypatch.setattr(simplex, "_refined", recording)
     for trial in range(30):
         lp = random_validated_lp(rng, m=int(rng.integers(4, 13)), n=int(rng.integers(2, 7)),
                                  positive_costs=True)
-        base = solve_lp(lp.c, lp.system)
-        solve_lp(-lp.c, lp.system)  # costs <= 0: the slack start is optimal when b >= 0
+        base = checked_solve(lp.c, lp.system)
+        checked_solve(-lp.c, lp.system)  # costs <= 0: the slack start is optimal when b >= 0
         start = WarmStart(lp.system, base.basic_columns)
         # one changed row takes the update, every row changed a full factorization
         for moved in (_changed_rows(rng, lp, 1), _privatized(lp, 1.0, 1.0, trial).A):
             for c in (lp.c, rng.uniform(0.1, 2.0, lp.system.shape[1])):
-                solve_lp(c, dataclasses.replace(lp.system, A=moved), start=start)
+                checked_solve(c, dataclasses.replace(lp.system, A=moved), start=start)
     assert {key for key, count in seen.items() if count >= 3} == {
         (path, pivoted) for path in ("slack", "factored", "updated") for pivoted in (False, True)}
+
+
+def _privatized_block(lp, eps, k, seeds):
+    from privlp import PrivacyParams, privatize_matrix
+    params = PrivacyParams(eps, 0.05, k)
+    return np.array([privatize_matrix(lp.system, params, seed).A_tilde for seed in seeds])
+
+
+@pytest.mark.parametrize("k", [0.02, 1.0])
+def test_block_solves_match_single_solves_on_random_lps(rng, k):
+    from conftest import assert_block_matches_single_solves, random_validated_lp
+    paths = set()
+    for trial in range(24):
+        m, n = (12, 6) if trial % 3 == 0 else (int(rng.integers(2, 8)), int(rng.integers(2, 7)))
+        lp = random_validated_lp(rng, m=m, n=n, positive_costs=trial % 2 == 0)
+        start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+        for eps in (0.5, 5.0):
+            block = _privatized_block(lp, eps, k, range(8 * trial, 8 * trial + 8))
+            solved = assert_block_matches_single_solves(lp.c, lp.system, block, start)
+            paths |= {sol.start_path for sol in solved}
+        # the same rows moved in every system of the block: one low-rank update each
+        rows = rng.choice(m, max(1, m // 2), replace=False)
+        block = np.repeat(np.asarray(lp.system.A)[None], 6, axis=0)
+        block[:, rows] += rng.uniform(0.0, 1.0, (6, rows.size, 1)) * (
+            np.asarray(lp.system.sup_A) - np.asarray(lp.system.A))[rows]
+        paths |= {sol.start_path
+                  for sol in assert_block_matches_single_solves(lp.c, lp.system, block, start)}
+    assert paths == {"updated", "factored"}
+
+
+def test_block_mixes_every_kind_of_trial(rng):
+    # only row r moves, by a multiple of d or at random: d is the move that
+    # makes the updated basis singular, so the block holds trials that
+    # finish in the stack, trials that pivot, trials whose start needs
+    # artificials, and a trial whose start is singular
+    from conftest import assert_block_matches_single_solves
+    lp, start, singular = _fallback_case(rng, "singular update")
+    A = np.asarray(lp.system.A)
+    r = int(np.flatnonzero((np.asarray(singular.A) != A).any(axis=1))[0])
+    d = np.asarray(singular.A)[r] - A[r]
+    moves = np.vstack([np.multiply.outer([1.0, 0.0, 0.3, -0.6, 0.9, 3.0, -5.0], d),
+                       rng.normal(scale=0.5, size=(24, A.shape[1]))])
+    block = np.repeat(A[None], len(moves), axis=0)
+    block[:, r] += moves
+    solved = assert_block_matches_single_solves(lp.c, lp.system, block, start)
+    kinds = set()
+    for sol in solved:
+        if sol.start_path == "slack":
+            kinds.add("singular start")
+        elif sol.phase1_pivots:
+            kinds.add("artificials")
+        elif sol.phase2_pivots:
+            kinds.add("pivots")
+        else:
+            kinds.add("finished in the stack")
+    assert kinds == {"singular start", "artificials", "pivots", "finished in the stack"}
+
+
+def test_block_solves_match_single_solves_on_the_grid():
+    from conftest import assert_block_matches_single_solves
+    from privlp import build_gridworld, default_grid, occupancy_lp
+    lp = occupancy_lp(build_gridworld(default_grid()))
+    start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+    for eps in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
+        solved = assert_block_matches_single_solves(
+            lp.c, lp.system, _privatized_block(lp, eps, 0.25, range(25)), start)
+        assert {sol.start_path for sol in solved} == {"updated"}
