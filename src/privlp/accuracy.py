@@ -63,24 +63,16 @@ class DegenerateSystemError(ValueError):
 def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     """Does span(columns) contain a nonzero nonnegative vector?
 
-    For a repeated bottom eigenvalue (several columns), decided by a small
-    LP: maximize t s.t. Vw >= t, sum(Vw) = 1, which is feasible with t >= 0
-    exactly when the eigenspace meets the nonnegative orthant off the origin.
+    For a repeated bottom eigenvalue (several columns), decided by phase 1
+    over ``V w >= 0, sum(V w) = 1``, with ``w = w+ - w-``: feasible exactly
+    when the eigenspace meets the nonnegative orthant off the origin.
     """
-    r, d = vectors.shape
-    # variables: w+ (d), w- (d), t+ , t-
-    ones_v = vectors.sum(axis=0)
-    rows = np.vstack([
-        np.hstack([-vectors, vectors, np.ones((r, 1)), -np.ones((r, 1))]),
-        np.hstack([ones_v, -ones_v, 0.0, 0.0]),
-        np.hstack([-ones_v, ones_v, 0.0, 0.0]),
-    ])
-    rhs = np.concatenate([np.zeros(r), [1.0, -1.0]])
-    cost = np.zeros(2 * d + 2)
-    cost[-2], cost[-1] = 1.0, -1.0
-    public = ConstraintSystem(A=rows, b=rhs, zero_mask=np.ones(rows.shape, dtype=bool), sup_A=rows)
-    sol = simplex.solve_lp(cost, public)
-    return sol.is_optimal and sol.objective >= -1e-9
+    sums = vectors.sum(axis=0)
+    rows = np.vstack([np.hstack([-vectors, vectors]), np.concatenate([sums, -sums])])
+    last = np.arange(rows.shape[0]) == rows.shape[0] - 1  # the normalization, an equality
+    public = ConstraintSystem(A=rows, b=last.astype(float), zero_mask=np.ones(rows.shape, bool),
+                              sup_A=rows, equality=last)
+    return simplex.phase1_feasible(public) is not None
 
 
 def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .accuracy import cost_bound
 from .cmdp import load_grid_config
 from .experiment import ExperimentConfig, records_to_csv, records_to_json, run_sweep
 from .mechanism import privatize_matrix, privatized_document
-from .problem import LinearProgram, PrivacyParams, load_problem, validate
+from .problem import FEAS_TOL, LinearProgram, PrivacyParams, load_problem, validate
 
 
 class CliError(Exception):
@@ -53,10 +53,7 @@ def _resolve_privacy(lp: LinearProgram, args) -> PrivacyParams:
     delta, k = _resolve_delta_k(base, args)
     if epsilon is None:
         raise CliError("no epsilon given: pass --epsilon or include a privacy block in the problem")
-    try:
-        return PrivacyParams(epsilon=epsilon, delta=delta, k=k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return PrivacyParams(epsilon=epsilon, delta=delta, k=k)
 
 
 def _emit(text: str, out: str | None):
@@ -95,7 +92,7 @@ def cmd_solve(args) -> int:
         payload = _solution_payload(sol)
         if sol.is_optimal:
             violation = float(np.max(lp.system.residuals(sol.x)))
-            payload["original_feasible"] = bool(violation <= 1e-9)
+            payload["original_feasible"] = bool(violation <= FEAS_TOL)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

@@ -11,13 +11,12 @@ are never privatized.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ConstraintSystem, DimensionError, LinearProgram, SchemaError
+from .problem import (ConstraintSystem, DimensionError, LinearProgram, _document, _field, _integer,
+                      _real)
 from . import simplex
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -118,21 +117,6 @@ class GridConfig:
         return cell[0] * self.width + cell[1]
 
 
-_REQUIRED = object()
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return value
-
-
-def _real(value, name: str = "") -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name}must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _cell(value) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValueError("must be a [row, column] pair of integers")
@@ -146,37 +130,19 @@ def _hazards(value) -> tuple[tuple[tuple[int, int], float], ...]:
     return tuple((_cell(h["cell"]), _real(h["beta"], "beta ")) for h in value)
 
 
-def _grid_field(doc: dict, key: str, convert, default=_REQUIRED):
-    if key not in doc:
-        if default is _REQUIRED:
-            raise SchemaError(f"{key}: missing required field")
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key}: {exc}") from None
-
-
 def load_grid_config(text: str) -> GridConfig:
     """Parse the GridConfig JSON schema; raises :class:`SchemaError` naming a bad field.
 
     Sizes and cells are JSON integers, and the other numbers finite.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"document: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("document: top level must be a JSON object")
-    return GridConfig(width=_grid_field(doc, "width", _integer),
-                      height=_grid_field(doc, "height", _integer),
-                      start=_grid_field(doc, "start", _cell), goal=_grid_field(doc, "goal", _cell),
-                      hazards=_grid_field(doc, "hazards", _hazards, ()),
-                      slip=_grid_field(doc, "slip", _real, 0.1),
-                      gamma=_grid_field(doc, "gamma", _real, 0.9),
-                      f0=_grid_field(doc, "f0", _real, 0.3),
-                      goal_reward=_grid_field(doc, "goal_reward", _real, 1.0),
-                      sup_a=_grid_field(doc, "sup_a", _real, 3.0))
+    doc = _document(text)
+    return GridConfig(width=_field(doc, "width", _integer), height=_field(doc, "height", _integer),
+                      start=_field(doc, "start", _cell), goal=_field(doc, "goal", _cell),
+                      hazards=_field(doc, "hazards", _hazards, ()),
+                      slip=_field(doc, "slip", _real, 0.1), gamma=_field(doc, "gamma", _real, 0.9),
+                      f0=_field(doc, "f0", _real, 0.3),
+                      goal_reward=_field(doc, "goal_reward", _real, 1.0),
+                      sup_a=_field(doc, "sup_a", _real, 3.0))
 
 
 def default_grid() -> GridConfig:

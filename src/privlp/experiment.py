@@ -29,14 +29,14 @@ import dataclasses
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cmdp as cmdp_mod
 from .accuracy import HoffmanSizeError, bound_geometry
 from .mechanism import privatize_matrix
-from .problem import LinearProgram, PrivacyParams, validate
+from .problem import FEAS_TOL, LinearProgram, PrivacyParams, validate
 from .seeds import derive_seed
 from . import simplex
 
@@ -55,17 +55,18 @@ class SweepAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep parameters."""
+    """Sweep parameters; ``privacy``, one :class:`PrivacyParams` per epsilon, is derived."""
 
     eps_grid: tuple[float, ...]
     trials: int = 100
     base_seed: int = 0
     delta: float = 0.05
     k: float = 1.0
+    privacy: tuple[PrivacyParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = tuple(float(e) for e in self.eps_grid)
-        if not grid or any(e <= 0 for e in grid):
+        if not grid:
             raise ValueError("eps_grid must be a non-empty list of positive reals")
         for name in ("trials", "base_seed"):
             value = getattr(self, name)
@@ -75,6 +76,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "eps_grid", grid)
+        object.__setattr__(self, "privacy", tuple(PrivacyParams(eps, self.delta, self.k)
+                                                  for eps in grid))
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     start = simplex.WarmStart(sys_, base.basic_columns)
     A_block = np.empty((min(_TRIAL_BLOCK, config.trials), *sys_.shape))
     records = []
-    for ei, eps in enumerate(config.eps_grid):
-        params = PrivacyParams(epsilon=eps, delta=config.delta, k=config.k)
+    for ei, (eps, params) in enumerate(zip(config.eps_grid, config.privacy)):
         bound = math.inf if geometry is None else geometry.report(sys_, params).bound
         cops, gaps = [], []
         for first in range(0, config.trials, _TRIAL_BLOCK):
@@ -141,14 +143,14 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
             block = A_block[:len(seeds)]
             for A, seed in zip(block, seeds):
                 A[...] = privatize_matrix(sys_, params, seed).A_tilde
-            solved = simplex.solve_block(lp.c, sys_, block, start)
+            solved = simplex.solve_block(lp.c, block, start)
             for trial, seed, sol in zip(trials, seeds, solved):
                 if not sol.is_optimal:
                     raise SweepAbort(
                         f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "
                         "a tightened validated problem must stay solvable")
                 worst = float(np.max(sys_.residuals(sol.x)))
-                if worst > 1e-9:
+                if worst > FEAS_TOL:
                     raise SweepAbort(
                         f"trial {trial} at epsilon={eps} violates the original constraints "
                         f"by {worst:.3e}")

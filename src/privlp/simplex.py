@@ -7,15 +7,14 @@ index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
-A solve starts from the slack basis, or from a :class:`WarmStart` such as
-the final ``basic_columns`` of a baseline solve. Warm solves run in blocks
-(:func:`solve_block`; ``solve_lp`` with a start is a block of one): the
-systems of a block share ``b`` and the start basis, their start tableaus
-come as one stack (see ``warmstart``), and a system whose start is already
-feasible and optimal finishes in the stack, with no pivot. Rows whose
-start value is negative are sign-flipped and get an artificial, so phase 1
-runs over those rows only, and a start that is still feasible goes
-straight to phase 2. An equality row keeps one row of the tableau; its own
+``solve_lp`` starts from the slack basis. :func:`solve_block` is the one
+warm entry: it solves a block of matrices of one system from a
+:class:`WarmStart`, such as the final ``basic_columns`` of a baseline
+solve; their start tableaus come as one stack (see ``warmstart``), and a
+system whose start is already feasible and optimal finishes in the stack,
+with no pivot. Rows whose start value is negative are sign-flipped and get
+an artificial, so phase 1 runs over those rows only, and a start that is
+still feasible goes straight to phase 2. An equality row keeps one row of the tableau; its own
 unit column is an artificial rather than a slack, so phase 1 drives it out
 of the basis and it never enters again, except that a redundant equality
 row keeps an artificial basic at 0, so the basis stays square. The
@@ -41,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ConstraintSystem
-from .warmstart import (FEAS_TOL, PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau,
-                        _stacked_solve)
+from .problem import FEAS_TOL, ConstraintSystem
+from .warmstart import PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau, _stacked_solve
 
 _MAX_PIVOTS = 200_000
 _MAX_VERTEX_BASES = 500_000  # bases one vertex enumeration may meet
@@ -312,41 +310,35 @@ def _solved(c: np.ndarray, system: ConstraintSystem, tab: _Tableau) -> Solution:
     return _vertex_solution(c, system, tab.extract_x(), tab.basis, **stats)
 
 
-def solve_lp(c, sys: ConstraintSystem, start: WarmStart | None = None) -> Solution:
+def solve_lp(c, sys: ConstraintSystem) -> Solution:
     """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
 
-    ``start`` is a :class:`WarmStart` built on a system of the same shape,
-    such as a baseline and its ``basic_columns``; the solve is then a
-    :func:`solve_block` of one. ``None`` starts from the slack basis.
-    Returns a :class:`Solution` whose point, when optimal, re-verifies
-    against the constraints at tolerance 1e-9
-    (:meth:`ConstraintSystem.residuals`).
+    Starts from the slack basis. Returns a :class:`Solution` whose point,
+    when optimal, re-verifies against the constraints at tolerance
+    ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
     """
     c = _objective(c, sys.shape[1])
-    A = np.asarray(sys.A)
-    if start is not None:
-        return solve_block(c, sys, A[None], start)[0]
-    return _solved(c, sys, _Tableau(A, np.asarray(sys.b), sys.equality))
+    return _solved(c, sys, _Tableau(np.asarray(sys.A), np.asarray(sys.b), sys.equality))
 
 
-def solve_block(c, system: ConstraintSystem, A_block: np.ndarray,
-                start: WarmStart) -> list[Solution]:
-    """``solve_lp(c, system.tightened(A), start)`` for each ``A`` of the stack ``A_block``.
+def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
+    """Maximize ``c.x`` over ``start.system.tightened(A)`` for each ``A`` of the stack ``A_block``.
 
     ``A_block`` has shape ``(k, m, n)``, each matrix a privatized ``A`` of
-    ``system``. The start tableaus are built as one stack
-    (:meth:`WarmStart.tableaus`). A system whose start is feasible and
-    optimal finishes in the stack, with no pivot: one stacked refine solve,
-    then its own check of its point against its rows. Any other pivots
-    from its slice of the stack, and one whose start basis is singular
-    from the slack basis. Each :class:`Solution` equals the block-of-one
-    solve's field for field when the systems of the block change the same
-    rows, as privatized matrices of one system do.
+    ``start.system``, whose ``b`` and equality rows every solve shares. The
+    start tableaus are built as one stack (:meth:`WarmStart.tableaus`). A
+    system whose start is feasible and optimal finishes in the stack, with
+    no pivot: one stacked refine solve, then its own check of its point
+    against its rows. Any other pivots from its slice of the stack, and one
+    whose start basis is singular from the slack basis. Each
+    :class:`Solution` equals the block-of-one solve's field for field when
+    the systems of the block change the same rows, as privatized matrices
+    of one system do.
     """
+    system, b = start.system, start.b
     m, n = system.shape
     c = _objective(c, n)
-    b = np.asarray(system.b)
-    T, B, paths = start.tableaus(A_block, b)
+    T, B, paths = start.tableaus(A_block)
     basis = start.basis
     warm = paths != "slack"
     finished = np.zeros(warm.shape, dtype=bool)

@@ -3,7 +3,7 @@
 A warm start hands the simplex each system's tableau together with its
 basis matrix ``B``, the basis columns of ``[A | I]``, with which a system
 that needs no pivot refines its vertex. Starts are built for a block of
-systems that share ``b`` and differ in ``A``, as stacks: one
+systems that differ from the baseline only in ``A``, as stacks: one
 ``(k, m, n + m + 1)`` array of tableaus and one ``(k, m, m)`` array of
 basis matrices. A block of one is a single start. Per block, the union of
 the rows that changed picks the method for every system in it: an update
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ConstraintSystem
+from .problem import FEAS_TOL, ConstraintSystem
 
 # Entries below this are zero to the simplex, and a start basis whose 1-norm
 # condition number reaches its inverse is singular.
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9  # violations up to this are round-off
 
 
 def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -90,20 +89,22 @@ def _factored(A: np.ndarray, b: np.ndarray, basis: np.ndarray) -> tuple[np.ndarr
 class WarmStart:
     """A basis factored once, to start solves of systems that differ in data.
 
-    Holds the baseline ``A`` and ``b``, the basis (m column indices into
-    ``[x | slacks]``, such as a solve's ``basic_columns``), the baseline
-    basis matrix ``B0`` and tableau ``T0 = B0^-1 [A | I | b]``; both are
-    None when the basis is singular for the baseline.
+    Holds the baseline ``system`` (its ``b`` and equality rows are every
+    solve's), the basis (m column indices into ``[x | slacks]``, such as a
+    solve's ``basic_columns``), the baseline basis matrix ``B0`` and tableau
+    ``T0 = B0^-1 [A | I | b]``; both are None when the basis is singular for
+    the baseline.
     """
 
     def __init__(self, system: ConstraintSystem, basic_columns):
+        self.system = system
         self.A, self.b = np.asarray(system.A), np.asarray(system.b)
         self.basis = np.array(basic_columns, dtype=int)
         T0, B0 = _factored(self.A[None], self.b, self.basis)
         started = _checked(B0, T0)[0]
         self.T0, self.B0 = (T0[0], B0[0]) if started else (None, None)
 
-    def tableaus(self, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(T, B, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
 
         ``T[t] = B[t]^-1 [A[t] | I | b]``, ``B[t]`` is the basis matrix, the
@@ -113,9 +114,9 @@ class WarmStart:
         usable ``T[t]`` is ready to pivot on: its basis columns are exactly
         the identity, and a value in ``[-FEAS_TOL, 0)`` is round-off and is
         set to 0. With ``R`` the rows that changed in any system of the
-        block, every system is updated when ``b`` is the baseline's and
-        ``2 |R| <= m``, and factored otherwise; a system whose update fails
-        the checks is factored after all.
+        block, every system is updated when ``2 |R| <= m``, and factored
+        otherwise; a system whose update fails the checks is factored after
+        all.
         """
         if A.shape[1:] != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
@@ -123,14 +124,13 @@ class WarmStart:
         k, m, _ = A.shape
         paths = np.full(k, "slack", dtype=object)
         rows = np.flatnonzero((A != self.A).any(axis=(0, 2)))
-        update = (self.T0 is not None and 2 * rows.size <= m
-                  and (b is self.b or np.array_equal(b, self.b)))
-        T, B = self._updated(A, rows) if update else _factored(A, b, self.basis)
+        update = self.T0 is not None and 2 * rows.size <= m
+        T, B = self._updated(A, rows) if update else _factored(A, self.b, self.basis)
         ok = _checked(B, T)
         paths[ok] = "updated" if update else "factored"
         if update and not ok.all():  # a singular update: factor those systems after all
             redo = np.flatnonzero(~ok)
-            T[redo], B[redo] = _factored(A[redo], b, self.basis)
+            T[redo], B[redo] = _factored(A[redo], self.b, self.basis)
             paths[redo[_checked(B[redo], T[redo])]] = "factored"
         usable = paths != "slack"
         T[~usable] = 0.0

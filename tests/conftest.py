@@ -39,13 +39,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def assert_block_matches_single_solves(c, system: ConstraintSystem, A_block, start) -> list:
-    """``solve_block`` over ``A_block`` equals ``solve_lp`` of each system, field for field."""
-    from privlp.simplex import solve_block, solve_lp
-    solved = solve_block(c, system, A_block, start)
+def assert_block_matches_single_solves(c, A_block, start) -> list:
+    """``solve_block`` over ``A_block`` equals a block of one of each matrix, field for field."""
+    from privlp.simplex import solve_block
+    solved = solve_block(c, A_block, start)
     assert len(solved) == len(A_block)
     for A, sol in zip(A_block, solved):
-        one = solve_lp(c, system.tightened(A), start=start)
+        (one,) = solve_block(c, A[None], start)
         assert (sol.status, sol.objective, sol.basis, sol.basic_columns) == (
             one.status, one.objective, one.basis, one.basic_columns)
         assert (sol.phase1_pivots, sol.phase2_pivots, sol.start_path) == (

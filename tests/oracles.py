@@ -255,6 +255,31 @@ def _cone_meets_orthant(E: np.ndarray) -> bool:
     return result.status == 0
 
 
+def orthant_t_lp(vectors: np.ndarray) -> bool:
+    """Does span(columns) hold a nonzero nonnegative vector: max t s.t. V w >= t, sum(V w) = 1.
+
+    The package's earlier decision, kept as the reference for its phase-1
+    test: ``w`` and ``t`` are split into nonnegative parts, the
+    normalization is written as two opposed rows, and the span meets the
+    orthant when the package's simplex reaches ``t >= -1e-9``.
+    """
+    from privlp import ConstraintSystem
+    from privlp.simplex import solve_lp
+    r, d = vectors.shape
+    ones_v = vectors.sum(axis=0)
+    rows = np.vstack([
+        np.hstack([-vectors, vectors, np.ones((r, 1)), -np.ones((r, 1))]),
+        np.hstack([ones_v, -ones_v, 0.0, 0.0]),
+        np.hstack([-ones_v, ones_v, 0.0, 0.0]),
+    ])
+    rhs = np.concatenate([np.zeros(r), [1.0, -1.0]])
+    cost = np.zeros(2 * d + 2)
+    cost[-2], cost[-1] = 1.0, -1.0
+    public = ConstraintSystem(A=rows, b=rhs, zero_mask=np.ones(rows.shape, dtype=bool), sup_A=rows)
+    sol = solve_lp(cost, public)
+    return sol.is_optimal and sol.objective >= -1e-9
+
+
 def hoffman_all_supports(A, admit_tol=1e-9) -> float:
     """Hoffman constant by face enumeration over every row support.
 

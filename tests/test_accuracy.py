@@ -23,7 +23,7 @@ from privlp.accuracy import XI_CLIPPED, XI_INTERIOR
 from privlp import simplex
 
 from conftest import random_validated_lp
-from oracles import (hoffman_all_supports, hoffman_bruteforce, sphere_inner_min,
+from oracles import (hoffman_all_supports, hoffman_bruteforce, orthant_t_lp, sphere_inner_min,
                      trunc_laplace_moment)
 
 PP = PrivacyParams(epsilon=1.0, delta=0.05, k=1.0)
@@ -126,6 +126,45 @@ def test_hoffman_matches_all_support_enumeration_on_10x3(rng):
     rank2 = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 3))
     for A in (mixed, rank2):
         assert hoffman_constant(A) == pytest.approx(hoffman_all_supports(A), rel=1e-12)
+
+
+def test_orthant_test_decides_as_the_t_lp_on_the_eigenspaces_met(rng, monkeypatch):
+    # the repeated bottom eigenspaces of the tier-1 Hoffman inputs: identities,
+    # the 10x3 mixed matrix (one of whose eigenspaces misses the orthant) and
+    # the inequality form of public equality rows
+    from privlp import accuracy
+    decide = accuracy._eigenspace_touches_orthant
+    decisions = []
+
+    def compared(vectors):
+        touches = decide(vectors)
+        assert touches == orthant_t_lp(vectors)
+        decisions.append(touches)
+        return touches
+
+    monkeypatch.setattr(accuracy, "_eigenspace_touches_orthant", compared)
+    mixed = rng.normal(size=(10, 3))
+    mixed[7], mixed[8], mixed[9] = mixed[0], 0.0, 2.5 * mixed[1]
+    paired = [np.vstack([E, -E[:2]]) for E in rng.normal(size=(4, 3, 3))]
+    for A in [np.eye(n) for n in range(2, 6)] + [mixed] + paired:
+        hoffman_constant(A)
+    assert len(decisions) == 63 and decisions.count(False) == 1
+
+
+@pytest.mark.parametrize("r, d", [(3, 2), (4, 2), (5, 3), (6, 4)])
+def test_orthant_test_on_random_spans(rng, r, d):
+    from privlp.accuracy import _eigenspace_touches_orthant
+    for trial in range(20):
+        # a span through a nonnegative vector, zero in some entries, meets the orthant
+        p = np.where(rng.random(r) < 0.3, 0.0, rng.uniform(0.1, 1.0, r))
+        p[trial % r] = 1.0
+        meets = np.linalg.qr(np.column_stack([p, rng.normal(size=(r, d - 1))]))[0]
+        # a span orthogonal to a positive vector holds no nonzero nonnegative vector
+        u = rng.uniform(0.1, 1.0, r)
+        g = rng.normal(size=(r, d))
+        misses = np.linalg.qr(g - np.outer(u, u @ g) / (u @ u))[0]
+        for V, expected in ((meets, True), (misses, False)):
+            assert _eigenspace_touches_orthant(V) == orthant_t_lp(V) == expected
 
 
 def test_hoffman_size_cap():

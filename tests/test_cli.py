@@ -256,6 +256,23 @@ def test_lp_sweep_validates_the_problem_once(problem_file, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("source", ["problem", "grid"])
+@pytest.mark.parametrize("flags", [["--eps-grid", "1,nan"], ["--eps-grid", "inf"],
+                                   ["--delta", "0.7"], ["--k", "-1"]])
+def test_sweep_refuses_bad_privacy_values_before_validating(problem_file, grid_file, monkeypatch,
+                                                            capsys, source, flags):
+    import privlp.cli as cli
+    import privlp.experiment as experiment
+    calls = []
+    monkeypatch.setattr(cli, "validate", calls.append)
+    monkeypatch.setattr(experiment, "validate", calls.append)
+    where = [problem_file] if source == "problem" else ["--grid-config", grid_file]
+    assert main(["sweep", *where, "--trials", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must" in captured.err
+    assert calls == [] and captured.out == ""
+
+
 @pytest.mark.parametrize("doc", [
     {"c": [1.0], "A": [[1.0]], "b": [-1.0], "sup_A": [[2.0]]},  # empty worst case
     {"c": [1.0], "A": [[3.0]], "b": [1.0], "sup_A": [[2.0]]},   # A above sup_A

@@ -4,7 +4,8 @@ Each example mutates a valid document up to twice: a key deleted, a value
 replaced by one of the wrong type, a non-finite or an out-of-range number,
 or a list made ragged. The
 CLI must then exit 0 or 1, never raise, and on exit 0 write only finite
-numbers (a bound of ``inf`` is a valid report; NaN never is).
+numbers (a bound of ``inf`` is a valid report; NaN never is). A boolean
+anywhere but an entry of ``zero_mask`` is not a number, so it must exit 1.
 """
 import copy
 import csv
@@ -60,6 +61,32 @@ def _mutated(draw, doc):
     return doc
 
 
+def _booleans(value, path=()):
+    """The key paths of the booleans in a JSON value."""
+    if isinstance(value, bool):
+        yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _booleans(child, path + (key,))
+
+
+def _outside_mask(path) -> bool:
+    return not (len(path) == 3 and path[0] == "zero_mask")
+
+
+@st.composite
+def _with_boolean(draw, doc):
+    """``doc`` with one value outside the entries of ``zero_mask`` replaced by a boolean."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from([p for p in _paths(doc) if p and _outside_mask(p)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.booleans())
+    return doc
+
+
 def _numbers(value, key=None):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -77,9 +104,9 @@ def _assert_finite(payload):
         assert math.isfinite(number) or key in INF_ALLOWED, key
 
 
-def _run(argv, out: Path) -> None:
+def _run(argv, out: Path, refused: bool) -> None:
     code = main(argv)
-    assert code in (0, 1)
+    assert code == 1 if refused else code in (0, 1)
     if code == 1:
         return
     if argv[0] == "sweep":
@@ -102,7 +129,17 @@ def test_mutated_problem_documents_exit_0_or_1(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "problem.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
-        _run([command[0], str(path), *command[1:], "--out", str(out)], out)
+        refused = any(map(_outside_mask, _booleans(doc)))
+        _run([command[0], str(path), *command[1:], "--out", str(out)], out, refused)
+
+
+@FUZZ
+@given(doc=_with_boolean(LP_DOC), command=st.sampled_from(LP_COMMANDS))
+def test_a_boolean_outside_the_mask_exits_1(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "problem.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        _run([command[0], str(path), *command[1:], "--out", str(out)], out, refused=True)
 
 
 @FUZZ
@@ -112,4 +149,4 @@ def test_mutated_grid_documents_exit_0_or_1(doc):
         path, out = Path(tmp) / "grid.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
         _run(["sweep", "--grid-config", str(path), "--trials", "2", "--eps-grid", "1,5",
-              "--k", "0.25", "--out", str(out)], out)
+              "--k", "0.25", "--out", str(out)], out, refused=any(_booleans(doc)))

@@ -25,7 +25,8 @@ from privlp import (
     validate,
     xi_term,
 )
-from privlp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, WarmStart, enumerate_vertices, solve_lp
+from privlp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, WarmStart, enumerate_vertices,
+                            solve_block, solve_lp)
 
 from oracles import hoffman_all_supports, vertex_scan
 
@@ -148,7 +149,7 @@ def test_warm_start_with_equality_rows_matches_the_slack_start(rng, k):
         for seed in range(5):
             priv = privatize_matrix(lp.system, PrivacyParams(1.0, 0.05, k), seed)
             tightened = lp.system.tightened(priv.A_tilde)
-            warm, cold = solve_lp(lp.c, tightened, start=start), solve_lp(lp.c, tightened)
+            warm, cold = solve_block(lp.c, priv.A_tilde[None], start)[0], solve_lp(lp.c, tightened)
             assert warm.start_path in ("updated", "factored")
             assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -162,7 +163,7 @@ def test_block_solves_with_equality_rows_match_single_solves(rng):
         start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
         params = PrivacyParams(1.0, 0.05, (0.02, 0.3, 1.0)[trial % 3])
         block = np.array([privatize_matrix(lp.system, params, seed).A_tilde for seed in range(6)])
-        assert_block_matches_single_solves(lp.c, lp.system, block, start)
+        assert_block_matches_single_solves(lp.c, block, start)
 
 
 def test_bound_side_reads_both_forms_alike(rng):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from privlp import FeasibilityAssumptionError, GridConfig, default_grid, support_width
+from privlp import (FeasibilityAssumptionError, GridConfig, PrivacyParams, default_grid,
+                    support_width)
 from privlp.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -29,6 +30,25 @@ def test_config_validation():
         ExperimentConfig(eps_grid=(1.0, -2.0))
     with pytest.raises(ValueError):
         ExperimentConfig(eps_grid=(1.0,), trials=0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"eps_grid": (1.0, math.nan)}, "epsilon must be a positive finite real, got nan"),
+    ({"eps_grid": (math.inf,)}, "epsilon must be a positive finite real, got inf"),
+    ({"delta": 0.7}, "delta must lie in the open interval"),
+    ({"k": -1.0}, "k must be a positive finite real, got -1.0"),
+])
+def test_config_refuses_bad_privacy_values_at_construction(kw, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{"eps_grid": (1.0,), **kw})
+
+
+def test_config_builds_one_privacy_setting_per_epsilon():
+    config = ExperimentConfig(eps_grid=(0.5, 2), delta=0.1, k=0.25)
+    assert config.privacy == (PrivacyParams(0.5, 0.1, 0.25), PrivacyParams(2.0, 0.1, 0.25))
+    assert config == ExperimentConfig(eps_grid=(0.5, 2.0), delta=0.1, k=0.25)
+    with pytest.raises(TypeError):
+        ExperimentConfig(eps_grid=(1.0,), privacy=())
 
 
 @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "3"),
@@ -184,8 +204,8 @@ def _record_solves(monkeypatch):
     solve, solve_block = simplex.solve_lp, simplex.solve_block
     record = {"slack start": [], "trial": [], "warm tableaus": 0}
 
-    def recording(c, sys_, start=None):
-        sol = solve(c, sys_, start=start)
+    def recording(c, sys_):
+        sol = solve(c, sys_)
         record["slack start"].append(sol)
         return sol
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,45 @@ def test_missing_field_named_in_error(field):
 def test_non_finite_entries_rejected():
     doc = dict(BASIC_DOC, b=[1.0, float("inf")])
     with pytest.raises(SchemaError, match="b"):
+        load_problem(json.dumps(doc))
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, field", [
+    (("A", 0, 0), "A"), (("sup_A", 1, 1), "sup_A"), (("b", 0), "b"), (("c", 1), "c"),
+    (("privacy", "epsilon"), "privacy.epsilon"), (("privacy", "delta"), "privacy.delta"),
+    (("privacy", "k"), "privacy.k"),
+])
+def test_boolean_is_not_a_number(path, field, tmp_path, capsys):
+    # JSON true would otherwise read as the coefficient 1.0, or as epsilon = True
+    doc = _with(BASIC_DOC, path, True)
+    with pytest.raises(SchemaError, match=f"^{re.escape(field)}: ") as raised:
+        load_problem(json.dumps(doc))
+    file = tmp_path / "problem.json"
+    file.write_text(json.dumps(doc))
+    assert main(["solve", str(file)]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("path, field", [
+    (("A", 1, 0), "A"), (("b", 1), "b"), (("privacy", "k"), "privacy.k")])
+def test_integer_past_float_range_is_named(path, field):
+    with pytest.raises(SchemaError, match=f"^{re.escape(field)}: .*too large"):
+        load_problem(json.dumps(_with(BASIC_DOC, path, 10 ** 400)))
+
+
+def test_mask_entries_must_be_booleans():
+    doc = dict(BASIC_DOC, zero_mask=[[False, 0], [False, False]])
+    with pytest.raises(SchemaError, match="^zero_mask: entries must be booleans"):
         load_problem(json.dumps(doc))
 
 
