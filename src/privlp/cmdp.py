@@ -73,13 +73,13 @@ class Cmdp:
 
 @dataclass(frozen=True)
 class Policy:
-    """Stochastic policy; pi[s, a] = probability of action a in state s."""
+    """Stochastic policy; pi[s, a] = probability of action a in state s; pi[t, s, a] in a stack."""
 
     pi: np.ndarray
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=-1) - 1.0) > 1e-9):
             raise ValueError("every policy row must be a probability distribution")
         object.__setattr__(self, "pi", pi)
 
@@ -229,15 +229,17 @@ class InfeasibleBudgetError(RuntimeError):
 def policy_from_occupancy(m: Cmdp, x: np.ndarray) -> Policy:
     """The policy pi(a | s) proportional to the occupancy x(s, a).
 
-    States with zero occupancy (unreachable under the optimum) get the
-    uniform action distribution. Skips the checks of construction: the
-    rows are nonnegative and normalized just above.
+    ``x`` is one flattened occupancy, or a stack of them along a leading
+    axis, which gives a stack of policies. States with zero occupancy
+    (unreachable under the optimum) get the uniform action distribution.
+    Skips the checks of construction: the rows are nonnegative and
+    normalized just above.
     """
     q = m.n_actions
-    occupancy = np.maximum(np.reshape(x, (m.n_states, q)), 0.0)
-    totals = occupancy.sum(axis=1, keepdims=True)
+    occupancy = np.maximum(np.reshape(x, (*np.shape(x)[:-1], m.n_states, q)), 0.0)
+    totals = occupancy.sum(axis=-1, keepdims=True)
     pi = np.where(totals > 1e-12, occupancy / np.where(totals > 0, totals, 1.0), 1.0 / q)
-    pi /= pi.sum(axis=1, keepdims=True)
+    pi /= pi.sum(axis=-1, keepdims=True)
     policy = object.__new__(Policy)
     object.__setattr__(policy, "pi", pi)
     return policy
@@ -257,14 +259,14 @@ def synthesize_policy(m: Cmdp, system: ConstraintSystem):
     if sol.status == simplex.UNBOUNDED:
         raise RuntimeError("occupancy LP cannot be unbounded for gamma < 1; model is malformed")
     occupancy = np.maximum(sol.x.reshape(m.n_states, m.n_actions), 0.0)
-    return occupancy, policy_from_occupancy(m, occupancy), float(sol.objective)
+    return occupancy, policy_from_occupancy(m, sol.x), float(sol.objective)
 
 
 def value_function(m: Cmdp, policy: Policy) -> np.ndarray:
-    """State values of a fixed policy: solve (I - gamma P_pi) v = r_pi."""
-    P_pi = np.einsum("sa,say->sy", policy.pi, m.transitions)
-    r_pi = (policy.pi * m.rewards).sum(axis=1)
-    return np.linalg.solve(np.eye(m.n_states) - m.gamma * P_pi, r_pi)
+    """State values of a fixed policy, or of a stack of them: solve (I - gamma P_pi) v = r_pi."""
+    P_pi = np.einsum("...sa,say->...sy", policy.pi, m.transitions)
+    r_pi = (policy.pi * m.rewards).sum(axis=-1)
+    return np.linalg.solve(np.eye(m.n_states) - m.gamma * P_pi, r_pi[..., None])[..., 0]
 
 
 def require_positive_baseline(v_star: float) -> None:

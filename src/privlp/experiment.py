@@ -5,16 +5,18 @@ aggregates the cost of privacy, the realized objective gap, and the
 predicted performance-loss bound into one record per epsilon. A plain LP
 and the gridworld CMDP go through one trial loop: both are a
 :class:`LinearProgram` (the CMDP's public flow rows are fully masked
-equality rows), and they differ only in how a solved point is scored. Per-trial seeds are
+equality rows), and they differ only in how solved points are scored. Per-trial seeds are
 hashed from (base seed, epsilon index, trial index), so enlarging the grid
 or the trial count never changes existing trials' draws, and a repeated
 run with the same config is byte-identical.
 
 Each trial's simplex starts from the baseline solve's final basis: a trial
 changes only the private rows, so that basis usually stays feasible and is
-often still optimal. The basis is factored once per sweep. Trials are
-privatized one by one into a buffer of ``_TRIAL_BLOCK`` matrices and solved
-as one block (:func:`simplex.solve_block`): a gridworld block, with one
+often still optimal. The basis is factored once per sweep. A block of
+``_TRIAL_BLOCK`` trials is the unit of the loop: it is privatized in one
+pass into a buffer (:func:`mechanism.privatize_block`), solved as one block
+(:func:`simplex.solve_block`), re-checked against the original rows in one
+product and scored in one pass. In the solve, a gridworld block, with one
 private row of 26, updates that factorization by rank one per trial, an LP
 whose rows are all private re-factors it per trial, and a trial whose start
 is already optimal finishes without a pivot. Only the sweep warm-starts. It
@@ -35,7 +37,9 @@ import numpy as np
 
 from . import cmdp as cmdp_mod
 from .accuracy import HoffmanSizeError, bound_geometry
-from .mechanism import privatize_matrix
+from .mechanism import privatize_block
+# perfbench/test_perfbench.py::test_tracer_wraps_every_binding_and_restores_them reads this name
+from .mechanism import privatize_matrix  # noqa: F401
 from .problem import FEAS_TOL, LinearProgram, PrivacyParams, validate
 from .seeds import derive_seed
 from . import simplex
@@ -65,8 +69,8 @@ class ExperimentConfig:
     privacy: tuple[PrivacyParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = tuple(float(e) for e in self.eps_grid)
-        if not grid:
+        privacy = tuple(PrivacyParams(eps, self.delta, self.k) for eps in self.eps_grid)
+        if not privacy:
             raise ValueError("eps_grid must be a non-empty list of positive reals")
         for name in ("trials", "base_seed"):
             value = getattr(self, name)
@@ -75,9 +79,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "eps_grid", grid)
-        object.__setattr__(self, "privacy", tuple(PrivacyParams(eps, self.delta, self.k)
-                                                  for eps in grid))
+        object.__setattr__(self, "eps_grid", tuple(float(p.epsilon) for p in privacy))
+        object.__setattr__(self, "privacy", privacy)
 
 
 @dataclass(frozen=True)
@@ -110,22 +113,22 @@ def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
 
 
 def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
-    """Validate, solve the baseline, then privatize and re-solve per trial.
+    """Validate, solve the baseline, then privatize and re-solve block by block of trials.
 
-    ``score`` maps a solved point to the value whose percent loss is the
-    cost of privacy. The worst case is validated and the baseline checked
-    before any geometry or trial work. The baseline's basis is factored
-    once, every trial starts the simplex from it, blocks of trials are
-    solved together, and each trial's point is re-checked against all
-    original rows. Beyond the exact-Hoffman row cap the bound is recorded
-    as ``inf``, which is still a valid bound.
+    ``score`` maps a block of solved points, shape ``(k, n)``, to the k
+    values whose percent loss is the cost of privacy. The worst case is
+    validated and the baseline checked before any geometry or trial work.
+    The baseline's basis is factored once, every trial starts the simplex
+    from it, and each block of trials is privatized, solved, re-checked
+    against all original rows and scored together. Beyond the exact-Hoffman
+    row cap the bound is recorded as ``inf``, which is still a valid bound.
     """
     vp = validate(lp)
     sys_ = vp.system
     base = simplex.solve_lp(lp.c, sys_)
     if not base.is_optimal:
         raise ValueError(f"baseline problem is {base.status}; the sweep needs a finite optimum")
-    base_score = score(base.x)
+    base_score = float(score(base.x[None])[0])
     cmdp_mod.require_positive_baseline(base_score)
     try:
         geometry = bound_geometry(lp)
@@ -141,28 +144,30 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
             trials = range(first, min(first + _TRIAL_BLOCK, config.trials))
             seeds = [derive_seed(config.base_seed, ei, trial) for trial in trials]
             block = A_block[:len(seeds)]
-            for A, seed in zip(block, seeds):
-                A[...] = privatize_matrix(sys_, params, seed).A_tilde
+            privatize_block(sys_, params, seeds, block)
             solved = simplex.solve_block(lp.c, block, start)
-            for trial, seed, sol in zip(trials, seeds, solved):
-                if not sol.is_optimal:
-                    raise SweepAbort(
-                        f"trial {trial} at epsilon={eps} (seed {seed}) came back {sol.status}; "
-                        "a tightened validated problem must stay solvable")
-                worst = float(np.max(sys_.residuals(sol.x)))
-                if worst > FEAS_TOL:
-                    raise SweepAbort(
-                        f"trial {trial} at epsilon={eps} violates the original constraints "
-                        f"by {worst:.3e}")
-                cops.append(cmdp_mod.cost_of_privacy(base_score, score(sol.x)))
-                gaps.append(abs(base.objective - sol.objective))
+            # trials are checked in order: those before the first failed solve have a point
+            ok = next((t for t, sol in enumerate(solved) if not sol.is_optimal), len(solved))
+            X = np.array([sol.x for sol in solved[:ok]]).reshape(ok, sys_.shape[1])
+            worst = sys_.residuals(X).max(axis=1)
+            violated = np.flatnonzero(worst > FEAS_TOL)
+            if violated.size:
+                t = violated[0]
+                raise SweepAbort(f"trial {trials[t]} at epsilon={eps} violates the original "
+                                 f"constraints by {worst[t]:.3e}")
+            if ok < len(solved):
+                raise SweepAbort(
+                    f"trial {trials[ok]} at epsilon={eps} (seed {seeds[ok]}) came back "
+                    f"{solved[ok].status}; a tightened validated problem must stay solvable")
+            cops.extend(cmdp_mod.cost_of_privacy(base_score, float(v)) for v in score(X))
+            gaps.extend(abs(base.objective - sol.objective) for sol in solved)
         records.append(_aggregate(eps, cops, gaps, bound))
     return records
 
 
 def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:
     """Epsilon sweep over a plain LP: privatize A, re-solve, compare objectives."""
-    return _sweep(lp, config, lambda x: float(lp.c @ x))
+    return _sweep(lp, config, lambda X: [lp.c @ x for x in X])
 
 
 def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list[ExperimentRecord]:
@@ -174,10 +179,11 @@ def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list
     """
     mdp = cmdp_mod.build_gridworld(grid)
 
-    def initial_value(x):
-        return float(mdp.mu @ cmdp_mod.value_function(mdp, cmdp_mod.policy_from_occupancy(mdp, x)))
+    def initial_values(X):
+        values = cmdp_mod.value_function(mdp, cmdp_mod.policy_from_occupancy(mdp, X))
+        return [mdp.mu @ v for v in values]
 
-    return _sweep(cmdp_mod.occupancy_lp(mdp), config, initial_value)
+    return _sweep(cmdp_mod.occupancy_lp(mdp), config, initial_values)
 
 
 def run_sweep(problem, config: ExperimentConfig) -> list[ExperimentRecord]:

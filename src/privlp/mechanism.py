@@ -9,16 +9,20 @@ calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
 feasible for it is feasible for the true constraints. There is one path,
-:func:`privatize_matrix`. Rows are privatized independently (disjoint data,
-parallel composition): row ``i`` still draws its uniforms from its own
-stream keyed by ``(seed, i)``, and the inverse CDF, shift and clip then run
-once over all private rows together, with each row's ``s_i`` broadcast as a
-column. ``s_i`` comes from :func:`_row_calibration`, which ``xi_term`` reads too.
+:func:`privatize_block`, which privatizes one system under several seeds;
+:func:`privatize_matrix` is its block of one plus the per-row metadata.
+Rows are privatized independently (disjoint data, parallel composition):
+row ``i`` under ``seed`` draws its uniforms from its own stream keyed by
+``(seed, i)``, and the inverse CDF, shift and clip then run once over the
+stack of every seed's private rows, with each row's ``s_i`` broadcast as a
+column. ``s_i`` comes from :func:`_row_calibration`, once per block, and
+``xi_term`` reads it too.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,36 +134,54 @@ class PrivatizedSystem:
     noise_log: np.ndarray | None = None
 
 
+def privatize_block(sys: ConstraintSystem, p: PrivacyParams, seeds: Sequence[int],
+                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Privatize ``sys`` per seed: ``out[t]`` is ``privatize_matrix(sys, p, seeds[t]).A_tilde``.
+
+    ``out`` has shape ``(len(seeds), m, n)``. The half-widths and the
+    inverse-CDF constants are computed once for the block, and the noise
+    transform runs once over the stack of all seeds' private rows. Row
+    ``i`` of seed ``t`` draws its uniforms from ``row_stream(seeds[t], i)``,
+    seed by seed, so that a seed's pool is built once. Returns ``(s, z)``:
+    the half-width of each row of ``sys.private_rows`` and the noise drawn,
+    shape ``(len(seeds), rows, n)``.
+    """
+    _, rows, block, A_rows, sup = sys.private_rows
+    out[...] = sys.A
+    if not rows.size:
+        return np.zeros(0), np.zeros((len(seeds), *block.shape))
+    n0, widths = _row_calibration(sys, p)
+    s = widths[n0]
+    pairs = list(zip(rows.tolist(), n0.tolist()))
+    u = np.zeros((len(seeds), *block.shape))
+    for u_t, seed in zip(u, seeds):  # per seed: for one seed, a 3-D scatter costs 4x a 2-D one
+        u_t[block] = np.concatenate([row_stream(seed, i).random(c) for i, c in pairs])
+    out[:, rows], z = _noisy_rows(A_rows, block, sup, u, s[:, None], p.sigma)
+    return s, z
+
+
 def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
                      record_noise: bool = False) -> PrivatizedSystem:
     """Privatize each row of a validated system independently.
 
     Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by
     ``(seed, i)``, so the output is a pure function of (system, params,
-    seed) regardless of execution order. Fixed seed, identical output. The
-    noise transform then runs once over the rows with a free entry; fully
-    masked (public) rows are copied without building a stream. Which rows
-    those are, and their blocks, is read from ``sys.private_rows``, which a
-    system computes once; their half-widths from :func:`_row_calibration`.
+    seed) regardless of execution order. Fixed seed, identical output.
+    The matrix is :func:`privatize_block`'s block of one; fully masked
+    (public) rows are copied without building a stream. Which rows those
+    are is read from ``sys.private_rows``, which a system computes once.
     """
     m, n = sys.shape
-    counts, rows, block, A_rows, sup = sys.private_rows
-    A_tilde = sys.A.copy()
+    counts, rows, block, _, sup = sys.private_rows
+    A_tilde = np.empty((m, n))
+    s, z = privatize_block(sys, p, (seed,), A_tilde[None])
     supports = np.zeros(m)
+    supports[rows] = s
     clipped = np.zeros(m, dtype=int)
+    clipped[rows] = (block & (A_tilde[rows] == sup)).sum(axis=1)
     noise = np.full((m, n), np.nan) if record_noise else None
-    if rows.size:
-        n0, widths = _row_calibration(sys, p)
-        s = widths[n0]
-        supports[rows] = s
-        u = np.zeros(block.shape)
-        u[block] = np.concatenate([row_stream(seed, i).random(c)
-                                   for i, c in zip(rows.tolist(), n0.tolist())])
-        out, z = _noisy_rows(A_rows, block, sup, u, s[:, None], p.sigma)
-        A_tilde[rows] = out
-        clipped[rows] = (block & (out == sup)).sum(axis=1)
-        if record_noise:
-            noise[rows] = np.where(block, z, np.nan)
+    if record_noise:
+        noise[rows] = np.where(block, z[0], np.nan)
     A_tilde.flags.writeable = False
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
                             row_nonzero_counts=counts, clipped_counts=clipped,

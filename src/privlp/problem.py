@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,6 +79,10 @@ class PrivacyParams:
     k: float
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "k"):  # kept as given: an int stays an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
         if not (0 < self.delta < 0.5):
@@ -168,8 +173,12 @@ class ConstraintSystem:
         return self.A.shape
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        """Each row's violation at ``x``: ``A x - b``, and ``|A x - b|`` on equality rows."""
-        r = self.A @ x - self.b
+        """Each row's violation at ``x``: ``A x - b``, and ``|A x - b|`` on equality rows.
+
+        ``x`` may be a stack of points along a leading axis; each point's
+        product is the one-point call's matrix-vector product.
+        """
+        r = (self.A @ x[..., None])[..., 0] - self.b
         if self.equality is not None:
             np.abs(r, out=r, where=self.equality)
         return r

@@ -304,9 +304,14 @@ def test_grid_sweep_bytes_match_the_pinned_csv(capsys):
 
 @pytest.mark.parametrize("source, pinned", [
     (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
-      "--delta", "0.05", "--trials", "25"], "grid5_sweep_seed0_trials25"),
-    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "20"],
+      "--delta", "0.05", "--trials", "25", "--seed", "0"], "grid5_sweep_seed0_trials25"),
+    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "20", "--seed", "0"],
      "lp12x6_sweep_k0.02_seed0_trials20"),
+    # held-out seed, 13 trials: blocks of 8 and a partial block of 5
+    (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
+      "--delta", "0.05", "--trials", "13", "--seed", "1"], "grid5_sweep_seed1_trials13"),
+    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "13", "--seed", "1"],
+     "lp12x6_sweep_k0.02_seed1_trials13"),
 ])
 def test_sweep_json_matches_the_pinned_full_precision_bytes(tmp_path, source, pinned):
     # the JSON carries every bit of each aggregate, which the 9-digit CSV
@@ -315,7 +320,7 @@ def test_sweep_json_matches_the_pinned_full_precision_bytes(tmp_path, source, pi
     from pathlib import Path
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / tok) if tok.endswith(".json") else tok for tok in source]
-    assert main(["sweep", *paths, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    assert main(["sweep", *paths, "--out", str(tmp_path / "out")]) == 0
     expected = (root / "tests" / "data" / f"{pinned}.json").read_bytes()
     assert (tmp_path / "out.json").read_bytes() == expected
 

@@ -195,7 +195,8 @@ def test_policy_from_occupancy_equals_the_checked_construction():
     assert (policy.pi[[0, 3]] == 1.0 / mdp.n_actions).all()
 
 
-@pytest.mark.parametrize("rows", [[[0.5, 0.6]], [[1.5, -0.5]], [[0.2, 0.2]]])
+@pytest.mark.parametrize("rows", [[[0.5, 0.6]], [[1.5, -0.5]], [[0.2, 0.2]],
+                                  [[[1.0, 0.0]], [[0.5, 0.6]]]])  # a stack, checked per row
 def test_policy_rejects_rows_that_are_not_distributions(rows):
     from privlp.cmdp import Policy
     with pytest.raises(ValueError, match="probability distribution"):
@@ -230,6 +231,27 @@ def test_value_of_synthesized_policy_matches_objective():
     _, policy, objective = synthesize_policy(mdp, occupancy_lp(mdp).system)
     weighted = float(mdp.mu @ value_function(mdp, policy))
     assert weighted == pytest.approx(objective, abs=1e-6)
+
+
+def test_stacked_policy_and_value_equal_the_per_point_ones_bitwise(rng):
+    from privlp.cmdp import Policy, policy_from_occupancy
+    mdp = build_gridworld(default_grid())
+    occupancy, _, _ = synthesize_policy(mdp, occupancy_lp(mdp).system)
+    X = np.vstack([occupancy.reshape(-1), rng.uniform(0.0, 1.0, (6, occupancy.size))])
+    X[2, :8] = 0.0  # two unreached states
+    stacked = policy_from_occupancy(mdp, X)
+    Policy(pi=stacked.pi)  # a stack passes the checks of construction
+    values = value_function(mdp, stacked)
+    assert values.shape == (7, mdp.n_states)
+    for x, pi, v in zip(X, stacked.pi, values):
+        one = policy_from_occupancy(mdp, x)
+        assert one.pi.tobytes() == pi.tobytes()
+        assert value_function(mdp, one).tobytes() == v.tobytes()
+        # the one-policy formula
+        P_pi = np.einsum("sa,say->sy", pi, mdp.transitions)
+        reference = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * P_pi,
+                                    (pi * mdp.rewards).sum(axis=1))
+        assert v.tobytes() == reference.tobytes()
 
 
 # --- cost of privacy ---------------------------------------------------------

@@ -51,6 +51,15 @@ def test_config_builds_one_privacy_setting_per_epsilon():
         ExperimentConfig(eps_grid=(1.0,), privacy=())
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"eps_grid": (True, "2")}, "epsilon"), ({"eps_grid": (1.0, "2")}, "epsilon"),
+    ({"delta": True}, "delta"), ({"k": "0.5"}, "k"),
+])
+def test_config_refuses_strings_and_booleans_by_name(kw, field):
+    with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        ExperimentConfig(**{"eps_grid": (1.0,), **kw})
+
+
 @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "3"),
                                           ("base_seed", 1.5), ("base_seed", False)])
 def test_config_rejects_non_integer_counts_before_any_work(field, value):
@@ -155,6 +164,7 @@ def test_lp_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
     from privlp import ConstraintSystem, LinearProgram
     monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
     monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_block", _fail_if_called)
     system = ConstraintSystem(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0],
                               zero_mask=[[False, True], [True, False]],
                               sup_A=[[3.0, 0.0], [0.0, 3.0]])
@@ -168,6 +178,7 @@ def test_grid_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
     import privlp.experiment as experiment
     monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
     monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_block", _fail_if_called)
     grid = dataclasses.replace(default_grid(), goal_reward=0.0)
     with pytest.raises(ValueError, match="non-positive baseline"):
         sweep_gridworld(grid, _grid_config(eps_grid=(1.0,), trials=3))
@@ -194,6 +205,7 @@ def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
     import privlp.experiment as experiment
     monkeypatch.setattr(experiment, "bound_geometry", _fail_if_called)
     monkeypatch.setattr(experiment, "privatize_matrix", _fail_if_called)
+    monkeypatch.setattr(experiment, "privatize_block", _fail_if_called)
     with pytest.raises(FeasibilityAssumptionError, match="worst-case region"):
         sweep_gridworld(HAZARDOUS_START, _grid_config(eps_grid=(0.5, 1.0), trials=5, k=1.0))
 
@@ -254,3 +266,62 @@ def test_sweep_trials_report_their_start_path(monkeypatch, rng):
     sweep_linear_program(lp, ExperimentConfig(eps_grid=(0.5, 1.0, 5.0), trials=10, k=0.02))
     assert {sol.start_path for sol in record["slack start"]} == {"slack"}
     assert [sol.start_path for sol in record["trial"]] == ["factored"] * 30
+
+
+def _plant(monkeypatch, faults):
+    """Make the sweep's block solves return faulty solutions at the given trials.
+
+    ``faults`` maps a trial index to ``"violate"`` (the point moved off the
+    original constraints) or ``"fail"`` (an infeasible status). Returns the
+    planted points, by trial.
+    """
+    import dataclasses
+    from privlp import simplex
+    planted, done = {}, [0]
+    solve_block = simplex.solve_block
+
+    def faulty(c, A_block, start):
+        solved = solve_block(c, A_block, start)
+        for t, sol in enumerate(solved):
+            fault = faults.get(done[0] + t)
+            if fault == "violate":
+                planted[done[0] + t] = x = sol.x + 1.0
+                solved[t] = dataclasses.replace(sol, x=x)
+            elif fault == "fail":
+                solved[t] = simplex.Solution(status=simplex.INFEASIBLE)
+        done[0] += len(solved)
+        return solved
+
+    monkeypatch.setattr(simplex, "solve_block", faulty)
+    return planted
+
+
+def _lp12x6():
+    from pathlib import Path
+    from privlp import load_problem
+    return load_problem((Path(__file__).parent / "data" / "lp12x6_seed20240817.json").read_text())
+
+
+@pytest.mark.parametrize("faults, first", [
+    ({9: "violate"}, 9),                 # one planted trial in the second block
+    ({2: "violate", 5: "fail"}, 2),      # the earlier trial is reported, as trial by trial
+    ({3: "fail", 6: "violate"}, 3),
+    ({8: "fail"}, 8),                    # the first trial of a block: no point to re-check
+])
+def test_planted_faulty_trial_aborts_with_the_trial_by_trial_message(monkeypatch, faults, first):
+    import numpy as np
+    from privlp.experiment import SweepAbort
+    from privlp.seeds import derive_seed
+    lp = _lp12x6()
+    planted = _plant(monkeypatch, faults)
+    config = ExperimentConfig(eps_grid=(1.0,), trials=13, base_seed=4, k=0.02)
+    with pytest.raises(SweepAbort) as raised:
+        sweep_linear_program(lp, config)
+    if faults[first] == "violate":
+        worst = float(np.max(lp.system.residuals(planted[first])))
+        assert worst > 1e-9
+        message = f"trial {first} at epsilon=1.0 violates the original constraints by {worst:.3e}"
+    else:
+        message = (f"trial {first} at epsilon=1.0 (seed {derive_seed(4, 0, first)}) came back "
+                   "Infeasible; a tightened validated problem must stay solvable")
+    assert str(raised.value) == message

@@ -16,6 +16,7 @@ from privlp import (
     support_width,
 )
 from privlp.cmdp import build_gridworld, default_grid, occupancy_lp
+from privlp.mechanism import privatize_block
 from privlp.problem import LinearProgram, load_problem
 from privlp.seeds import derive_seed, row_stream
 from privlp.simplex import solve_lp
@@ -124,7 +125,7 @@ def _one_row(row, mask_row, sup_row):
 
 
 def _draw_from(monkeypatch, rng):
-    """Make every row of ``privatize_matrix`` draw its uniforms from ``rng``."""
+    """Make every row privatized (``privatize_matrix``, ``privatize_block``) draw from ``rng``."""
     import privlp.mechanism as mechanism
     monkeypatch.setattr(mechanism, "row_stream", lambda seed, row_index: rng)
 
@@ -210,25 +211,79 @@ def test_fully_masked_matrix_passes_through(rng):
     assert np.all(priv.row_nonzero_counts == 0)
 
 
-def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
+def _count_streams(monkeypatch):
+    """Record the ``(seed, row)`` of every row stream built, in order."""
     import privlp.mechanism as mechanism
     calls = []
 
     def counting_stream(seed, row_index):
-        calls.append(row_index)
+        calls.append((seed, row_index))
         return row_stream(seed, row_index)
 
     monkeypatch.setattr(mechanism, "row_stream", counting_stream)
+    return calls
+
+
+def _rows_1_and_3_private():
     A = np.array([[1.0, -2.0], [0.5, -1.0], [0.0, 0.0], [1.5, 0.0]])
     mask = np.array([[True, True], [False, True], [True, True], [True, False]])
-    sup = np.where(mask, A, A + 1.0)
-    sys_ = ConstraintSystem(A=A, b=np.ones(4), zero_mask=mask, sup_A=sup)
+    return ConstraintSystem(A=A, b=np.ones(4), zero_mask=mask, sup_A=np.where(mask, A, A + 1.0))
+
+
+def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    sys_ = _rows_1_and_3_private()
+    A, mask = sys_.A, sys_.zero_mask
     priv = privatize_matrix(sys_, PP, seed=3)
-    assert calls == [1, 3]
+    assert [row for _, row in calls] == [1, 3]
     assert np.array_equal(priv.A_tilde[mask], A[mask])  # public nonzero entries included
     assert priv.row_supports[[0, 2]].tolist() == [0.0, 0.0]
     for i in (1, 3):  # skipping public rows leaves every other row's draws unchanged
         assert np.array_equal(priv.A_tilde[i], _row_on_its_stream(sys_, PP, 3, i)[0])
+
+
+def test_block_builds_row_streams_seed_by_seed(monkeypatch):
+    # one seed's rows in a run, so that the seed's entropy pool is built once
+    calls = _count_streams(monkeypatch)
+    sys_ = _rows_1_and_3_private()
+    out = np.empty((3, *sys_.shape))
+    privatize_block(sys_, PP, [3, 8, 5], out)
+    assert calls == [(3, 1), (3, 3), (8, 1), (8, 3), (5, 1), (5, 3)]
+    assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde
+                                      for seed in (3, 8, 5)]).tobytes()
+
+
+_BLOCK_SEEDS = [np.int64(7), 2 ** 63 + 5, np.uint64(2 ** 64 - 7), 0, 123, np.int32(-3),
+                2 ** 64 - 1, 42]
+
+
+def _block_case(case, rng):
+    if case == "masked_rows":
+        return _mixed_system(rng, 6, 9, [9, 0, 4, 1, 0, 7]), PP
+    if case == "all_public":
+        return _mixed_system(rng, 3, 4, [0, 0, 0]), PP
+    if case == "occupancy_lp":  # equality rows, one private row
+        return occupancy_lp(build_gridworld(default_grid())).system, PrivacyParams(1.0, 0.05, 0.25)
+    # epsilon > 700 and s/sigma > 700: the overflow-free branches
+    return _mixed_system(rng, 5, 7, [7, 2, 0, 5, 1]), PrivacyParams(1e4, 0.05, 1e-3)
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+@pytest.mark.parametrize("case", ["masked_rows", "all_public", "occupancy_lp", "huge_epsilon"])
+def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
+    rng = np.random.default_rng(size)
+    for _ in range(3):
+        sys_, p = _block_case(case, rng)
+        seeds = _BLOCK_SEEDS[:size]
+        out = np.full((size, *sys_.shape), np.nan)
+        s, z = privatize_block(sys_, p, seeds, out)
+        privs = [privatize_matrix(sys_, p, seed, record_noise=True) for seed in seeds]
+        assert out.tobytes() == np.stack([priv.A_tilde for priv in privs]).tobytes()
+        rows = sys_.private_rows[1]
+        for priv, noise in zip(privs, z):
+            assert s.tobytes() == priv.row_supports[rows].tobytes()
+            assert np.array_equal(np.where(sys_.private_rows[2], noise, np.nan),
+                                  priv.noise_log[rows], equal_nan=True)
 
 
 def test_row_supports_match_closed_form(rng):

@@ -166,6 +166,23 @@ def test_privacy_params_domain(eps, delta, k):
         PrivacyParams(eps, delta, k)
 
 
+@pytest.mark.parametrize("field, args", [
+    ("epsilon", (True, 0.05, 1.0)), ("delta", (1.0, False, 1.0)), ("k", (1.0, 0.05, True)),
+    ("epsilon", ("1", 0.05, 1.0)), ("delta", (1.0, None, 1.0)), ("k", (1.0, 0.05, 1j)),
+    ("epsilon", (np.bool_(True), 0.05, 1.0)),
+])
+def test_privacy_params_refuse_a_boolean_or_non_real_value_by_name(field, args):
+    with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        PrivacyParams(*args)
+
+
+def test_privacy_params_keep_ints_and_numpy_reals_as_given():
+    p = PrivacyParams(2, np.float64(0.05), np.float32(0.5))
+    assert type(p.epsilon) is int and p.epsilon == 2
+    assert type(p.delta) is np.float64 and type(p.k) is np.float32
+    assert p.sigma == 0.25
+
+
 def test_mask_zero_consistency_enforced():
     with pytest.raises(ValueError, match="masked"):
         ConstraintSystem(A=[[1.0]], b=[1.0], zero_mask=[[True]], sup_A=[[0.0]])
@@ -318,6 +335,18 @@ def test_residuals_count_both_sides_of_an_equality():
     assert system.residuals(np.array([0.25, 0.5])).tolist() == [-0.25, 0.25]
     assert system.residuals(np.array([0.5, 0.25])).tolist() == [-0.25, 0.25]
     assert system.inequality_form().residuals(np.array([0.25, 0.5])).max() == 0.25
+
+
+def test_residuals_of_a_stack_are_each_points_residuals_bitwise(rng):
+    A = rng.normal(size=(6, 9))
+    system = _public(A, rng.normal(size=6), [True, False, False, True, False, True])
+    X = rng.normal(size=(5, 9))
+    R = system.residuals(X)
+    assert R.shape == (5, 6)
+    for x, r in zip(X, R):
+        assert r.tobytes() == system.residuals(x).tobytes()
+        one = A @ x - system.b  # the one-point formula
+        assert r.tobytes() == np.where(system.equality, np.abs(one), one).tobytes()
 
 
 def test_validate_reads_equality_rows_as_equalities():
