@@ -9,7 +9,9 @@ that privatizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import secrets
 import sys
 from pathlib import Path
 
@@ -21,6 +23,11 @@ from .cmdp import load_grid_config
 from .experiment import ExperimentConfig, records_to_csv, records_to_json, run_sweep
 from .mechanism import privatize_matrix, privatized_document
 from .problem import FEAS_TOL, LinearProgram, PrivacyParams, load_problem, validate
+
+
+_SECRET_SEED = ("seed of the noise (default: a fresh random one); anyone who knows it can "
+                "regenerate the noise and recover the private entries of A, so pass one only "
+                "for reproducible runs and keep it secret")
 
 
 class CliError(Exception):
@@ -145,16 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("privatize", help="privatize a problem's coefficient matrix")
     p.add_argument("problem", help="path to a problem JSON file")
     _add_privacy_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help=_SECRET_SEED)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_privatize)
 
     p = sub.add_parser("solve", help="solve a problem, optionally privately")
     p.add_argument("problem")
     p.add_argument("--private", action="store_true",
-                   help="privatize the matrix first, then solve the tightened problem")
+                   help="privatize the matrix first, then solve the tightened problem; the "
+                        "output's original_feasible is computed from the true A and is not "
+                        "part of the differentially private release")
     _add_privacy_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help=_SECRET_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -179,9 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process, on first use
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # privatize, solve: a secret seed no one can regenerate
+        args.seed = secrets.randbits(64)
     try:
         return args.func(args)
     except (CliError, ValueError, RuntimeError) as exc:

@@ -10,20 +10,17 @@ hashed from (base seed, epsilon index, trial index), so enlarging the grid
 or the trial count never changes existing trials' draws, and a repeated
 run with the same config is byte-identical.
 
-Each trial's simplex starts from the baseline solve's final basis: a trial
-changes only the private rows, so that basis usually stays feasible and is
-often still optimal. The basis is factored once per sweep. A block of
-``_TRIAL_BLOCK`` trials is the unit of the loop: it is privatized in one
-pass into a buffer (:func:`mechanism.privatize_block`), solved as one block
-(:func:`simplex.solve_block`), re-checked against the original rows in one
-product and scored in one pass. In the solve, a gridworld block, with one
-private row of 26, updates that factorization by rank one per trial, an LP
-whose rows are all private re-factors it per trial, and a trial whose start
-is already optimal finishes without a pivot. Only the sweep warm-starts. It
-is a non-private evaluation against the true baseline; a released private
-solution (``privlp solve --private``) starts from the slack basis, so that
-it is a function of the privatized matrix alone and post-processing covers
-it.
+Each trial's simplex starts from the baseline solve's final basis, factored
+once per sweep: a trial changes only the private rows, so that basis usually
+stays feasible and is often still optimal. A block of ``_TRIAL_BLOCK``
+trials is the unit of the loop: it is privatized in one pass into a buffer
+(:func:`mechanism.privatize_block`), finished by the simplex in one pass
+(:func:`simplex.solve_block`: only the trials not yet optimal pivot),
+re-checked against the original rows in one product and scored in one
+pass. Only the sweep warm-starts, as a non-private evaluation against the
+true baseline; a released private solution (``privlp solve --private``)
+starts from the slack basis, so that it is a function of the privatized
+matrix alone and post-processing covers it.
 """
 from __future__ import annotations
 

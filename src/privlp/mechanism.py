@@ -21,7 +21,6 @@ column. ``s_i`` comes from :func:`_row_calibration`, once per block, and
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -192,8 +191,10 @@ def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:
     """JSON-ready document for a privatized problem.
 
     Same schema as the input problem (with ``A`` replaced by the privatized
-    matrix) plus a ``mechanism`` block recording the per-row supports, the
-    noise scale and the seed. The schema has no equality rows, so the
+    matrix) plus a ``mechanism`` block recording the per-row supports and
+    the noise scale, never the seed: anyone who knows it can regenerate the
+    noise and recover every unclipped entry of ``A``. The schema has no
+    equality rows, so the
     document holds the system's ``inequality_form()``: each equality row
     as its pair, the appended public copies with support 0.
     """
@@ -209,7 +210,6 @@ def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:
         "mechanism": {
             "row_supports": supports.tolist(),
             "sigma": priv.params.sigma,
-            "seed": operator.index(priv.seed),
         },
     }
     if lp.privacy is not None:

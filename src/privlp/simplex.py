@@ -7,31 +7,22 @@ index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
-``solve_lp`` starts from the slack basis. :func:`solve_block` is the one
-warm entry: it solves a block of matrices of one system from a
-:class:`WarmStart`, such as the final ``basic_columns`` of a baseline
-solve; their start tableaus come as one stack (see ``warmstart``), and a
-system whose start is already feasible and optimal finishes in the stack,
-with no pivot. Rows whose start value is negative are sign-flipped and get
-an artificial, so phase 1 runs over those rows only, and a start that is
-still feasible goes straight to phase 2. An equality row keeps one row of the tableau; its own
-unit column is an artificial rather than a slack, so phase 1 drives it out
-of the basis and it never enters again, except that a redundant equality
-row keeps an artificial basic at 0, so the basis stays square. The
-returned vertex is re-derived from the original data through its final
-basis matrix, so tableau round-off never reaches the caller, whatever the
-start. Built for desk-scale instances (tens of rows and columns); dense,
-no sparsity.
-
-``enumerate_vertices`` lists the vertices of the feasible region by walking
-its graph of feasible bases from the vertex phase 1 ends on, so its work
-follows the number of vertices, not the C(m+n, n) candidate bases. It accepts
-a basis by the same per-basis solve and filter as a scan over every
-candidate, and sorts the accepted bases into the scan's order, so on a
-bounded region the output is the scan's to the bit. The walk stops with a
-``ValueError`` as soon as it meets more than ``_MAX_VERTEX_BASES`` bases,
-and returns None at the first ray it meets. Both vertex utilities read
-every row as an inequality.
+One routine finishes every solve, a stack of systems at a time:
+:func:`solve_block` a block of matrices of one system from a
+:class:`WarmStart`'s stacked start tableaus, :func:`solve_lp` a block of
+one from the slack basis. Rows whose start value is negative are
+sign-flipped and get an artificial, so phase 1 runs over those rows only.
+An equality row's unit column is an artificial rather than a slack, so
+phase 1 drives it out of the basis and it never enters again, except that
+a redundant equality row keeps it basic at 0, so the basis stays square.
+Pricing, the optimality test, the refine solve, the re-check of each
+point against its rows and the active sets run once over the stack; only
+a system that is not yet optimal pivots, in the one scalar pivot loop on
+its views into the stack. Each vertex is re-derived from the original
+data through its final basis matrix, so tableau round-off never reaches
+the caller. Built for desk-scale instances (tens of rows and columns);
+dense, no sparsity. The vertex utilities (:func:`enumerate_vertices`,
+:func:`max_norm_point`) read every row as an inequality.
 """
 from __future__ import annotations
 
@@ -85,25 +76,17 @@ class Solution:
 _STALL_LIMIT = 200
 
 
-def _artificial_columns(n: int, m: int, equality: np.ndarray | None) -> np.ndarray:
-    """Which columns of ``[x | one per row]`` are artificial: the unit columns of equality rows."""
-    artificial = np.zeros(n + m, dtype=bool)
-    if equality is not None:
-        artificial[n:] = equality
-    return artificial
-
-
 def _priced_objective(costs: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Reduced costs ``z_j - c_j`` of tableau ``T`` in ``basis``, and its value in the last cell.
 
-    ``T`` may be a stack of tableaus in one basis: each gets the bits it
-    gets on its own, as the rows are added in the same order.
+    ``T`` and ``basis`` may be stacks; each tableau gets the bits it gets alone.
     """
     obj = np.zeros(T.shape[:-2] + T.shape[-1:])
     obj[..., :-1] = -costs
     basic_costs = costs[basis]
-    for i in np.flatnonzero(basic_costs).tolist():
-        obj += basic_costs[i] * T[..., i, :]
+    for i in np.flatnonzero(basic_costs.reshape(-1, basis.shape[-1]).any(axis=0)).tolist():
+        cost = basic_costs[..., i, None]
+        np.add(obj, cost * T[..., i, :], out=obj, where=cost != 0)
     return obj
 
 
@@ -120,75 +103,79 @@ def _optimal(least):
 def _refined(B: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The stack ``rhs`` of basic values, re-derived from the original data as ``B^-1 b``.
 
-    Pivoting drift in a tableau's values never reaches the caller: the
-    exact values replace them where the solve is finite and within 1e-4 of
-    them, and otherwise the tableau values stand.
+    The exact values replace the tableau's where the solve is finite and
+    within 1e-4 of them, so pivoting drift never reaches the caller.
     """
     exact = _stacked_solve(B, b[:, None])[..., 0]
     accept = np.isfinite(exact).all(axis=-1) & (np.abs(exact - rhs).max(axis=-1) < 1e-4)
     return np.where(accept[:, None], exact, rhs)
 
 
-def _basic_x(rhs: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    """``x`` at basic values ``rhs`` (may be a stack): 0 off the basis, and never below 0."""
-    x = np.zeros(rhs.shape[:-1] + (n,))
-    basic = basis < n
-    x[..., basis[basic]] = rhs[..., basic]
+def _vertices(A: np.ndarray, b: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Each system's ``x >= 0``, its basic values ``rhs`` refined through its basis matrix."""
+    rhs = _refined(_basis_matrix(A, basis), b, rhs)
+    x = np.zeros(rhs.shape[:-1] + A.shape[-1:])
+    t, i = np.nonzero(basis < A.shape[-1])
+    x[t, basis[t, i]] = rhs[t, i]
     return np.maximum(x, 0.0, out=x)
 
 
-class _Tableau:
-    """Simplex tableau over columns [x | one per row | artificials | rhs].
+def _entered(T: np.ndarray, basis: np.ndarray, n: int,
+             equality: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stack ``T`` of start tableaus in ``basis`` (updated in place), made ready for phase 1.
 
-    ``start`` is None for the slack basis, whose tableau is ``[A | I | b]``,
-    or a warm start ``(T, basis, start_path)``, one system of
-    :meth:`WarmStart.tableaus`; ``start_path`` is ``"slack"``,
-    ``"factored"`` or ``"updated"``. A row whose start value is negative is
-    sign-flipped and gets an artificial, so phase 1 runs over those rows
-    only. ``equality`` marks the equality rows: the unit column of such a
-    row is an artificial, not a slack, so ``artificial`` marks it with the
+    Each row whose start value is negative is sign-flipped and gets its own
+    artificial column, basic in that row, appended in row order; a system
+    with fewer than the stack's most is padded with zero columns, which
+    never enter. Returns the stack, its artificial columns (each equality
+    row's unit column and every appended one) and each system's count of
     appended columns.
     """
+    k, m, _ = T.shape
+    flip = T[:, :, -1] < 0
+    appended = flip.sum(axis=1)
+    artificial = np.zeros(n + m + appended.max(), dtype=bool)
+    artificial[n + m:] = True
+    if equality is not None:
+        artificial[n:n + m] = equality
+    if artificial.size > n + m:
+        T[flip] *= -1.0
+        T = np.concatenate([T[..., :-1], np.zeros((k, m, artificial.size - n - m)), T[..., -1:]],
+                           axis=-1)
+        t, i = np.nonzero(flip)
+        basis[t, i] = n + m + np.cumsum(flip, axis=1)[t, i] - 1
+        T[t, i, basis[t, i]] = 1.0
+    return T, artificial, appended
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, equality: np.ndarray | None = None,
-                 start: tuple | None = None):
-        m, n = A.shape
-        self.m, self.n = m, n
-        self.A, self.b = A, b  # original data, for extraction
-        if start is None:
-            start = _slack_tableau(A, b), np.arange(n, n + m), "slack"
-        body, self.basis, self.start_path = start
-        self.T, self.width = body, n + m
-        self.artificial = _artificial_columns(n, m, equality)
+
+class _Tableau:
+    """One system's tableau over columns [x | one per row | artificials | rhs], pivoted in place.
+
+    ``T`` and ``basis`` are its views into a stack made by :func:`_entered`,
+    whose artificial columns ``artificial`` marks.
+    """
+
+    def __init__(self, T: np.ndarray, basis: np.ndarray, n: int, artificial: np.ndarray):
+        self.T, self.basis, self.n, self.artificial = T, basis, n, artificial
+        self.m = T.shape[0]
         self.pivots = 0
-        flip = body[:, -1] < 0
-        if flip.any():
-            body[flip] *= -1.0
-            art_rows = np.flatnonzero(flip)
-            art = np.zeros((m, art_rows.size))
-            art[art_rows, np.arange(art_rows.size)] = 1.0
-            self.basis[art_rows] = np.arange(n + m, n + m + art_rows.size)
-            self.T = np.hstack([body[:, :-1], art, body[:, -1:]])
-            self.width += art_rows.size
-            self.artificial = np.concatenate([self.artificial, np.ones(art_rows.size, dtype=bool)])
 
     def _pivot(self, row: int, col: int, obj: np.ndarray):
         T = self.T
-        T[row] = T[row] / T[row, col]
+        T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        T -= factors[:, None] * T[row]
         obj -= obj[col] * T[row]
         self.basis[row] = col
         self.pivots += 1
 
     def _leaving_row(self, col: int, bland: bool) -> int | None:
-        T = self.T
-        pos = T[:, col] > PIVOT_TOL
-        if not pos.any():
+        T, column = self.T, self.T[:, col]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return None
-        rows = np.flatnonzero(pos)
-        ratios = T[rows, -1] / T[rows, col]
+        ratios = T[rows, -1] / column[rows]
         ties = rows[ratios <= ratios.min() + PIVOT_TOL]
         if ties.size == 1:
             return int(ties[0])
@@ -211,7 +198,7 @@ class _Tableau:
                     return OPTIMAL
                 col = int(cols[0])
             else:
-                col = int(np.argmin(reduced))
+                col = int(reduced.argmin())
                 if _optimal(reduced[col]):
                     return OPTIMAL
             row = self._leaving_row(col, bland)
@@ -227,17 +214,17 @@ class _Tableau:
                     bland = True  # degeneracy stall: finish under Bland's rule
         raise RuntimeError("simplex exceeded the pivot budget; input looks pathological")
 
-    def solve_phase1(self) -> bool:
+    def solve_phase1(self, appended: int) -> bool:
         """Drive artificials to zero. Returns False when infeasible.
 
-        An appended artificial may re-enter in phase 1; an equality row's
-        unit column never enters.
+        The system's own ``appended`` artificials may re-enter; an equality
+        row's unit column, or a column that pads the stack, never enters.
         """
         if not self.artificial[self.basis].any():
             return True
         obj = _priced_objective(np.where(self.artificial, -1.0, 0.0), self.basis, self.T)
-        allowed = np.ones(self.width, dtype=bool)
-        allowed[: self.n + self.m] = ~self.artificial[: self.n + self.m]
+        allowed = ~self.artificial
+        allowed[self.n + self.m:][:appended] = True
         status = self._run(obj, allowed)
         assert status == OPTIMAL  # phase-1 objective is bounded by 0
         if obj[-1] < -FEAS_TOL:
@@ -262,63 +249,79 @@ class _Tableau:
             entries = np.abs(self.T[i, :width])
             candidates = np.flatnonzero(enterable & (entries > PIVOT_TOL))
             if candidates.size:
-                self._pivot(i, int(candidates[0]), np.zeros(self.width + 1))
+                self._pivot(i, int(candidates[0]), np.zeros(self.T.shape[1]))
             elif self.basis[i] >= width:  # an appended artificial: swap in a unit column
-                self._pivot(i, self.n + int(np.argmax(entries[self.n:])), np.zeros(self.width + 1))
-
-    def solve_phase2(self, c: np.ndarray) -> str:
-        costs = np.zeros(self.width)
-        costs[: self.n] = c
-        obj = _priced_objective(costs, self.basis, self.T)
-        return self._run(obj, ~self.artificial)  # artificials never re-enter
-
-    def extract_x(self) -> np.ndarray:
-        B = _basis_matrix(self.A, self.basis)
-        return _basic_x(_refined(B[None], self.b, self.T[None, :, -1])[0], self.basis, self.n)
+                unit = self.n + int(np.argmax(entries[self.n:]))
+                self._pivot(i, unit, np.zeros(self.T.shape[1]))
 
 
-def _objective(c, n: int) -> np.ndarray:
+def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basis: np.ndarray,
+                 paths) -> list[Solution]:
+    """Maximize ``c.x`` over ``system.tightened(A[t])`` from tableau ``T[t]`` in ``basis[t]``.
+
+    ``A`` is a ``(k, m, n)`` stack sharing ``system``'s ``b`` and equality
+    rows; ``paths[t]`` names each start. Pricing, the optimality test, the
+    refine solve, the re-check against each system's own rows and the active
+    sets run once over the stack; only a system that needs phase 1 or is not
+    yet optimal pivots, in the one pivot loop on its views into the stack.
+    Raises ``RuntimeError`` when a point violates its rows beyond ``FEAS_TOL``.
+    """
+    k, m, n = A.shape
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"c must have shape ({n},), got {c.shape}")
-    return c
-
-
-def _vertex_solution(c: np.ndarray, system: ConstraintSystem, x: np.ndarray, basis: np.ndarray,
-                     **stats) -> Solution:
-    """The optimal :class:`Solution` at ``x``, once ``x`` re-verifies against ``system``."""
-    residual = system.residuals(x)
-    worst = float(np.max(residual, initial=0.0))
-    if worst > FEAS_TOL:
-        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3e})")
-    active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
-    active += (system.shape[0] + np.flatnonzero(x <= FEAS_TOL)).tolist()
-    return Solution(status=OPTIMAL, x=x, objective=float(c @ x), basis=tuple(active),
-                    basic_columns=tuple(basis.tolist()), **stats)
-
-
-def _solved(c: np.ndarray, system: ConstraintSystem, tab: _Tableau) -> Solution:
-    """Run both phases on ``tab``, a tableau of ``system``, and report."""
-    if not tab.solve_phase1():
-        return Solution(status=INFEASIBLE, phase1_pivots=tab.pivots, start_path=tab.start_path)
-    phase1 = tab.pivots
-    status = tab.solve_phase2(c)
-    stats = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots - phase1,
-             "start_path": tab.start_path}
-    if status == UNBOUNDED:
-        return Solution(status=UNBOUNDED, **stats)
-    return _vertex_solution(c, system, tab.extract_x(), tab.basis, **stats)
+    T, artificial, appended = _entered(T, basis, n, system.equality)
+    costs = np.zeros(artificial.size)
+    costs[:n] = c
+    obj = _priced_objective(costs, basis, T)
+    allowed = ~artificial  # artificials never re-enter
+    needs_phase1 = artificial[basis].any(axis=1)
+    least = _reduced_costs(obj, allowed).min(axis=1)
+    status, pivots = [OPTIMAL] * k, [(0, 0)] * k
+    for t in np.flatnonzero(needs_phase1 | ~_optimal(least)).tolist():
+        tab = _Tableau(T[t], basis[t], n, artificial)
+        if needs_phase1[t]:
+            if not tab.solve_phase1(appended[t]):
+                status[t], pivots[t] = INFEASIBLE, (tab.pivots, 0)
+                continue
+            obj[t] = _priced_objective(costs, basis[t], T[t])  # in its basis after phase 1
+        phase1_pivots = tab.pivots
+        status[t] = tab._run(obj[t], allowed)
+        pivots[t] = phase1_pivots, tab.pivots - phase1_pivots
+    done = [s == OPTIMAL for s in status]
+    if not all(done):
+        A, T, basis = A[done], T[done], basis[done]
+    X = _vertices(A, system.b, T[:, :, -1], basis)
+    residual = (A @ X[:, :, None])[:, :, 0] - system.b
+    if system.equality is not None:
+        np.abs(residual, out=residual, where=system.equality)
+    worst = residual.max(axis=1, initial=0.0)
+    if (worst > FEAS_TOL).any():
+        raise RuntimeError("simplex returned an infeasible point "
+                           f"(violation {worst[worst > FEAS_TOL][0]:.3e})")
+    # each point's active set: its rows within FEAS_TOL, then its bounds m + j (X >= 0)
+    tight = np.abs(np.hstack([residual, X])) <= FEAS_TOL
+    active = np.nonzero(tight)[1].tolist()
+    ends = np.cumsum(tight.sum(axis=1)).tolist()
+    points = iter([{"x": x, "objective": float(c @ x), "basis": tuple(active[first:end]),
+                    "basic_columns": tuple(columns)}
+                   for x, first, end, columns in zip(X, [0] + ends, ends, basis.tolist())])
+    return [Solution(s, phase1_pivots=p[0], phase2_pivots=p[1], start_path=path,
+                     **(next(points) if s == OPTIMAL else {}))
+            for s, p, path in zip(status, pivots, paths)]
 
 
 def solve_lp(c, sys: ConstraintSystem) -> Solution:
     """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
 
-    Starts from the slack basis. Returns a :class:`Solution` whose point,
-    when optimal, re-verifies against the constraints at tolerance
-    ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
+    A block of one from the slack basis (see :func:`solve_block`). Returns a
+    :class:`Solution` whose point, when optimal, re-verifies against the
+    constraints at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
     """
-    c = _objective(c, sys.shape[1])
-    return _solved(c, sys, _Tableau(np.asarray(sys.A), np.asarray(sys.b), sys.equality))
+    A = np.asarray(sys.A)[None]
+    m, n = sys.shape
+    basis = np.arange(n, n + m)[None]
+    return _solve_stack(c, sys, A, _slack_tableau(A, sys.b), basis, ("slack",))[0]
 
 
 def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
@@ -326,47 +329,30 @@ def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
 
     ``A_block`` has shape ``(k, m, n)``, each matrix a privatized ``A`` of
     ``start.system``, whose ``b`` and equality rows every solve shares. The
-    start tableaus are built as one stack (:meth:`WarmStart.tableaus`). A
-    system whose start is feasible and optimal finishes in the stack, with
-    no pivot: one stacked refine solve, then its own check of its point
-    against its rows. Any other pivots from its slice of the stack, and one
-    whose start basis is singular from the slack basis. Each
-    :class:`Solution` equals the block-of-one solve's field for field when
-    the systems of the block change the same rows, as privatized matrices
-    of one system do.
+    start tableaus come as one stack (:meth:`WarmStart.tableaus`), a system
+    whose start basis is singular taking the slack basis, and the block is
+    finished in one pass (:func:`_solve_stack`). Each :class:`Solution`
+    equals the block-of-one solve's field for field when the matrices change
+    the same rows, as privatized matrices of one system do.
     """
-    system, b = start.system, start.b
-    m, n = system.shape
-    c = _objective(c, n)
-    T, B, paths = start.tableaus(A_block)
-    basis = start.basis
-    warm = paths != "slack"
-    finished = np.zeros(warm.shape, dtype=bool)
-    artificial = _artificial_columns(n, m, system.equality)
-    if warm.any() and not artificial[basis].any():
-        costs = np.zeros(n + m)
-        costs[:n] = c
-        least = _reduced_costs(_priced_objective(costs, basis, T), ~artificial).min(axis=-1)
-        finished = warm & (T[:, :, -1] >= 0).all(axis=-1) & _optimal(least)
-    X = iter(_basic_x(_refined(B[finished], b, T[finished, :, -1]), basis, n)
-             if finished.any() else ())
-    solutions = []
-    for t, A in enumerate(A_block):
-        tightened = system.tightened(A)
-        if finished[t]:
-            solutions.append(_vertex_solution(c, tightened, next(X), basis, start_path=paths[t]))
-        else:
-            started = (T[t], basis.copy(), paths[t]) if warm[t] else None
-            solutions.append(_solved(c, tightened, _Tableau(A, b, system.equality, started)))
-    return solutions
+    return _solve_stack(c, start.system, A_block, *start.tableaus(A_block))
+
+
+def _phase1(A: np.ndarray, b: np.ndarray,
+            equality: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The slack start of ``A x <= b`` after phase 1 as a stack of one ``(T, basis)``, or None."""
+    m, n = A.shape
+    basis = np.arange(n, n + m)[None]
+    T, artificial, appended = _entered(_slack_tableau(A, b)[None], basis, n, equality)
+    feasible = _Tableau(T[0], basis[0], n, artificial).solve_phase1(appended[0])
+    return (T, basis) if feasible else None
 
 
 def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
     """Find any point of {x >= 0 : A x <= b} (``=`` on equality rows), or None when it is empty."""
-    tab = _Tableau(np.asarray(sys.A), np.asarray(sys.b), sys.equality)
-    if not tab.solve_phase1():
-        return None
-    return tab.extract_x()
+    A, b = np.asarray(sys.A), np.asarray(sys.b)
+    started = _phase1(A, b, sys.equality)
+    return None if started is None else _vertices(A[None], b, started[0][..., -1], started[1])[0]
 
 
 def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
@@ -459,13 +445,13 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    tab = _Tableau(A, b)
-    if not tab.solve_phase1():
+    started = _phase1(A, b, None)
+    if started is None:
         return np.zeros((0, n))
     # phase 1's vertex: nonbasic x_j is active bound m + j, nonbasic slack i is row i
     # (a mask, not np.setdiff1d, which imports numpy.ma: about 1 MB of memory)
     nonbasic = np.ones(n + m, dtype=bool)
-    nonbasic[tab.basis] = False
+    nonbasic[started[1][0]] = False
     nonbasic = np.flatnonzero(nonbasic)
     start = tuple(np.sort(np.where(nonbasic < n, m + nonbasic, nonbasic - n)).tolist())
     rows = np.vstack([A, -np.eye(n)])
@@ -486,12 +472,10 @@ def max_norm_point(sys: ConstraintSystem):
 
     The norm is convex, so the maximum over a bounded polyhedron sits at a
     vertex; this enumerates vertices and returns the max-norm one, breaking
-    norm ties by lexicographically smallest coordinates. The vertices come
-    from :func:`enumerate_vertices`' walk over feasible bases, equal to the
-    bit to a scan of every basis, so ``x_bar`` is the scan's; it raises
-    ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
-    bases. Returns ``(x_bar, norm)``, or the string status ``"Unbounded"``
-    when the walk meets a ray (the region then has no largest element).
+    norm ties by lexicographically smallest coordinates; the vertices, and
+    the ``ValueError`` beyond ``_MAX_VERTEX_BASES`` bases, are those of
+    :func:`enumerate_vertices`. Returns ``(x_bar, norm)``, or the string
+    status ``"Unbounded"`` when the region has no largest element.
     Every row is read as an inequality, so a system with equality rows
     raises ``ValueError``: pass its ``inequality_form()``.
     """

@@ -1,11 +1,10 @@
 """Start tableaus for the simplex: the slack basis, and a factored basis updated per block.
 
-A warm start hands the simplex each system's tableau together with its
-basis matrix ``B``, the basis columns of ``[A | I]``, with which a system
-that needs no pivot refines its vertex. Starts are built for a block of
-systems that differ from the baseline only in ``A``, as stacks: one
-``(k, m, n + m + 1)`` array of tableaus and one ``(k, m, m)`` array of
-basis matrices. A block of one is a single start. Per block, the union of
+A warm start hands the simplex each system's tableau in a factored basis.
+Starts are built for a block of systems that differ from the baseline only
+in ``A``, as one ``(k, m, n + m + 1)`` stack of tableaus; a block of one is
+a single start. Each system's basis matrix ``B``, the basis columns of
+``[A | I]``, is stacked alongside for the checks. Per block, the union of
 the rows that changed picks the method for every system in it: an update
 of the baseline factorization by the Woodbury identity, or a factorization
 of each ``B``, solved as one stack. An updated ``B`` is the baseline's
@@ -26,12 +25,13 @@ PIVOT_TOL = 1e-10
 
 
 def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Columns ``basis`` of ``[A | I]``, gathered without building ``[A | I]``."""
-    n = A.shape[1]
-    B = A.take(np.minimum(basis, n - 1), axis=1)
-    slack = np.flatnonzero(basis >= n)
-    B[:, slack] = 0.0
-    B[basis[slack] - n, slack] = 1.0
+    """Columns ``basis[t]`` of ``[A[t] | I]`` for each matrix of the stack ``A``."""
+    k, m, n = A.shape
+    rows = n * np.arange(k * m).reshape(k, m, 1)  # where each row of A starts
+    B = A.reshape(-1).take(rows + np.minimum(basis, n - 1)[:, None, :])
+    t, j = np.nonzero(basis >= n)
+    B[t, :, j] = 0.0
+    B[t, basis[t, j] - n, j] = 1.0
     return B
 
 
@@ -105,23 +105,23 @@ class WarmStart:
         self.T0, self.B0 = (T0[0], B0[0]) if started else (None, None)
 
     def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(T, B, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
+        """``(T, basis, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
 
-        ``T[t] = B[t]^-1 [A[t] | I | b]``, ``B[t]`` is the basis matrix, the
-        basis columns of ``[A[t] | I]``, and ``paths[t]`` is ``"updated"``,
-        ``"factored"``, or ``"slack"`` where ``B[t]`` is singular for
-        ``A[t]`` (its ``T[t]`` is then 0, and ``B[t]`` is not to be read). Each
-        usable ``T[t]`` is ready to pivot on: its basis columns are exactly
-        the identity, and a value in ``[-FEAS_TOL, 0)`` is round-off and is
-        set to 0. With ``R`` the rows that changed in any system of the
-        block, every system is updated when ``2 |R| <= m``, and factored
-        otherwise; a system whose update fails the checks is factored after
-        all.
+        ``T[t]`` is the tableau in ``basis[t]``, and ``paths[t]`` names how
+        it was built: ``"updated"`` or ``"factored"`` for ``B[t]^-1 [A[t] |
+        I | b]`` in the start's basis, with ``B[t]`` its basis columns of
+        ``[A[t] | I]``, and ``"slack"`` for ``[A[t] | I | b]`` in the slack
+        basis where ``B[t]`` is singular. In the start's basis, the basis
+        columns are exactly the identity, and a value in ``[-FEAS_TOL, 0)``
+        is round-off and is set to 0. With ``R`` the rows that changed in any
+        system of the block, every system is updated when ``2 |R| <= m``,
+        and factored otherwise; a system whose update fails the checks is
+        factored after all.
         """
         if A.shape[1:] != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
                              f"not {A.shape[1:]}")
-        k, m, _ = A.shape
+        k, m, n = A.shape
         paths = np.full(k, "slack", dtype=object)
         rows = np.flatnonzero((A != self.A).any(axis=(0, 2)))
         update = self.T0 is not None and 2 * rows.size <= m
@@ -133,12 +133,15 @@ class WarmStart:
             T[redo], B[redo] = _factored(A[redo], self.b, self.basis)
             paths[redo[_checked(B[redo], T[redo])]] = "factored"
         usable = paths != "slack"
-        T[~usable] = 0.0
+        basis = np.tile(np.arange(n, n + m), (k, 1))
         if usable.any():  # then the basis has m columns
             T[:, :, self.basis] = np.eye(m)
             rhs = T[:, :, -1]
             rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0
-        return T, B, paths
+            basis[usable] = self.basis
+        if not usable.all():
+            T[~usable] = _slack_tableau(A[~usable], self.b)
+        return T, basis, paths
 
     def _updated(self, A: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(T, B)`` from ``(T0, B0)`` updated to each system of ``A`` by the Woodbury identity.

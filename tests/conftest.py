@@ -40,11 +40,22 @@ def rng():
 
 
 def assert_block_matches_single_solves(c, A_block, start) -> list:
-    """``solve_block`` over ``A_block`` equals a block of one of each matrix, field for field."""
+    """``solve_block`` over ``A_block`` equals a block of one of each matrix, field for field.
+
+    Each optimal point's objective and active set must also be those of the
+    point checked on its own against its tightened rows.
+    """
+    from privlp.problem import FEAS_TOL
     from privlp.simplex import solve_block
     solved = solve_block(c, A_block, start)
     assert len(solved) == len(A_block)
     for A, sol in zip(A_block, solved):
+        if sol.is_optimal:
+            residual = start.system.tightened(A).residuals(sol.x)
+            active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
+            active += (len(residual) + np.flatnonzero(sol.x <= FEAS_TOL)).tolist()
+            assert sol.basis == tuple(active)
+            assert sol.objective == float(np.asarray(c, dtype=float) @ sol.x)
         (one,) = solve_block(c, A[None], start)
         assert (sol.status, sol.objective, sol.basis, sol.basic_columns) == (
             one.status, one.objective, one.basis, one.basic_columns)

@@ -39,11 +39,30 @@ def test_privatize_deterministic_bytes(problem_file, tmp_path):
     assert main(["privatize", problem_file, "--seed", "9", "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
     doc = json.loads(open(out1).read())
-    assert doc["mechanism"]["seed"] == 9
+    assert "seed" not in doc["mechanism"]  # the mechanism's secret is never released
     assert doc["mechanism"]["sigma"] == 1.0
     A = np.array(doc["A"])
     assert (A >= np.array(BASIC["A"])).all()
     assert (A <= np.array(BASIC["sup_A"])).all()
+
+
+def test_unseeded_runs_draw_fresh_noise_and_release_no_seed(tmp_path):
+    # without --seed the seed comes from the OS: two runs differ, and neither
+    # output holds a seed from which the noise could be regenerated
+    from pathlib import Path
+    data = Path(__file__).resolve().parent / "data"
+    problem = str(data / "lp12x6_seed20240817.json")
+    flags = ["--epsilon", "1", "--k", "0.02", "--delta", "0.05"]
+    for command in (["privatize"], ["solve", "--private"]):
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            assert main([command[0], problem, *command[1:], *flags, "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] != outputs[1]
+        assert all('"seed"' not in text for text in outputs)
+    assert "seed" not in json.loads(
+        (data / "lp12x6_privatize_eps1_k0.02_seed7.json").read_text())["mechanism"]
 
 
 def test_privatize_fully_masked_passes_through(tmp_path, capsys):
@@ -345,11 +364,12 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
     from privlp import default_grid, load_problem, validate
     from privlp.experiment import ExperimentConfig, sweep_gridworld
     starts, blocks = [], []
+    entered = simplex._entered
 
-    class Recording(simplex._Tableau):
-        def __init__(self, A, b, equality=None, start=None):
-            super().__init__(A, b, equality, start)
-            starts.append((start, self.start_path))
+    def recording(T, basis, n, equality):
+        # every solve enters its pivots here: record whether each start is the slack basis
+        starts.append(tuple((basis == np.arange(n, n + T.shape[1])).all(axis=1).tolist()))
+        return entered(T, basis, n, equality)
 
     solve_block = simplex.solve_block
 
@@ -358,7 +378,7 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
         blocks.append([sol.start_path for sol in solved])
         return solved
 
-    monkeypatch.setattr(simplex, "_Tableau", Recording)
+    monkeypatch.setattr(simplex, "_entered", recording)
     monkeypatch.setattr(simplex, "solve_block", recording_block)
     for seed in range(5):
         assert main(["solve", problem_file, "--private", "--seed", str(seed),
@@ -367,7 +387,7 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
     lp = load_problem(json.dumps(BASIC))
     validate(lp)
     simplex.max_norm_point(lp.system)
-    assert len(starts) > 10 and set(starts) == {(None, "slack")} and blocks == []
+    assert len(starts) > 10 and set(starts) == {(True,)} and blocks == []
     sweep_gridworld(default_grid(), ExperimentConfig(eps_grid=(1.0,), trials=2, k=0.25))
     # the control: both trials start from the updated baseline tableau
-    assert blocks == [["updated"] * 2]
+    assert blocks == [["updated"] * 2] and starts[-1] == (False, False)

@@ -211,10 +211,10 @@ def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
 
 
 def _record_solves(monkeypatch):
-    """Record the slack-start solves, the Solutions of block trials, and warm tableaus built."""
+    """Record the slack-start solves, the block trials' Solutions, and the tableaus built."""
     import privlp.simplex as simplex
     solve, solve_block = simplex.solve_lp, simplex.solve_block
-    record = {"slack start": [], "trial": [], "warm tableaus": 0}
+    record = {"slack start": [], "trial": [], "tableaus": 0, "trial tableaus": 0}
 
     def recording(c, sys_):
         sol = solve(c, sys_)
@@ -222,14 +222,16 @@ def _record_solves(monkeypatch):
         return sol
 
     def recording_block(*args):
+        before = record["tableaus"]
         solved = solve_block(*args)
         record["trial"] += solved
+        record["trial tableaus"] += record["tableaus"] - before
         return solved
 
     class Counting(simplex._Tableau):
-        def __init__(self, A, b, equality=None, start=None):
-            super().__init__(A, b, equality, start)
-            record["warm tableaus"] += start is not None
+        def __init__(self, *args):
+            super().__init__(*args)
+            record["tableaus"] += 1
 
     monkeypatch.setattr(simplex, "solve_lp", recording)
     monkeypatch.setattr(simplex, "solve_block", recording_block)
@@ -247,8 +249,10 @@ def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
     assert len(trials) == 150
     assert baseline.phase1_pivots + baseline.phase2_pivots > 25  # 32 on the 26-row occupancy LP
     assert sum(trials) / len(trials) < 2
-    # a trial whose start is already optimal finishes in the stack, with no tableau of its own
-    assert 150 - record["warm tableaus"] >= 80
+    # a trial whose start is already optimal finishes in the stack, with no
+    # pivot and no tableau of its own; one that pivots builds exactly one
+    assert trials.count(0) >= 80
+    assert record["trial tableaus"] == 150 - trials.count(0)
 
 
 def test_sweep_trials_report_their_start_path(monkeypatch, rng):

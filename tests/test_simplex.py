@@ -559,9 +559,9 @@ def test_start_must_match_the_system_shape(rng):
 
 
 def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch):
-    # a warm solve that finishes in the stack refines with its start's basis
-    # matrix, any other with its gathered final one; whatever the path, the
-    # matrix must be the final basis columns of [A | I], bit for bit
+    # every solve refines through basis matrices gathered from its final
+    # basis; whatever the start and however many pivots, the matrix must be
+    # the final basis columns of [A | I], bit for bit
     import dataclasses
     from privlp import simplex
     from privlp.warmstart import _basis_matrix
@@ -578,7 +578,7 @@ def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch
         used.clear()
         sol = solve_lp(c, system) if start is None else _warm(c, system, start)
         assert sol.is_optimal and len(used) == 1 and used[0].shape[0] == 1
-        final = _basis_matrix(np.asarray(system.A), np.array(sol.basic_columns))
+        final = _basis_matrix(np.asarray(system.A)[None], np.array(sol.basic_columns)[None])[0]
         assert used[0][0].tobytes() == final.tobytes()
         key = (sol.start_path, sol.phase1_pivots + sol.phase2_pivots > 0)
         seen[key] = seen.get(key, 0) + 1
@@ -664,3 +664,116 @@ def test_block_solves_match_single_solves_on_the_grid():
         solved = assert_block_matches_single_solves(
             lp.c, _privatized_block(lp, eps, 0.25, range(25)), start)
         assert {sol.start_path for sol in solved} == {"updated"}
+
+
+def test_entry_appends_an_artificial_per_negative_row_in_row_order():
+    # system 0 flips rows 1 and 3, system 1 row 2 and a zero column pads it
+    from privlp.simplex import _entered
+    n, m = 2, 4
+    T = np.zeros((2, m, n + m + 1))
+    T[:, :, n:n + m] = np.eye(m)
+    T[:, :, -1] = [[1.0, -2.0, 3.0, -4.0], [1.0, 2.0, -3.0, 4.0]]
+    basis = np.tile(np.arange(n, n + m), (2, 1))
+    equality = np.array([True, False, False, False])
+    T, artificial, appended = _entered(T, basis, n, equality)
+    assert appended.tolist() == [2, 1]
+    assert artificial.tolist() == [False, False, True, False, False, False, True, True]
+    assert basis.tolist() == [[2, 6, 4, 7], [2, 3, 6, 5]]
+    assert T[:, :, -1].tolist() == [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]
+    assert T[0, :, 6:8].tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
+    assert T[1, :, 6:8].tolist() == [[0, 0], [0, 0], [1, 0], [0, 0]]
+    assert T[0, 1, n + 1] == -1.0 and T[1, 2, n + 2] == -1.0  # flipped rows, slack included
+
+
+def _family(family):
+    """The occupancy LP of the default grid or the pinned 12x6 LP, its k, and a baseline start."""
+    from pathlib import Path
+    from privlp import build_gridworld, default_grid, load_problem, occupancy_lp
+    if family == "grid":
+        lp, k = occupancy_lp(build_gridworld(default_grid())), 0.25
+    else:
+        pinned = Path(__file__).parent / "data" / "lp12x6_seed20240817.json"
+        lp, k = load_problem(pinned.read_text()), 0.02
+    return lp, k, WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+
+
+def _recorded_ratio_ties(monkeypatch):
+    """A list recording, per leaving-row choice outside Bland's rule, whether the ratios tied."""
+    from privlp import simplex
+    from privlp.warmstart import PIVOT_TOL
+    ties, leaving = [], simplex._Tableau._leaving_row
+
+    def recording(tab, col, bland):
+        pos = tab.T[:, col] > PIVOT_TOL
+        if pos.any() and not bland:
+            ratios = tab.T[pos, -1] / tab.T[pos, col]
+            ties.append(bool(np.count_nonzero(ratios <= ratios.min() + PIVOT_TOL) > 1))
+        return leaving(tab, col, bland)
+
+    monkeypatch.setattr(simplex._Tableau, "_leaving_row", recording)
+    return ties
+
+
+@pytest.mark.parametrize("family", ["grid", "12x6"])
+def test_one_block_finishes_every_kind_of_trial(monkeypatch, family):
+    # each trial changes more than half of the rows, so it is factored on
+    # its own as in the block; edits of privatized matrices add a singular
+    # start basis (two equal basic columns), an unbounded trial (a column of
+    # zeros with a positive cost), a ratio-test tie (a row made a multiple of
+    # another, right-hand sides included) and a start that needs phase 1
+    from conftest import assert_block_matches_single_solves
+    lp, k, start = _family(family)
+    A, b = np.asarray(lp.system.A), np.asarray(lp.system.b)
+    n = A.shape[1]
+    block = _privatized_block(lp, 5.0, k, range(8))
+    basic = start.basis[start.basis < n]
+    block[4][:, basic[0]] = block[4][:, basic[1]]
+    j = next(j for j in range(n) if j not in start.basis and lp.c[j] > 0)
+    block[5][:, j] = 0.0
+    if family == "grid":
+        block[:, b == 0] *= 2.0  # the same flow rows: 24 of the 26 rows change
+        block[0] = np.where((b == 0)[:, None], 2.0 * A, A)  # the baseline's region
+        r = int(np.argmax(b))
+        block[6, 0] = block[6, r] * b[0] / b[r]
+        block[7, 0] *= 20.0
+    else:
+        block[6, 10] = block[6, 0] * b[10] / b[0]
+        block[7, 3] *= 3.0
+    ties = _recorded_ratio_ties(monkeypatch)
+    solved = solve_block(lp.c, block, start)
+    kinds = {"ratio tie"} if any(ties) else set()
+    for sol in solved:
+        kinds.add(sol.status)
+        kinds.add(sol.start_path)
+        if sol.phase1_pivots:
+            kinds.add("phase 1")
+        if sol.phase2_pivots:
+            kinds.add("phase 2")
+        if sol.is_optimal and sol.phase1_pivots + sol.phase2_pivots == 0:
+            kinds.add("no pivot")
+    assert kinds >= {"ratio tie", OPTIMAL, UNBOUNDED, "factored", "slack", "phase 1", "phase 2",
+                     "no pivot"}
+    assert max(sol.phase1_pivots + sol.phase2_pivots for sol in solved) >= 2
+    assert_block_matches_single_solves(lp.c, block, start)
+
+
+def test_block_recheck_refuses_a_point_off_its_rows(monkeypatch):
+    # one system's refined point is moved off its flow equalities: the
+    # stacked re-check must refuse it at FEAS_TOL, whatever the rest of the
+    # block; a move well inside FEAS_TOL passes
+    from privlp import simplex
+    lp, k, start = _family("grid")
+    block = _privatized_block(lp, 1.0, k, range(8))
+    refined = simplex._refined
+    for move, refused in ((1e-6, True), (1e-13, False)):
+        def planted(B, b, rhs, move=move):
+            out = refined(B, b, rhs)
+            out[3] += move
+            return out
+
+        monkeypatch.setattr(simplex, "_refined", planted)
+        if refused:
+            with pytest.raises(RuntimeError, match="simplex returned an infeasible point"):
+                solve_block(lp.c, block, start)
+        else:
+            assert all(sol.is_optimal for sol in solve_block(lp.c, block, start))
