@@ -12,15 +12,20 @@ run with the same config is byte-identical.
 
 Each trial's simplex starts from the baseline solve's final basis, factored
 once per sweep: a trial changes only the private rows, so that basis usually
-stays feasible and is often still optimal. A block of ``_TRIAL_BLOCK``
-trials is the unit of the loop: it is privatized in one pass into a buffer
-(:func:`mechanism.privatize_block`), finished by the simplex in one pass
-(:func:`simplex.solve_block`: only the trials not yet optimal pivot),
-re-checked against the original rows in one product and scored in one
-pass. Only the sweep warm-starts, as a non-private evaluation against the
-true baseline; a released private solution (``privlp solve --private``)
-starts from the slack basis, so that it is a function of the privatized
-matrix alone and post-processing covers it.
+stays feasible and is often still optimal. Epsilon changes only the noise,
+never the solve, so a sweep is one stream of (epsilon, trial) cells in
+epsilon-major order, cut into blocks of ``_TRIAL_BLOCK`` consecutive cells;
+a block may hold trials of several epsilons. The block is the unit of the
+loop: it is privatized in one pass into a buffer, each cell under its own
+epsilon (:func:`mechanism.privatize_block`), finished by the simplex in one
+pass (:func:`simplex.solve_block`: only the trials not yet optimal pivot),
+re-checked against the original rows in one product and scored in one pass,
+and each cell's results go to its own epsilon's record, in trial order. A
+block of 32 grid cells holds about 2 MB while it runs. Only the sweep
+warm-starts, as a non-private evaluation against the true baseline; a
+released private solution (``privlp solve --private``) starts from the
+slack basis, so that it is a function of the privatized matrix alone and
+post-processing covers it.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from .seeds import derive_seed
 from . import simplex
 
 CSV_HEADER = "epsilon,mean_cop_percent,std_cop,mean_abs_gap,bound,trials,infeasible"
-_TRIAL_BLOCK = 8  # trials solved as one block; each grid trial holds about 60 KB while it runs
+_TRIAL_BLOCK = 32  # cells solved as one block; a grid cell holds about 60 KB, a block about 2 MB
 
 
 class SweepAbort(RuntimeError):
@@ -110,15 +115,16 @@ def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
 
 
 def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
-    """Validate, solve the baseline, then privatize and re-solve block by block of trials.
+    """Validate, solve the baseline, then privatize and re-solve block by block of cells.
 
     ``score`` maps a block of solved points, shape ``(k, n)``, to the k
     values whose percent loss is the cost of privacy. The worst case is
     validated and the baseline checked before any geometry or trial work.
-    The baseline's basis is factored once, every trial starts the simplex
-    from it, and each block of trials is privatized, solved, re-checked
-    against all original rows and scored together. Beyond the exact-Hoffman
-    row cap the bound is recorded as ``inf``, which is still a valid bound.
+    Each epsilon's bound is computed once, up front. The baseline's basis is
+    factored once, every trial starts the simplex from it, and each block of
+    cells is privatized, solved, re-checked against all original rows and
+    scored together. Beyond the exact-Hoffman row cap the bound is recorded
+    as ``inf``, which is still a valid bound.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -132,34 +138,34 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     except HoffmanSizeError:
         geometry = None
     start = simplex.WarmStart(sys_, base.basic_columns)
-    A_block = np.empty((min(_TRIAL_BLOCK, config.trials), *sys_.shape))
-    records = []
-    for ei, (eps, params) in enumerate(zip(config.eps_grid, config.privacy)):
-        bound = math.inf if geometry is None else geometry.report(sys_, params).bound
-        cops, gaps = [], []
-        for first in range(0, config.trials, _TRIAL_BLOCK):
-            trials = range(first, min(first + _TRIAL_BLOCK, config.trials))
-            seeds = [derive_seed(config.base_seed, ei, trial) for trial in trials]
-            block = A_block[:len(seeds)]
-            privatize_block(sys_, params, seeds, block)
-            solved = simplex.solve_block(lp.c, block, start)
-            # trials are checked in order: those before the first failed solve have a point
-            ok = next((t for t, sol in enumerate(solved) if not sol.is_optimal), len(solved))
-            X = np.array([sol.x for sol in solved[:ok]]).reshape(ok, sys_.shape[1])
-            worst = sys_.residuals(X).max(axis=1)
-            violated = np.flatnonzero(worst > FEAS_TOL)
-            if violated.size:
-                t = violated[0]
-                raise SweepAbort(f"trial {trials[t]} at epsilon={eps} violates the original "
-                                 f"constraints by {worst[t]:.3e}")
-            if ok < len(solved):
-                raise SweepAbort(
-                    f"trial {trials[ok]} at epsilon={eps} (seed {seeds[ok]}) came back "
-                    f"{solved[ok].status}; a tightened validated problem must stay solvable")
-            cops.extend(cmdp_mod.cost_of_privacy(base_score, float(v)) for v in score(X))
-            gaps.extend(abs(base.objective - sol.objective) for sol in solved)
-        records.append(_aggregate(eps, cops, gaps, bound))
-    return records
+    bounds = [math.inf if geometry is None else geometry.report(sys_, p).bound
+              for p in config.privacy]
+    cells = [(ei, trial) for ei in range(len(bounds)) for trial in range(config.trials)]
+    A_block = np.empty((min(_TRIAL_BLOCK, len(cells)), *sys_.shape))
+    cops, gaps = [[] for _ in bounds], [[] for _ in bounds]
+    for first in range(0, len(cells), _TRIAL_BLOCK):
+        block_cells = cells[first:first + _TRIAL_BLOCK]
+        seeds = [derive_seed(config.base_seed, ei, trial) for ei, trial in block_cells]
+        block = A_block[:len(seeds)]
+        privatize_block(sys_, [config.privacy[ei] for ei, _ in block_cells], seeds, block)
+        solved = simplex.solve_block(lp.c, block, start)
+        # cells are checked in order: those before the first failed solve have a point
+        ok = next((t for t, sol in enumerate(solved) if not sol.is_optimal), len(solved))
+        X = np.array([sol.x for sol in solved[:ok]]).reshape(ok, sys_.shape[1])
+        worst = sys_.residuals(X).max(axis=1)
+        violated = np.flatnonzero(worst > FEAS_TOL)
+        if violated.size or ok < len(solved):
+            t = violated[0] if violated.size else ok
+            ei, trial = block_cells[t]
+            what = (f"violates the original constraints by {worst[t]:.3e}" if violated.size
+                    else f"came back {solved[t].status}; "
+                         "a tightened validated problem must stay solvable")
+            raise SweepAbort(f"trial {trial} at epsilon={config.eps_grid[ei]} "
+                             f"(seed {seeds[t]}) {what}")
+        for (ei, _), value, sol in zip(block_cells, score(X), solved):
+            cops[ei].append(cmdp_mod.cost_of_privacy(base_score, float(value)))
+            gaps[ei].append(abs(base.objective - sol.objective))
+    return [_aggregate(*record) for record in zip(config.eps_grid, cops, gaps, bounds)]
 
 
 def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:

@@ -9,13 +9,14 @@ calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
 feasible for it is feasible for the true constraints. There is one path,
-:func:`privatize_block`, which privatizes one system under several seeds;
-:func:`privatize_matrix` is its block of one plus the per-row metadata.
-Rows are privatized independently (disjoint data, parallel composition):
-row ``i`` under ``seed`` draws its uniforms from its own stream keyed by
-``(seed, i)``, and the inverse CDF, shift and clip then run once over the
-stack of every seed's private rows, with each row's ``s_i`` broadcast as a
-column. ``s_i`` comes from :func:`_row_calibration`, once per block, and
+:func:`privatize_block`, which privatizes one system under several
+(params, seed) pairs; :func:`privatize_matrix` is its block of one plus the
+per-row metadata. Rows are privatized independently (disjoint data,
+parallel composition): row ``i`` under ``seed`` draws its uniforms from its
+own stream keyed by ``(seed, i)``, and the inverse CDF, shift and clip then
+run once over the stack of every seed's private rows, with each row's
+``s_i`` and each seed's ``sigma`` broadcast along the entries. ``s_i`` comes
+from :func:`_row_calibration`, once per distinct params of a block, and
 ``xi_term`` reads it too.
 """
 from __future__ import annotations
@@ -48,14 +49,14 @@ def support_width(k: float, epsilon: float, delta: float, n0: int) -> float:
     return (k / epsilon) * math.log1p(n0 * math.expm1(epsilon) / delta)
 
 
-def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float) -> np.ndarray:
+def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
     """Closed-form inverse CDF of the truncated Laplace density, elementwise.
 
-    ``s`` holds half-widths broadcast against the uniforms ``u``: one per
-    row, as a column, in the batched pass. The constants of each half-width
-    come from scalar ``math`` calls, so a draw's value does not depend on
-    the batch it is computed in. A uniform of exactly 0 maps to exactly
-    ``-s``.
+    ``s`` and ``sigma`` are broadcast against the uniforms ``u``: in the
+    batched pass ``u`` is ``(seeds, rows, n)``, ``s`` ``(seeds, rows, 1)``
+    and ``sigma`` ``(seeds, 1, 1)``. The constants of each half-width come
+    from scalar ``math`` calls, so a draw's value does not depend on the
+    batch it is computed in. A uniform of exactly 0 maps to exactly ``-s``.
     """
     ratio = s / sigma
     ratios = ratio.ravel().tolist()
@@ -133,29 +134,32 @@ class PrivatizedSystem:
     noise_log: np.ndarray | None = None
 
 
-def privatize_block(sys: ConstraintSystem, p: PrivacyParams, seeds: Sequence[int],
+def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], seeds: Sequence[int],
                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Privatize ``sys`` per seed: ``out[t]`` is ``privatize_matrix(sys, p, seeds[t]).A_tilde``.
+    """Privatize ``sys`` once per (params, seed) pair into ``out``, shape ``(len(seeds), m, n)``.
 
-    ``out`` has shape ``(len(seeds), m, n)``. The half-widths and the
-    inverse-CDF constants are computed once for the block, and the noise
-    transform runs once over the stack of all seeds' private rows. Row
-    ``i`` of seed ``t`` draws its uniforms from ``row_stream(seeds[t], i)``,
-    seed by seed, so that a seed's pool is built once. Returns ``(s, z)``:
-    the half-width of each row of ``sys.private_rows`` and the noise drawn,
-    shape ``(len(seeds), rows, n)``.
+    ``params`` holds one :class:`PrivacyParams` per seed, and ``out[t]`` is
+    ``privatize_matrix(sys, params[t], seeds[t]).A_tilde``. The half-widths
+    are computed once per distinct params, and the noise transform runs once
+    over the stack of all seeds' private rows. Row ``i`` of seed ``t`` draws
+    its uniforms from ``row_stream(seeds[t], i)``, seed by seed, so that a
+    seed's pool is built once. Returns ``(s, z)``: the half-width of each row
+    of ``sys.private_rows`` per seed, shape ``(len(seeds), rows)``, and the
+    noise drawn, shape ``(len(seeds), rows, n)``.
     """
-    _, rows, block, A_rows, sup = sys.private_rows
+    counts, rows, block, A_rows, sup = sys.private_rows
     out[...] = sys.A
     if not rows.size:
-        return np.zeros(0), np.zeros((len(seeds), *block.shape))
-    n0, widths = _row_calibration(sys, p)
-    s = widths[n0]
+        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), *block.shape))
+    n0 = counts[rows]
+    widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
+    s = np.array([widths[p] for p in params])
+    sigma = np.array([p.sigma for p in params])
     pairs = list(zip(rows.tolist(), n0.tolist()))
     u = np.zeros((len(seeds), *block.shape))
     for u_t, seed in zip(u, seeds):  # per seed: for one seed, a 3-D scatter costs 4x a 2-D one
         u_t[block] = np.concatenate([row_stream(seed, i).random(c) for i, c in pairs])
-    out[:, rows], z = _noisy_rows(A_rows, block, sup, u, s[:, None], p.sigma)
+    out[:, rows], z = _noisy_rows(A_rows, block, sup, u, s[:, :, None], sigma[:, None, None])
     return s, z
 
 
@@ -173,9 +177,9 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     m, n = sys.shape
     counts, rows, block, _, sup = sys.private_rows
     A_tilde = np.empty((m, n))
-    s, z = privatize_block(sys, p, (seed,), A_tilde[None])
+    s, z = privatize_block(sys, (p,), (seed,), A_tilde[None])
     supports = np.zeros(m)
-    supports[rows] = s
+    supports[rows] = s[0]
     clipped = np.zeros(m, dtype=int)
     clipped[rows] = (block & (A_tilde[rows] == sup)).sum(axis=1)
     noise = np.full((m, n), np.nan) if record_noise else None

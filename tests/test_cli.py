@@ -65,6 +65,47 @@ def test_unseeded_runs_draw_fresh_noise_and_release_no_seed(tmp_path):
         (data / "lp12x6_privatize_eps1_k0.02_seed7.json").read_text())["mechanism"]
 
 
+def _replayed_A(doc, seed):
+    """Rebuild the private entries of ``A`` from a privatize document and a guessed seed.
+
+    Each row's noise is regenerated from ``row_stream(seed, i)`` and
+    ``_inverse_cdf``, and ``A_tilde - (s_i + z)`` is ``A`` on every unclipped
+    entry when the seed is right. NaN at masked entries.
+    """
+    from privlp.mechanism import _inverse_cdf
+    from privlp.seeds import row_stream
+    A_tilde, free = np.array(doc["A"]), ~np.array(doc["zero_mask"])
+    sigma = doc["mechanism"]["sigma"]
+    rebuilt = np.full(A_tilde.shape, np.nan)
+    for i, s_i in enumerate(doc["mechanism"]["row_supports"]):
+        if s_i > 0:
+            z = _inverse_cdf(row_stream(seed, i).random(free[i].sum()), np.asarray(s_i), sigma)
+            rebuilt[i, free[i]] = A_tilde[i, free[i]] - (s_i + z)
+    return rebuilt
+
+
+def test_unseeded_privatize_document_does_not_give_back_A(tmp_path):
+    # the attack works on a document whose seed is known (the seed-7 pin) and
+    # recovers nothing from an unseeded one, even with the old default seed 0
+    from pathlib import Path
+    from privlp import load_problem
+    data = Path(__file__).resolve().parent / "data"
+    problem = data / "lp12x6_seed20240817.json"
+    system = load_problem(problem.read_text()).system
+    free = ~system.zero_mask
+    pin_text = (data / "lp12x6_privatize_eps1_k0.02_seed7.json").read_text()
+    pinned = json.loads(pin_text)
+    unclipped = free & (np.array(pinned["A"]) < np.array(pinned["sup_A"]))
+    assert unclipped.sum() == 62  # every private entry: a clipped one gives a lower bound only
+    assert np.abs(_replayed_A(pinned, 7) - system.A)[unclipped].max() <= 1e-9
+    out = tmp_path / "unseeded.json"
+    assert main(["privatize", str(problem), "--epsilon", "1", "--k", "0.02", "--delta", "0.05",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert not (np.abs(_replayed_A(json.loads(text), 0) - system.A)[free] <= 1e-9).any()
+    assert '"seed"' not in text and '"seed"' not in pin_text
+
+
 def test_privatize_fully_masked_passes_through(tmp_path, capsys):
     doc = {"c": [1.0], "A": [[0.0]], "b": [1.0], "sup_A": [[0.0]],
            "privacy": {"epsilon": 1.0, "delta": 0.05, "k": 1.0}}
@@ -326,7 +367,7 @@ def test_grid_sweep_bytes_match_the_pinned_csv(capsys):
       "--delta", "0.05", "--trials", "25", "--seed", "0"], "grid5_sweep_seed0_trials25"),
     (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "20", "--seed", "0"],
      "lp12x6_sweep_k0.02_seed0_trials20"),
-    # held-out seed, 13 trials: blocks of 8 and a partial block of 5
+    # held-out seed, 13 trials: 78 cells in blocks of 32 that straddle epsilons, the last partial
     (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
       "--delta", "0.05", "--trials", "13", "--seed", "1"], "grid5_sweep_seed1_trials13"),
     (["tests/data/lp12x6_seed20240817.json", "--k", "0.02", "--trials", "13", "--seed", "1"],

@@ -273,11 +273,12 @@ def test_sweep_trials_report_their_start_path(monkeypatch, rng):
 
 
 def _plant(monkeypatch, faults):
-    """Make the sweep's block solves return faulty solutions at the given trials.
+    """Make the sweep's block solves return faulty solutions at the given cells.
 
-    ``faults`` maps a trial index to ``"violate"`` (the point moved off the
+    ``faults`` maps a cell's index in the sweep's epsilon-major stream (the
+    trial index, for one epsilon) to ``"violate"`` (the point moved off the
     original constraints) or ``"fail"`` (an infeasible status). Returns the
-    planted points, by trial.
+    planted points, by cell.
     """
     import dataclasses
     from privlp import simplex
@@ -314,18 +315,72 @@ def _lp12x6():
 ])
 def test_planted_faulty_trial_aborts_with_the_trial_by_trial_message(monkeypatch, faults, first):
     import numpy as np
+    from privlp import experiment
     from privlp.experiment import SweepAbort
     from privlp.seeds import derive_seed
+    monkeypatch.setattr(experiment, "_TRIAL_BLOCK", 8)  # the block layout the cases name
     lp = _lp12x6()
     planted = _plant(monkeypatch, faults)
     config = ExperimentConfig(eps_grid=(1.0,), trials=13, base_seed=4, k=0.02)
     with pytest.raises(SweepAbort) as raised:
         sweep_linear_program(lp, config)
+    cell = f"trial {first} at epsilon=1.0 (seed {derive_seed(4, 0, first)})"
     if faults[first] == "violate":
         worst = float(np.max(lp.system.residuals(planted[first])))
         assert worst > 1e-9
-        message = f"trial {first} at epsilon=1.0 violates the original constraints by {worst:.3e}"
+        message = f"{cell} violates the original constraints by {worst:.3e}"
     else:
-        message = (f"trial {first} at epsilon=1.0 (seed {derive_seed(4, 0, first)}) came back "
-                   "Infeasible; a tightened validated problem must stay solvable")
+        message = f"{cell} came back Infeasible; a tightened validated problem must stay solvable"
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("fault", ["violate", "fail"])
+def test_planted_fault_in_a_block_that_spans_epsilons_names_its_cell(monkeypatch, fault):
+    # 3 epsilons x 13 trials: the first block of 32 cells holds all of
+    # epsilon 0.5, all of epsilon 1 and trials 0-5 of epsilon 2; cell 20 is
+    # trial 7 of epsilon 1, and the later fault at cell 28 is not reported
+    import numpy as np
+    from privlp import experiment
+    from privlp.experiment import SweepAbort
+    from privlp.seeds import derive_seed
+    assert experiment._TRIAL_BLOCK == 32
+    lp = _lp12x6()
+    planted = _plant(monkeypatch, {20: fault, 28: "fail"})
+    config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0), trials=13, base_seed=4, k=0.02)
+    with pytest.raises(SweepAbort) as raised:
+        sweep_linear_program(lp, config)
+    cell = f"trial 7 at epsilon=1.0 (seed {derive_seed(4, 1, 7)})"
+    if fault == "violate":
+        worst = float(np.max(lp.system.residuals(planted[20])))
+        assert worst > 1e-9
+        assert str(raised.value) == f"{cell} violates the original constraints by {worst:.3e}"
+    else:
+        assert str(raised.value) == (f"{cell} came back Infeasible; "
+                                     "a tightened validated problem must stay solvable")
+
+
+@pytest.mark.parametrize("source, pinned", [
+    (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
+      "--delta", "0.05"], "grid5_sweep_seed1_trials13"),
+    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02"], "lp12x6_sweep_k0.02_seed1_trials13"),
+])
+def test_block_size_does_not_change_the_sweep_bytes(monkeypatch, tmp_path, source, pinned):
+    # 6 epsilons x 13 trials make a stream of 78 cells; blocks of 5 and of
+    # 32 straddle epsilon boundaries, blocks of 1 hold one cell each
+    from pathlib import Path
+    from privlp import experiment
+    from privlp.cli import main
+    root = Path(__file__).resolve().parent.parent
+    argv = ["sweep", *[str(root / tok) if "/" in tok else tok for tok in source],
+            "--trials", "13", "--seed", "1"]
+    outputs = set()
+    for size in (1, 5, 32):
+        monkeypatch.setattr(experiment, "_TRIAL_BLOCK", size)
+        out = tmp_path / f"block{size}"
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.add((out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()))
+    ((csv_bytes, json_bytes),) = outputs
+    data = root / "tests" / "data"
+    assert json_bytes == (data / f"{pinned}.json").read_bytes()
+    if (data / f"{pinned}.csv").exists():
+        assert csv_bytes == (data / f"{pinned}.csv").read_bytes()

@@ -247,7 +247,7 @@ def test_block_builds_row_streams_seed_by_seed(monkeypatch):
     calls = _count_streams(monkeypatch)
     sys_ = _rows_1_and_3_private()
     out = np.empty((3, *sys_.shape))
-    privatize_block(sys_, PP, [3, 8, 5], out)
+    privatize_block(sys_, [PP] * 3, [3, 8, 5], out)
     assert calls == [(3, 1), (3, 3), (8, 1), (8, 3), (5, 1), (5, 3)]
     assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde
                                       for seed in (3, 8, 5)]).tobytes()
@@ -276,14 +276,40 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
         sys_, p = _block_case(case, rng)
         seeds = _BLOCK_SEEDS[:size]
         out = np.full((size, *sys_.shape), np.nan)
-        s, z = privatize_block(sys_, p, seeds, out)
+        s, z = privatize_block(sys_, [p] * size, seeds, out)
         privs = [privatize_matrix(sys_, p, seed, record_noise=True) for seed in seeds]
-        assert out.tobytes() == np.stack([priv.A_tilde for priv in privs]).tobytes()
-        rows = sys_.private_rows[1]
-        for priv, noise in zip(privs, z):
-            assert s.tobytes() == priv.row_supports[rows].tobytes()
-            assert np.array_equal(np.where(sys_.private_rows[2], noise, np.nan),
-                                  priv.noise_log[rows], equal_nan=True)
+        _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
+
+
+def _assert_block_is_stacked_matrices(sys_, out, s, z, privs):
+    assert out.tobytes() == np.stack([priv.A_tilde for priv in privs]).tobytes()
+    rows, free = sys_.private_rows[1:3]
+    for s_t, noise, priv in zip(s, z, privs, strict=True):
+        assert s_t.tobytes() == priv.row_supports[rows].tobytes()
+        assert np.array_equal(np.where(free, noise, np.nan), priv.noise_log[rows], equal_nan=True)
+
+
+@pytest.mark.parametrize("labels", [
+    ["a", "huge", "a", "b", "a", "huge"],   # a repeated params and one with epsilon > 700
+    ["huge", "b"],
+    ["b"],                                  # a block of one
+])
+def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypatch, labels):
+    from privlp import mechanism
+    by_label = {"a": PrivacyParams(1.0, 0.05, 0.3), "b": PrivacyParams(0.2, 0.1, 1.0),
+                "huge": PrivacyParams(1e4, 0.05, 1e-3)}  # epsilon > 700 and s/sigma > 700
+    sys_ = _mixed_system(np.random.default_rng(len(labels)), 5, 7, [7, 2, 0, 5, 1])
+    params = [by_label[label] for label in labels]
+    seeds = _BLOCK_SEEDS[:len(labels)]
+    calibrated = []
+    calibration = mechanism._row_calibration
+    monkeypatch.setattr(mechanism, "_row_calibration",
+                        lambda sys, p: calibrated.append(p) or calibration(sys, p))
+    out = np.full((len(labels), *sys_.shape), np.nan)
+    s, z = privatize_block(sys_, params, seeds, out)
+    assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
+    privs = [privatize_matrix(sys_, p, seed, record_noise=True) for p, seed in zip(params, seeds)]
+    _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
 
 
 def test_row_supports_match_closed_form(rng):
