@@ -63,9 +63,16 @@ def _resolve_privacy(lp: LinearProgram, args) -> PrivacyParams:
     return PrivacyParams(epsilon=epsilon, delta=delta, k=k)
 
 
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -115,7 +122,10 @@ def cmd_bound(args) -> int:
 def cmd_sweep(args) -> int:
     if (args.problem is None) == (args.grid_config is None):
         raise CliError("sweep needs exactly one source: a problem file or --grid-config")
-    eps_grid = tuple(float(tok) for tok in args.eps_grid.split(",") if tok.strip())
+    try:
+        eps_grid = tuple(float(tok) for tok in args.eps_grid.split(",") if tok.strip())
+    except ValueError as exc:
+        raise CliError(f"--eps-grid: {exc}") from None
     if args.problem is not None:
         problem = load_problem(_read(args.problem))  # the sweep validates it first
         base = problem.privacy
@@ -128,8 +138,8 @@ def cmd_sweep(args) -> int:
     records = run_sweep(problem, config)
     csv_text = records_to_csv(records)
     if args.out:
-        Path(args.out + ".csv").write_text(csv_text)
-        Path(args.out + ".json").write_text(records_to_json(records))
+        _write(args.out + ".csv", csv_text)
+        _write(args.out + ".json", records_to_json(records))
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -55,8 +55,8 @@ class Solution:
     ``[x | slacks]`` per row; a :class:`WarmStart` built on it starts
     re-solves of problems that differ only in their data.
     ``phase1_pivots`` and ``phase2_pivots`` count the pivots of each phase,
-    and ``start_path`` names the start that ran: ``"slack"``, ``"factored"``
-    or ``"updated"``.
+    and ``start_path`` names the start that ran: ``"slack"`` or
+    ``"updated"``.
     """
 
     status: str

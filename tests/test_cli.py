@@ -234,6 +234,25 @@ def test_unreadable_file_reported(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, written", [
+    (["bound", "--epsilon", "1"], ""),
+    (["sweep", "--eps-grid", "1", "--trials", "2"], ".csv"),
+])
+def test_unwritable_out_reported(problem_file, tmp_path, capsys, command, written):
+    out = tmp_path / "missing" / "out"
+    argv = [command[0], problem_file, *command[1:], "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}{written}: ")
+    assert captured.out == "" and not out.parent.exists()
+
+
+def test_bad_eps_grid_token_names_the_flag(problem_file, capsys):
+    assert main(["sweep", problem_file, "--eps-grid", "1,x", "--trials", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --eps-grid: could not convert string to float: 'x'\n")
+
+
 @pytest.mark.parametrize("field, doc", [
     ("width", {"height": 5, "start": [2, 0], "goal": [2, 4]}),
     ("height", dict(GRID, height=None)),

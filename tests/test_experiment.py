@@ -257,7 +257,7 @@ def test_grid_sweep_trials_start_from_the_baseline_basis(monkeypatch):
 
 def test_sweep_trials_report_their_start_path(monkeypatch, rng):
     # one private row of 26 is a rank-one update of the baseline tableau;
-    # a 12x6 LP whose rows are all private is re-factored in every trial
+    # a 12x6 LP whose rows are all private is a rank-12 update in every trial
     record = _record_solves(monkeypatch)
     sweep_gridworld(default_grid(), ExperimentConfig(
         eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0, delta=0.05, k=0.25))
@@ -269,7 +269,7 @@ def test_sweep_trials_report_their_start_path(monkeypatch, rng):
     assert (lp.system.row_nonzero_counts() > 0).all()
     sweep_linear_program(lp, ExperimentConfig(eps_grid=(0.5, 1.0, 5.0), trials=10, k=0.02))
     assert {sol.start_path for sol in record["slack start"]} == {"slack"}
-    assert [sol.start_path for sol in record["trial"]] == ["factored"] * 30
+    assert [sol.start_path for sol in record["trial"]] == ["updated"] * 30
 
 
 def _plant(monkeypatch, faults):
@@ -363,10 +363,13 @@ def test_planted_fault_in_a_block_that_spans_epsilons_names_its_cell(monkeypatch
     (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
       "--delta", "0.05"], "grid5_sweep_seed1_trials13"),
     (["tests/data/lp12x6_seed20240817.json", "--k", "0.02"], "lp12x6_sweep_k0.02_seed1_trials13"),
+    (["tests/data/lp12x6_seed20240817.json", "--k", "1", "--eps-grid", "0.1,0.5,1,5,50"],
+     "lp12x6_sweep_k1_seed1_trials13"),
 ])
 def test_block_size_does_not_change_the_sweep_bytes(monkeypatch, tmp_path, source, pinned):
-    # 6 epsilons x 13 trials make a stream of 78 cells; blocks of 5 and of
-    # 32 straddle epsilon boundaries, blocks of 1 hold one cell each
+    # 6 (or 5) epsilons x 13 trials make a stream of 78 (65) cells; blocks
+    # of 5 and of 32 straddle epsilon boundaries, blocks of 1 hold one cell
+    # each; at k = 1 every block changes all 12 rows of the LP, by large noise
     from pathlib import Path
     from privlp import experiment
     from privlp.cli import main

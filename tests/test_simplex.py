@@ -453,13 +453,21 @@ def _changed_rows(rng, lp, count):
     return moved
 
 
+def _factored_tableau(A, b, basis):
+    """``B^-1 [A | I | b]`` by a full factorization of ``B``, the columns ``basis`` of ``[A | I]``."""
+    m, n = A.shape
+    body = np.hstack([A, np.eye(m), np.asarray(b, dtype=float)[:, None]])
+    return np.linalg.solve(body[:, basis], body)
+
+
 def _solve_pair(monkeypatch, c, system, start):
-    """The solve from ``start`` and the same solve with the update switched off."""
+    """The solve from ``start`` and the same solve started from a full factorization of its basis."""
     warm = _warm(c, system, start)
     with monkeypatch.context() as patched:
-        patched.setattr(start, "T0", None)  # no baseline tableau to update
-        full = _warm(c, system, start)
-    return warm, full
+        patched.setattr(start, "_updated", lambda A, rows: _factored_tableau(
+            A[0], start.system.b, start.basis)[None])
+        factored = _warm(c, system, start)
+    return warm, factored
 
 
 def _assert_same_solve(one, two):
@@ -470,41 +478,38 @@ def _assert_same_solve(one, two):
 
 
 def test_low_rank_update_matches_the_full_factorization(rng, monkeypatch):
+    # every count of changed rows, up to all of them, is updated from the
+    # baseline tableau, and agrees with factoring the new basis outright
     import dataclasses
     from conftest import random_validated_lp
-    from privlp.warmstart import _factored
-    updates = 0
+    updates = every_row = 0
     for trial in range(40):
         m = int(rng.integers(2, 13))
         lp = random_validated_lp(rng, m=m, n=int(rng.integers(2, 8)),
                                  positive_costs=trial % 2 == 0)
         base = solve_lp(lp.c, lp.system)
         start = WarmStart(lp.system, base.basic_columns)
-        b = np.asarray(lp.system.b)
-        for count in range(1, m // 2 + 1):
+        movable = np.count_nonzero((lp.system.sup_A > lp.system.A).any(axis=1))
+        every_row += movable == m
+        for count in range(1, movable + 1):
             A = _changed_rows(rng, lp, count)
             T, _, paths = start.tableaus(A[None])
-            full, _ = _factored(A[None], b, start.basis)
             assert paths.tolist() == ["updated"]
-            assert np.max(np.abs(T - full)) <= 1e-10
+            assert np.max(np.abs(T[0] - _factored_tableau(A, lp.system.b, start.basis))) <= 1e-10
             warm, factored = _solve_pair(monkeypatch, lp.c,
                                          dataclasses.replace(lp.system, A=A), start)
-            assert (warm.start_path, factored.start_path) == ("updated", "factored")
-            assert warm.is_optimal
+            assert warm.start_path == "updated" and warm.is_optimal
             _assert_same_solve(warm, factored)
             updates += 1
-    assert updates > 80
+    assert updates > 200 and every_row > 30
 
 
-def _fallback_case(rng, kind):
-    """A start and a system it must not update to, of the given kind."""
-    import dataclasses
+def _singular_case(rng):
+    """A start, and a system whose updated basis is singular to working precision."""
     from conftest import random_validated_lp
     lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
     base = solve_lp(lp.c, lp.system)
     start = WarmStart(lp.system, base.basic_columns)
-    if kind == "more than half of the rows":
-        return lp, start, dataclasses.replace(lp.system, A=_changed_rows(rng, lp, 5))
     # a row r moved so that C = 1 + d_B . u is about 1e-13: the new basis is
     # singular to working precision, though its LU pivots are not exactly 0
     A = np.array(lp.system.A)
@@ -521,34 +526,44 @@ def _fallback_case(rng, kind):
                                        sup_A=np.maximum(lp.system.sup_A, A))
 
 
-@pytest.mark.parametrize("kind", ["more than half of the rows", "singular update"])
-def test_update_falls_back_to_the_full_factorization(rng, monkeypatch, kind):
-    from privlp.warmstart import _checked, _factored
+def test_singular_update_takes_the_slack_start(rng):
+    from privlp.warmstart import _checked
     for _ in range(5):
-        lp, start, system = _fallback_case(rng, kind)
-        A, b = np.asarray(system.A)[None], np.asarray(system.b)
-        full, B = _factored(A, b, start.basis)
-        T, _, paths = start.tableaus(A)
-        if kind == "singular update":
-            assert not _checked(B, full)[0] and paths.tolist() == ["slack"]
-        else:
-            full[:, :, start.basis] = np.eye(A.shape[1])  # handed over ready to pivot on
-            rhs = full[:, :, -1]
-            rhs[(rhs < 0) & (rhs >= -1e-9)] = 0.0
-            assert paths.tolist() == ["factored"] and np.array_equal(T, full)
-        warm, factored = _solve_pair(monkeypatch, lp.c, system, start)
-        assert warm.start_path == factored.start_path != "updated"
-        assert warm.status == factored.status
+        lp, start, system = _singular_case(rng)
+        A, b = np.asarray(system.A), np.asarray(system.b)
+        full = _factored_tableau(A, b, start.basis)
+        assert not _checked(A, start.basis, full)  # a factorization fails the same check
+        T, basis, paths = start.tableaus(A[None])
+        m, n = A.shape
+        assert paths.tolist() == ["slack"]
+        assert basis.tolist() == [list(range(n, n + m))]
+        assert np.array_equal(T[0], np.hstack([A, np.eye(m), b[:, None]]))
+        warm, cold = _warm(lp.c, system, start), solve_lp(lp.c, system)
+        assert warm.start_path == "slack" and warm.status == cold.status
+        assert (warm.phase1_pivots, warm.phase2_pivots) == (cold.phase1_pivots, cold.phase2_pivots)
         if warm.is_optimal:
-            _assert_same_solve(warm, factored)
+            _assert_same_solve(warm, cold)
 
 
-def test_half_of_the_rows_still_update(rng):
-    from conftest import random_validated_lp
-    lp = random_validated_lp(rng, m=8, n=5, positive_costs=True)
-    start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
-    _, _, paths = start.tableaus(_changed_rows(rng, lp, 4)[None])
-    assert paths.tolist() == ["updated"]
+def test_start_check_reads_the_basis_norm_from_the_columns_of_a(rng):
+    # ||B||_1 is summed from the basic x columns of A; with the condition
+    # number set near 1 / PIVOT_TOL through a sum down B itself, the check
+    # decides as B does, also with one x column, where a plain sum over the
+    # gathered column would add its rows pairwise
+    from privlp.warmstart import PIVOT_TOL, _basis_matrix, _checked
+    for trial in range(300):
+        k, m, n = int(rng.integers(1, 5)), int(rng.integers(8, 30)), int(rng.integers(1, 30))
+        A = rng.normal(size=(k, m, n)) * 10.0 ** rng.integers(-5, 5, size=(k, m, n))
+        nx = 1 if trial % 3 == 0 else int(rng.integers(0, min(m, n) + 1))
+        basis = rng.permutation(np.concatenate([rng.choice(n, nx, replace=False),
+                                                n + rng.choice(m, m - nx, replace=False)]))
+        norm = np.abs(_basis_matrix(A, np.tile(basis, (k, 1)))).sum(axis=-2).max(axis=-1)
+        T = rng.normal(size=(k, m, n + m + 1))
+        inverse_norm = lambda T: np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1)
+        T *= (1 / PIVOT_TOL / (norm * inverse_norm(T)))[:, None, None]
+        usable = norm * inverse_norm(T) < 1 / PIVOT_TOL
+        assert _checked(A, basis, T).tolist() == usable.tolist()
+        assert _checked(A[0], basis, T[0]) == usable[0]
 
 
 def test_start_must_match_the_system_shape(rng):
@@ -591,12 +606,12 @@ def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch
         base = checked_solve(lp.c, lp.system)
         checked_solve(-lp.c, lp.system)  # costs <= 0: the slack start is optimal when b >= 0
         start = WarmStart(lp.system, base.basic_columns)
-        # one changed row takes the update, every row changed a full factorization
+        # one changed row, and every row changed: both are updates of the baseline
         for moved in (_changed_rows(rng, lp, 1), _privatized(lp, 1.0, 1.0, trial).A):
             for c in (lp.c, rng.uniform(0.1, 2.0, lp.system.shape[1])):
                 checked_solve(c, dataclasses.replace(lp.system, A=moved), start=start)
     assert {key for key, count in seen.items() if count >= 3} == {
-        (path, pivoted) for path in ("slack", "factored", "updated") for pivoted in (False, True)}
+        (path, pivoted) for path in ("slack", "updated") for pivoted in (False, True)}
 
 
 def _privatized_block(lp, eps, k, seeds):
@@ -624,7 +639,7 @@ def test_block_solves_match_single_solves_on_random_lps(rng, k):
             np.asarray(lp.system.sup_A) - np.asarray(lp.system.A))[rows]
         paths |= {sol.start_path
                   for sol in assert_block_matches_single_solves(lp.c, block, start)}
-    assert paths == {"updated", "factored"}
+    assert paths == {"updated"}
 
 
 def test_block_mixes_every_kind_of_trial(rng):
@@ -633,7 +648,7 @@ def test_block_mixes_every_kind_of_trial(rng):
     # finish in the stack, trials that pivot, trials whose start needs
     # artificials, and a trial whose start is singular
     from conftest import assert_block_matches_single_solves
-    lp, start, singular = _fallback_case(rng, "singular update")
+    lp, start, singular = _singular_case(rng)
     A = np.asarray(lp.system.A)
     r = int(np.flatnonzero((np.asarray(singular.A) != A).any(axis=1))[0])
     d = np.asarray(singular.A)[r] - A[r]
@@ -716,8 +731,8 @@ def _recorded_ratio_ties(monkeypatch):
 
 @pytest.mark.parametrize("family", ["grid", "12x6"])
 def test_one_block_finishes_every_kind_of_trial(monkeypatch, family):
-    # each trial changes more than half of the rows, so it is factored on
-    # its own as in the block; edits of privatized matrices add a singular
+    # each trial changes more than half of the rows, and is updated from the
+    # baseline as on its own; edits of privatized matrices add a singular
     # start basis (two equal basic columns), an unbounded trial (a column of
     # zeros with a positive cost), a ratio-test tie (a row made a multiple of
     # another, right-hand sides included) and a start that needs phase 1
@@ -751,7 +766,7 @@ def test_one_block_finishes_every_kind_of_trial(monkeypatch, family):
             kinds.add("phase 2")
         if sol.is_optimal and sol.phase1_pivots + sol.phase2_pivots == 0:
             kinds.add("no pivot")
-    assert kinds >= {"ratio tie", OPTIMAL, UNBOUNDED, "factored", "slack", "phase 1", "phase 2",
+    assert kinds >= {"ratio tie", OPTIMAL, UNBOUNDED, "updated", "slack", "phase 1", "phase 2",
                      "no pivot"}
     assert max(sol.phase1_pivots + sol.phase2_pivots for sol in solved) >= 2
     assert_block_matches_single_solves(lp.c, block, start)
