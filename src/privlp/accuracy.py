@@ -16,10 +16,11 @@ of its rows vanishes, and its contribution is the reciprocal of
 That inner minimum is found by face enumeration: on the support where a
 local minimizer is strictly positive it is an unconstrained critical point
 of the Rayleigh quotient, hence a bottom eigenvector of the corresponding
-principal submatrix of A_J A_J^T. Supports of more than rank(A) + 1
-rows add nothing (see Peña, Vera & Zuluaga, "New characterizations of
-Hoffman constants for systems of linear constraints", Math. Programming,
-2021), and each support size is decomposed in one batched call.
+principal submatrix of A_J A_J^T. The Hoffman constant needs the supports
+of at most rank(A) rows, ``inner_cone_min`` those of at most rank + 1
+(Peña, Vera & Zuluaga, "New characterizations of Hoffman constants for
+systems of linear constraints", Math. Programming, 2021); each batched
+``eigh`` call takes up to 256 supports of one size.
 
 Only ``xi`` depends on the privacy parameters. :func:`bound_geometry`
 computes the other three factors once per problem, and
@@ -36,12 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .mechanism import _row_calibration
-from .problem import ConstraintSystem, LinearProgram, PrivacyParams
+from .problem import ConstraintSystem, LinearProgram, PrivacyParams, _require_finite
 from . import simplex
 
 HOFFMAN_ROW_CAP = 14
@@ -101,67 +102,66 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return np.where(touches, values, np.inf)
 
 
-def _subset_minima(A: np.ndarray) -> np.ndarray:
-    """f[mask] = inner_cone_min over the rows selected by mask, all masks.
+def _support_walk(A: np.ndarray, max_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per size up to ``max_size``: the row supports as bitmasks, and their candidates g(S).
 
-    Only supports of at most rank(A) + 1 rows are evaluated. A positive
-    minimizer needs a nonsingular Gram submatrix G_S (along a null vector
-    of G_S the numerator stays put while ||v|| grows), so |S| <= rank; a
-    zero comes from a minimal positively dependent row set, which has at
-    most rank + 1 rows. A subset-minimum transform then shares each
-    support's candidate with every subset containing it.
+    A singleton's g is its row norm; a larger support's is ``_support_candidates``'s.
     """
     m = A.shape[0]
     gram = A @ A.T
-    f = np.full(1 << m, np.inf)
-    f[1 << np.arange(m)] = np.sqrt(np.maximum(np.diag(gram), 0.0))
-    for size in range(2, min(m, np.linalg.matrix_rank(A) + 1) + 1):
-        supports = itertools.combinations(range(m), size)
-        while chunk := list(itertools.islice(supports, _SUPPORT_CHUNK)):
-            idx = np.array(chunk)
-            f[(1 << idx).sum(axis=1)] = _support_candidates(gram, idx)
-    for bit in range(m):
-        pairs = f.reshape(-1, 2, 1 << bit)
-        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    return f
+    for size in range(1, min(m, max_size) + 1):
+        idx = np.array(list(itertools.combinations(range(m), size)))
+        if size == 1:
+            g = np.sqrt(np.maximum(np.diag(gram), 0.0))
+        else:
+            g = np.concatenate([_support_candidates(gram, idx[i:i + _SUPPORT_CHUNK])
+                                for i in range(0, len(idx), _SUPPORT_CHUNK)])
+        yield (1 << idx).sum(axis=1), g
 
 
 def inner_cone_min(M) -> float:
     """Exact min of ||M^T v||_2 over nonnegative unit vectors v.
 
-    Face enumeration over the supports of v; every candidate value is
-    attained by a feasible v, and the true minimizer appears as the bottom
-    eigenpair of its own support's Gram submatrix, so the minimum over
-    candidates is exact.
+    Face enumeration over the supports of v of at most rank(M) + 1 rows (a
+    zero comes from a minimal positively dependent set, of at most rank + 1
+    rows); every candidate is attained by a feasible v, and the minimizer
+    is the bottom eigenpair of its own support's Gram block.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    r = M.shape[0]
     if M.size == 0:
         raise ValueError("M must be non-empty")
-    if r > 20:
-        raise ValueError(f"face enumeration over {r} rows is too large")
-    return float(_subset_minima(M)[-1])
+    if M.shape[0] > 20:
+        raise ValueError(f"face enumeration over {M.shape[0]} rows is too large")
+    _require_finite(M, "M")
+    return float(min(g.min() for _, g in _support_walk(M, np.linalg.matrix_rank(M) + 1)))
 
 
 def hoffman_constant(A) -> float:
     """Hoffman constant of A for the (2,2)-norm pair, by exact enumeration.
 
-    Maximizes 1 / inner_cone_min(A_J) over all nonempty row subsets J whose
-    inner minimum exceeds the admission tolerance (exactly the subsets for
-    which x -> A_J x + nonneg orthant is surjective). Raises
-    :class:`HoffmanSizeError` beyond the row cap and
+    Maximizes 1 / inner_cone_min(A_J) over the row subsets J whose inner
+    minimum exceeds ADMISSION_TOL (exactly those for which x -> A_J x +
+    nonneg orthant is surjective): 1 / min g(S) over the admitted supports
+    S, those with g(S) > ADMISSION_TOL that contain no dependent one. A
+    positive minimizer needs a nonsingular Gram block, so supports of more
+    than rank(A) rows, with g 0 or +inf, only exclude subsets whose minimum
+    lies on admitted supports of at most rank rows, and go unevaluated.
+    Raises :class:`HoffmanSizeError` beyond the row cap and
     :class:`DegenerateSystemError` when no subset is admissible.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    m = A.shape[0]
-    if m > HOFFMAN_ROW_CAP:
+    _require_finite(A, "A")
+    if A.shape[0] > HOFFMAN_ROW_CAP:
         raise HoffmanSizeError(
-            f"exact Hoffman enumeration supports at most {HOFFMAN_ROW_CAP} rows, got {m}")
-    f = _subset_minima(A)[1:]
-    admitted = f > ADMISSION_TOL
-    if not admitted.any():
+            f"exact Hoffman enumeration supports at most {HOFFMAN_ROW_CAP} rows, got {A.shape[0]}")
+    admitted, dependent = [], np.zeros(0, np.int64)  # dependent: the minimal ones met so far
+    for masks, g in _support_walk(A, np.linalg.matrix_rank(A)):
+        free = ((masks[:, None] & dependent) != dependent).all(axis=1)
+        admitted += g[free & (g > ADMISSION_TOL)].tolist()
+        dependent = np.append(dependent, masks[free & (g <= ADMISSION_TOL)])
+    if not admitted:
         raise DegenerateSystemError("no admissible row subset; Hoffman constant undefined")
-    return float(1.0 / f[admitted].min())
+    return 1.0 / min(admitted)
 
 
 @dataclass(frozen=True)

@@ -306,3 +306,37 @@ def hoffman_all_supports(A, admit_tol=1e-9) -> float:
     if admitted.size == 0:
         raise ValueError("no admissible subset")
     return float(1.0 / admitted.min())
+
+
+def subset_minima_table(A: np.ndarray) -> np.ndarray:
+    """f[mask] = inner_cone_min over the rows selected by mask, all masks.
+
+    The package's earlier algorithm, kept verbatim as the bit-for-bit
+    reference for the support walk that replaced it. Only supports of at
+    most rank(A) + 1 rows are evaluated (by the package's own
+    ``_support_candidates``); a subset-minimum transform over a 2^m table
+    then shares each support's candidate with every subset containing it.
+    """
+    from privlp.accuracy import _SUPPORT_CHUNK, _support_candidates
+    m = A.shape[0]
+    gram = A @ A.T
+    f = np.full(1 << m, np.inf)
+    f[1 << np.arange(m)] = np.sqrt(np.maximum(np.diag(gram), 0.0))
+    for size in range(2, min(m, np.linalg.matrix_rank(A) + 1) + 1):
+        supports = itertools.combinations(range(m), size)
+        while chunk := list(itertools.islice(supports, _SUPPORT_CHUNK)):
+            idx = np.array(chunk)
+            f[(1 << idx).sum(axis=1)] = _support_candidates(gram, idx)
+    for bit in range(m):
+        pairs = f.reshape(-1, 2, 1 << bit)
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return f
+
+
+def hoffman_table(A, admit_tol=1e-9) -> float:
+    """Hoffman constant from :func:`subset_minima_table`: 1 / the least admitted entry."""
+    f = subset_minima_table(np.atleast_2d(np.asarray(A, dtype=float)))[1:]
+    admitted = f > admit_tol
+    if not admitted.any():
+        raise ValueError("no admissible subset")
+    return float(1.0 / f[admitted].min())

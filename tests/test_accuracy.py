@@ -23,8 +23,8 @@ from privlp.accuracy import XI_CLIPPED, XI_INTERIOR
 from privlp import simplex
 
 from conftest import random_validated_lp
-from oracles import (hoffman_all_supports, hoffman_bruteforce, orthant_t_lp, sphere_inner_min,
-                     trunc_laplace_moment)
+from oracles import (hoffman_all_supports, hoffman_bruteforce, hoffman_table, orthant_t_lp,
+                     sphere_inner_min, subset_minima_table, trunc_laplace_moment)
 
 PP = PrivacyParams(epsilon=1.0, delta=0.05, k=1.0)
 
@@ -102,7 +102,7 @@ def test_hoffman_equals_per_subset_definition(rng):
 
 
 def test_hoffman_matches_bruteforce_on_tall_rank_deficient(rng):
-    # more rows than rank + 1, so supports above rank + 1 go unevaluated
+    # more rows than rank + 1, so the Hoffman walk leaves supports above rank unevaluated
     half = rng.normal(size=(6, 3))
     half[:, 0] = np.abs(half[:, 0]) + 0.5    # rows in an open half-space
     dup = rng.normal(size=(6, 2))
@@ -130,8 +130,10 @@ def test_hoffman_matches_all_support_enumeration_on_10x3(rng):
 
 def test_orthant_test_decides_as_the_t_lp_on_the_eigenspaces_met(rng, monkeypatch):
     # the repeated bottom eigenspaces of the tier-1 Hoffman inputs: identities,
-    # the 10x3 mixed matrix (one of whose eigenspaces misses the orthant) and
-    # the inequality form of public equality rows
+    # the 10x3 mixed matrix and the inequality form of public equality rows.
+    # The one eigenspace that misses the orthant belongs to a 4-row support
+    # of the rank-3 mixed matrix: inner_cone_min walks it, the Hoffman
+    # constant (supports of at most rank rows) does not
     from privlp import accuracy
     decide = accuracy._eigenspace_touches_orthant
     decisions = []
@@ -148,7 +150,9 @@ def test_orthant_test_decides_as_the_t_lp_on_the_eigenspaces_met(rng, monkeypatc
     paired = [np.vstack([E, -E[:2]]) for E in rng.normal(size=(4, 3, 3))]
     for A in [np.eye(n) for n in range(2, 6)] + [mixed] + paired:
         hoffman_constant(A)
-    assert len(decisions) == 63 and decisions.count(False) == 1
+    assert len(decisions) == 44 and decisions.count(False) == 0
+    inner_cone_min(mixed)
+    assert len(decisions) == 61 and decisions.count(False) == 1
 
 
 @pytest.mark.parametrize("r, d", [(3, 2), (4, 2), (5, 3), (6, 4)])
@@ -165,6 +169,86 @@ def test_orthant_test_on_random_spans(rng, r, d):
         misses = np.linalg.qr(g - np.outer(u, u @ g) / (u @ u))[0]
         for V, expected in ((meets, True), (misses, False)):
             assert _eigenspace_touches_orthant(V) == orthant_t_lp(V) == expected
+
+
+def _table_families(rng):
+    """Seeded matrices with the dependent supports the walk must exclude."""
+    for _ in range(4):
+        yield random_validated_lp(rng, m=12, n=6, positive_costs=True).system.A
+    for m, n in ((6, 3), (8, 4), (10, 3)):
+        base = rng.normal(size=(m, n))
+        pm, dup, mult, zero = base.copy(), base.copy(), base.copy(), base.copy()
+        pm[-2:] = -base[:2]                      # +/- pairs
+        dup[-1] = base[1]                        # a duplicate row
+        mult[-1] = 2.5 * base[0]                 # a positive multiple
+        zero[m // 2] = 0.0                       # a zero row
+        yield from (pm, dup, mult, zero)
+        yield rng.normal(size=(m, 2)) @ rng.normal(size=(2, n))  # rank 2, tall
+        yield np.round(2.0 * base)                               # integer-rounded
+
+
+def test_hoffman_and_inner_min_equal_the_table_algorithm_bit_for_bit(rng):
+    # the walk over supports of at most rank rows must return the very
+    # float that the 2^m subset-minimum table over rank + 1 rows returns
+    for A in _table_families(rng):
+        assert hoffman_constant(A) == hoffman_table(A)
+        assert inner_cone_min(A) == subset_minima_table(A)[-1]
+
+
+def test_hoffman_sends_no_support_above_rank_and_inner_min_reaches_rank_plus_one(rng,
+                                                                                 monkeypatch):
+    from privlp import accuracy
+    candidates = accuracy._support_candidates
+    sizes = []
+
+    def spy(gram, supports):
+        sizes.append(supports.shape[1])
+        return candidates(gram, supports)
+
+    monkeypatch.setattr(accuracy, "_support_candidates", spy)
+    for A in _table_families(rng):
+        rank = np.linalg.matrix_rank(A)
+        sizes.clear()
+        hoffman_constant(A)
+        assert max(sizes) == rank
+        sizes.clear()
+        inner_cone_min(A)
+        assert max(sizes) == rank + 1
+
+
+def test_hoffman_excludes_the_supersets_of_a_dependent_support(rng, monkeypatch):
+    # by interlacing, a support that holds a numerically singular one is
+    # singular too, so only eigensolver round-off at the collapse threshold
+    # could give it a positive candidate. Fabricate that case: the walk must
+    # still exclude every support that holds the dependent pair, as the table
+    # of subset minima does
+    from privlp import accuracy
+    candidates = accuracy._support_candidates
+
+    def fabricated(gram, supports):
+        g = candidates(gram, supports)
+        masks = (1 << supports).sum(axis=1)
+        g[masks == 0b011] = 0.0     # rows 0 and 1: a dependent pair
+        g[masks == 0b111] = 1e-3    # rows 0-2: a candidate below every true one
+        return g
+
+    monkeypatch.setattr(accuracy, "_support_candidates", fabricated)
+    A = rng.normal(size=(5, 3))
+    assert hoffman_constant(A) == hoffman_table(A) < 1e3
+
+
+def test_hoffman_names_a_non_finite_entry():
+    with pytest.raises(ValueError, match=r"A\[0\]\[0\] is inf; entries must be finite"):
+        hoffman_constant([[np.inf]])
+    with pytest.raises(ValueError, match=r"A\[0\]\[0\] is nan; entries must be finite"):
+        hoffman_constant([[np.nan, 1.0]])
+
+
+def test_inner_min_names_a_non_finite_entry():
+    with pytest.raises(ValueError, match=r"M\[0\]\[1\] is -inf; entries must be finite"):
+        inner_cone_min([[1.0, -np.inf]])
+    with pytest.raises(ValueError, match=r"M\[0\]\[0\] is nan; entries must be finite"):
+        inner_cone_min([[np.nan]])
 
 
 def test_hoffman_size_cap():

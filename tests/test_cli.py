@@ -416,6 +416,19 @@ def test_bound_json_matches_the_pinned_bytes(tmp_path):
     assert out.read_bytes() == expected
 
 
+def test_bound_json_with_dependent_rows_matches_the_pinned_bytes(tmp_path):
+    # 14 rows of rank 6: rows 0-10 of the 12x6 LP, a duplicate of row 2, 2.5
+    # times row 1 and row 3 negated, so the Hoffman constant must exclude the
+    # supports that hold one of those dependent pairs
+    from pathlib import Path
+    data = Path(__file__).resolve().parent / "data"
+    out = tmp_path / "bound.json"
+    assert main(["bound", str(data / "lp14x6_dependent_rows.json"),
+                 "--epsilon", "1", "--k", "0.02", "--delta", "0.05", "--out", str(out)]) == 0
+    expected = (data / "lp14x6_dependent_rows_bound_eps1_k0.02.json").read_bytes()
+    assert out.read_bytes() == expected
+
+
 def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, monkeypatch,
                                                                   tmp_path):
     # a released private solution must depend on A_tilde alone, so only the
