@@ -102,21 +102,24 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return np.where(touches, values, np.inf)
 
 
-def _support_walk(A: np.ndarray, max_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per size up to ``max_size``: the row supports as bitmasks, and their candidates g(S).
+def _support_walk(A: np.ndarray, max_size: int, name: str) -> Iterator[np.ndarray]:
+    """Per size up to ``max_size``: the candidates g(S) of the row supports of that size.
 
     A singleton's g is its row norm; a larger support's is ``_support_candidates``'s.
+    Raises ``ValueError`` naming the matrix ``name`` when its Gram matrix overflows.
     """
     m = A.shape[0]
-    gram = A @ A.T
+    with np.errstate(over="ignore"):
+        gram = A @ A.T
+    if not np.isfinite(gram).all():
+        raise ValueError(f"{name} @ {name}.T overflows; entries of {name} are too large")
     for size in range(1, min(m, max_size) + 1):
         idx = np.array(list(itertools.combinations(range(m), size)))
         if size == 1:
-            g = np.sqrt(np.maximum(np.diag(gram), 0.0))
+            yield np.sqrt(np.maximum(np.diag(gram), 0.0))
         else:
-            g = np.concatenate([_support_candidates(gram, idx[i:i + _SUPPORT_CHUNK])
-                                for i in range(0, len(idx), _SUPPORT_CHUNK)])
-        yield (1 << idx).sum(axis=1), g
+            yield np.concatenate([_support_candidates(gram, idx[i:i + _SUPPORT_CHUNK])
+                                  for i in range(0, len(idx), _SUPPORT_CHUNK)])
 
 
 def inner_cone_min(M) -> float:
@@ -133,7 +136,7 @@ def inner_cone_min(M) -> float:
     if M.shape[0] > 20:
         raise ValueError(f"face enumeration over {M.shape[0]} rows is too large")
     _require_finite(M, "M")
-    return float(min(g.min() for _, g in _support_walk(M, np.linalg.matrix_rank(M) + 1)))
+    return float(min(g.min() for g in _support_walk(M, np.linalg.matrix_rank(M) + 1, "M")))
 
 
 def hoffman_constant(A) -> float:
@@ -142,10 +145,10 @@ def hoffman_constant(A) -> float:
     Maximizes 1 / inner_cone_min(A_J) over the row subsets J whose inner
     minimum exceeds ADMISSION_TOL (exactly those for which x -> A_J x +
     nonneg orthant is surjective): 1 / min g(S) over the admitted supports
-    S, those with g(S) > ADMISSION_TOL that contain no dependent one. A
-    positive minimizer needs a nonsingular Gram block, so supports of more
-    than rank(A) rows, with g 0 or +inf, only exclude subsets whose minimum
-    lies on admitted supports of at most rank rows, and go unevaluated.
+    S, those with g(S) > ADMISSION_TOL. A positive minimizer needs a
+    nonsingular Gram block, so only supports of at most rank(A) rows are
+    evaluated; by Cauchy interlacing a support that holds a singular one is
+    singular too, with g 0 or +inf, so it is never admitted.
     Raises :class:`HoffmanSizeError` beyond the row cap and
     :class:`DegenerateSystemError` when no subset is admissible.
     """
@@ -154,14 +157,11 @@ def hoffman_constant(A) -> float:
     if A.shape[0] > HOFFMAN_ROW_CAP:
         raise HoffmanSizeError(
             f"exact Hoffman enumeration supports at most {HOFFMAN_ROW_CAP} rows, got {A.shape[0]}")
-    admitted, dependent = [], np.zeros(0, np.int64)  # dependent: the minimal ones met so far
-    for masks, g in _support_walk(A, np.linalg.matrix_rank(A)):
-        free = ((masks[:, None] & dependent) != dependent).all(axis=1)
-        admitted += g[free & (g > ADMISSION_TOL)].tolist()
-        dependent = np.append(dependent, masks[free & (g <= ADMISSION_TOL)])
-    if not admitted:
+    g = np.concatenate([np.zeros(0), *_support_walk(A, np.linalg.matrix_rank(A), "A")])
+    admitted = g[g > ADMISSION_TOL]
+    if not admitted.size:
         raise DegenerateSystemError("no admissible row subset; Hoffman constant undefined")
-    return 1.0 / min(admitted)
+    return 1.0 / float(admitted.min())
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,8 @@ class PrivatizedSystem:
     masked rows, which are never privatized); ``row_nonzero_counts[i]`` the
     number of privatized entries; ``clipped_counts[i]`` how many of them
     landed on ``sup_A``. ``noise_log`` optionally records the raw noise
-    draws (NaN at masked entries) for distributional tests.
+    draws (NaN at masked entries) for distributional tests. It holds no
+    seed: the seed is the mechanism's secret, and the caller keeps it.
     """
 
     A_tilde: np.ndarray
@@ -130,7 +131,6 @@ class PrivatizedSystem:
     row_nonzero_counts: np.ndarray
     clipped_counts: np.ndarray
     params: PrivacyParams
-    seed: int
     noise_log: np.ndarray | None = None
 
 
@@ -188,7 +188,7 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     A_tilde.flags.writeable = False
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
                             row_nonzero_counts=counts, clipped_counts=clipped,
-                            params=p, seed=seed, noise_log=noise)
+                            params=p, noise_log=noise)
 
 
 def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:

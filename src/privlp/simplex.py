@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex for small LPs, plus vertex utilities.
+"""Dense two-phase primal simplex for small LPs, its warm start, and vertex utilities.
 
 Solves  maximize c.x  s.t.  A x <= b, x >= 0,  where some rows of a
 :class:`ConstraintSystem` may be equalities.  Pivoting is fully
@@ -7,10 +7,15 @@ index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
+This module owns the tableau, laid out as ``[x | slacks | artificials |
+rhs]``, and every start of it. :func:`_slack_start` builds the slack start
+``[A | I | b]`` in the basis ``n..n+m-1`` for a stack of systems; a
+:class:`WarmStart` factors a baseline basis once and builds each system's
+start in that basis by a Woodbury update, falling back to the slack start.
 One routine finishes every solve, a stack of systems at a time:
 :func:`solve_block` a block of matrices of one system from a
 :class:`WarmStart`'s stacked start tableaus, :func:`solve_lp` a block of
-one from the slack basis. Rows whose start value is negative are
+one from the slack start. Rows whose start value is negative are
 sign-flipped and get an artificial, so phase 1 runs over those rows only.
 An equality row's unit column is an artificial rather than a slack, so
 phase 1 drives it out of the basis and it never enters again, except that
@@ -26,17 +31,22 @@ dense, no sparsity. The vertex utilities (:func:`enumerate_vertices`,
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .problem import FEAS_TOL, ConstraintSystem
-from .warmstart import PIVOT_TOL, WarmStart, _basis_matrix, _slack_tableau, _stacked_solve
 
 _MAX_PIVOTS = 200_000
+_STALL_LIMIT = 200
 _MAX_VERTEX_BASES = 500_000  # bases one vertex enumeration may meet
 _VERTEX_CHUNK = 256
+
+# Entries below this are zero to the simplex, and a start basis whose 1-norm
+# condition number reaches its inverse is singular.
+PIVOT_TOL = 1e-10
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -73,7 +83,140 @@ class Solution:
         return self.status == OPTIMAL
 
 
-_STALL_LIMIT = 200
+def _slack_start(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, basis)``: per matrix of the stack ``A``, the slack start ``[A | I | b]``.
+
+    ``basis`` is the slack basis ``n..n+m-1`` for each system, a new array
+    the solve may update in place.
+    """
+    k, m, n = A.shape
+    T = np.zeros((k, m, n + m + 1))
+    T[..., :n] = A
+    T[..., np.arange(m), np.arange(n, n + m)] = 1.0
+    T[..., -1] = b
+    return T, np.tile(np.arange(n, n + m), (k, 1))
+
+
+def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Columns ``basis[t]`` of ``[A[t] | I]`` for each matrix of the stack ``A``."""
+    k, m, n = A.shape
+    rows = n * np.arange(k * m).reshape(k, m, 1)  # where each row of A starts
+    B = A.reshape(-1).take(rows + np.minimum(basis, n - 1)[:, None, :])
+    t, j = np.nonzero(basis >= n)
+    B[t, :, j] = 0.0
+    B[t, basis[t, j] - n, j] = 1.0
+    return B
+
+
+def _stacked_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``M^-1 R`` per system of the stack ``M`` (``R`` may be shared); NaN where ``M`` is singular.
+
+    One stacked call solves each system as a call on its own would; only
+    when one of them is singular (which raises for the whole stack) are
+    they solved one by one.
+    """
+    try:
+        return np.linalg.solve(M, R)
+    except np.linalg.LinAlgError:  # one is singular, or not square
+        R = np.broadcast_to(R, M.shape[:-1] + R.shape[-1:])
+        out = np.full(R.shape, np.nan)
+        for t in range(R.shape[0]):
+            try:
+                out[t] = np.linalg.solve(M[t], R[t])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _checked(A: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Per system of the stack ``A``, whether ``T = B^-1 [A | I | b]`` is usable: ``B`` is not singular.
+
+    ``B`` is the columns ``basis`` of ``[A | I]``. LU reports only an exactly
+    zero pivot, so besides finiteness the 1-norm condition number
+    ``||B||_1 ||B^-1||_1`` must stay under ``1 / PIVOT_TOL``. ``||B||_1`` is
+    the largest absolute column sum of ``A`` at the basic x columns, or 1
+    for a slack column; ``B^-1`` is the slack block of ``T``. Each column
+    sum adds its rows one after another, as a sum down ``B`` does; a sum
+    over the gathered columns may add them pairwise, in other bits.
+    """
+    m, n = A.shape[-2:]
+    rows = np.abs(np.moveaxis(A, -2, 0)[..., basis[basis < n]])
+    norm = functools.reduce(np.add, rows).max(axis=-1, initial=float((basis >= n).any()))
+    condition = norm * np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1)
+    return np.isfinite(T).all(axis=(-2, -1)) & (condition < 1 / PIVOT_TOL)
+
+
+class WarmStart:
+    """A basis factored once, to start solves of systems that differ in data.
+
+    Holds the baseline ``system`` (its ``b`` and equality rows are every
+    solve's), the basis (m column indices into ``[x | slacks]``, such as a
+    solve's ``basic_columns``) and the baseline tableau ``T0 = B0^-1 [A |
+    I | b]``, with ``B0`` the basis columns of ``[A | I]``; ``T0`` is None
+    when the basis is singular for the baseline. Starts are built for a
+    block of systems that differ from the baseline only in ``A``, as one
+    ``(k, m, n + m + 1)`` stack of tableaus; a block of one is a single
+    start.
+    """
+
+    def __init__(self, system: ConstraintSystem, basic_columns):
+        self.system = system
+        self.A, self.b = np.asarray(system.A), np.asarray(system.b)
+        self.basis = np.array(basic_columns, dtype=int)
+        body = _slack_start(self.A[None], self.b)[0]
+        T0 = _stacked_solve(body[..., :-1][..., self.basis], body)[0]
+        self.T0 = T0 if _checked(self.A, self.basis, T0) else None
+
+    def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(T, basis, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
+
+        ``T[t]`` is the tableau in ``basis[t]``, and ``paths[t]`` names how
+        it was built: ``"updated"`` for ``B[t]^-1 [A[t] | I | b]`` in the
+        start's basis, with ``B[t]`` its basis columns of ``[A[t] | I]``,
+        and ``"slack"`` for the slack start where ``B[t]`` is singular.
+        Every system is an update of ``T0`` over the union of the rows that
+        changed in any of them, however many those are, and its products
+        and solves run as they would on that system alone, so its tableau
+        depends on the rest of its block only through which rows changed.
+        In the start's basis, the basis columns are exactly the identity,
+        and a value in ``[-FEAS_TOL, 0)`` is round-off and is set to 0.
+        """
+        if A.shape[1:] != self.A.shape:
+            raise ValueError(f"start was built for a system of shape {self.A.shape}, "
+                             f"not {A.shape[1:]}")
+        k, m, _ = A.shape
+        if self.T0 is None:
+            return *_slack_start(A, self.b), np.full(k, "slack", dtype=object)
+        T = self._updated(A, np.flatnonzero((A != self.A).any(axis=(0, 2))))
+        usable = _checked(A, self.basis, T)
+        T[:, :, self.basis] = np.eye(m)
+        rhs = T[:, :, -1]
+        rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0
+        basis = np.tile(self.basis, (k, 1))
+        if not usable.all():
+            T[~usable], basis[~usable] = _slack_start(A[~usable], self.b)
+        return T, basis, np.where(usable, "updated", "slack").astype(object)
+
+    def _updated(self, A: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``T0`` updated to each system of ``A`` by the Woodbury identity.
+
+        With ``R`` the changed rows, ``D = A[R] - A0[R]``, ``D_B`` its basis
+        columns (0 at slacks) and ``U = T0[:, n + R]`` (columns ``R`` of
+        ``B0^-1``): ``T = T0 - U C^-1 (D_B T0 - [D | 0 | 0])``, with
+        ``C = I + D_B U``. A system whose ``C`` is singular gets a NaN
+        ``T``. ``np.matmul`` runs each system's products as ``np.dot`` runs
+        them on one system, to the bit.
+        """
+        k, m, n = A.shape
+        D = A[:, rows] - self.A[rows]
+        x = np.flatnonzero(self.basis < n)
+        D_B = np.zeros((k, rows.size, m))
+        D_B[:, :, x] = D[:, :, self.basis[x]]
+        U = self.T0[:, n + rows]
+        W = np.matmul(D_B, self.T0)
+        W[:, :, :n] -= D
+        T = np.matmul(U, _stacked_solve(np.eye(rows.size) + np.matmul(D_B, U), W))
+        return np.subtract(self.T0, T, out=T)
 
 
 def _priced_objective(costs: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -319,9 +462,7 @@ def solve_lp(c, sys: ConstraintSystem) -> Solution:
     constraints at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
     """
     A = np.asarray(sys.A)[None]
-    m, n = sys.shape
-    basis = np.arange(n, n + m)[None]
-    return _solve_stack(c, sys, A, _slack_tableau(A, sys.b), basis, ("slack",))[0]
+    return _solve_stack(c, sys, A, *_slack_start(A, sys.b), ("slack",))[0]
 
 
 def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
@@ -341,9 +482,9 @@ def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
 def _phase1(A: np.ndarray, b: np.ndarray,
             equality: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
     """The slack start of ``A x <= b`` after phase 1 as a stack of one ``(T, basis)``, or None."""
-    m, n = A.shape
-    basis = np.arange(n, n + m)[None]
-    T, artificial, appended = _entered(_slack_tableau(A, b)[None], basis, n, equality)
+    n = A.shape[1]
+    T, basis = _slack_start(A[None], b)
+    T, artificial, appended = _entered(T, basis, n, equality)
     feasible = _Tableau(T[0], basis[0], n, artificial).solve_phase1(appended[0])
     return (T, basis) if feasible else None
 
@@ -355,21 +496,21 @@ def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
     return None if started is None else _vertices(A[None], b, started[0][..., -1], started[1])[0]
 
 
-def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
-                tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _walk_bases(rows: np.ndarray, rhs: np.ndarray,
+                start: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
     """The accepted bases of ``rows x <= rhs`` met by walking from ``start``, and their vertices.
 
     Bases are expanded ``_VERTEX_CHUNK`` at a time. A basis is accepted as
     the full scan accepts it: no exact zero pivot in its LU factorization
     (``slogdet``), a finite per-matrix ``solve`` and a vertex feasible at
-    ``tol``. Only accepted bases are expanded. Leaving ``S[j]`` moves along
-    column ``j`` of ``-inv(rows[S])``, and one ratio test over all n
+    ``FEAS_TOL``. Only accepted bases are expanded. Leaving ``S[j]`` moves
+    along column ``j`` of ``-inv(rows[S])``, and one ratio test over all n
     directions gives each bounded edge's far basis. At a degenerate vertex
-    (more than n constraints within ``tol``), every n-subset of its tight
-    constraints joins the walk: then every basis of the vertex is met, and
-    each edge leaving it is the direction of one of them. An edge with no
-    finite ratio is a ray of the region: the walk returns None at the first
-    one it meets. Raises ``ValueError`` as soon as more than
+    (more than n constraints within ``FEAS_TOL``), every n-subset of its
+    tight constraints joins the walk: then every basis of the vertex is met,
+    and each edge leaving it is the direction of one of them. An edge with
+    no finite ratio is a ray of the region: the walk returns None at the
+    first one it meets. Raises ``ValueError`` as soon as more than
     ``_MAX_VERTEX_BASES`` bases are met.
     """
     n = rows.shape[1]
@@ -397,14 +538,14 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
         keep = np.isfinite(X).all(axis=1)
         frontier, squares, X = frontier[keep], squares[keep], X[keep]
         excess = X @ rows.T - rhs
-        keep = ~(excess.max(axis=1) > tol)
+        keep = ~(excess.max(axis=1) > FEAS_TOL)
         frontier, squares, X, slack = frontier[keep], squares[keep], X[keep], -excess[keep]
         accepted.append(frontier)
         vertices.append(X)
         inv = np.linalg.inv(squares)
         keep = np.isfinite(inv).all(axis=(1, 2))
         frontier, inv, slack = frontier[keep], inv[keep], slack[keep]
-        tight = slack <= tol
+        tight = slack <= FEAS_TOL
         rate = -(rows @ inv)  # rate[a, i, j]: how fast slack i falls along edge j of basis a
         # a basis' own rows stay tight along its edges; round-off there must not block at 0
         rate[np.arange(frontier.shape[0])[:, None], frontier] = 0.0
@@ -425,7 +566,7 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray, start: tuple[int, ...],
     return np.concatenate(accepted), np.concatenate(vertices)
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray | None:
+def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """All vertices of a bounded {x >= 0 : A x <= b}, one per row, deduplicated.
 
     Vertices are intersections of n active constraints drawn from the m
@@ -435,8 +576,8 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     follows the number of vertices. The walk accepts a basis by the full
     scan's own test: a basis whose LU factorization meets an exact zero
     pivot is singular and skipped, the rest are solved per matrix and kept
-    when finite and feasible at ``tol``. The walk meets every basis the scan
-    accepts; sorted into the scan's lexicographic basis order, each vertex
+    when finite and feasible at ``FEAS_TOL``. The walk meets every basis the
+    scan accepts; sorted into the scan's lexicographic basis order, each vertex
     is kept at its first basis, so the output is the scan's, byte for byte.
     Raises ``ValueError`` when the walk meets more than ``_MAX_VERTEX_BASES``
     bases; returns a ``(0, n)`` array for an empty region, and None for an
@@ -456,7 +597,7 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = FEAS_TOL) -> n
     start = tuple(np.sort(np.where(nonbasic < n, m + nonbasic, nonbasic - n)).tolist())
     rows = np.vstack([A, -np.eye(n)])
     rhs = np.concatenate([b, np.zeros(n)])
-    walked = _walk_bases(rows, rhs, start, tol)
+    walked = _walk_bases(rows, rhs, start)
     if walked is None:
         return None
     bases, X = walked

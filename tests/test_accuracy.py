@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +86,6 @@ def test_hoffman_matches_bruteforce(rng):
 def test_hoffman_equals_per_subset_definition(rng):
     # the shared-candidate computation must agree with literally calling
     # inner_cone_min on every row subset
-    import itertools
     for _ in range(8):
         m = int(rng.integers(1, 5))
         A = rng.normal(size=(m, int(rng.integers(1, 4))))
@@ -172,7 +173,7 @@ def test_orthant_test_on_random_spans(rng, r, d):
 
 
 def _table_families(rng):
-    """Seeded matrices with the dependent supports the walk must exclude."""
+    """Seeded matrices, most of them with dependent row supports."""
     for _ in range(4):
         yield random_validated_lp(rng, m=12, n=6, positive_costs=True).system.A
     for m, n in ((6, 3), (8, 4), (10, 3)):
@@ -216,25 +217,35 @@ def test_hoffman_sends_no_support_above_rank_and_inner_min_reaches_rank_plus_one
         assert max(sizes) == rank + 1
 
 
-def test_hoffman_excludes_the_supersets_of_a_dependent_support(rng, monkeypatch):
-    # by interlacing, a support that holds a numerically singular one is
-    # singular too, so only eigensolver round-off at the collapse threshold
-    # could give it a positive candidate. Fabricate that case: the walk must
-    # still exclude every support that holds the dependent pair, as the table
-    # of subset minima does
-    from privlp import accuracy
-    candidates = accuracy._support_candidates
+def test_a_support_that_holds_a_collapsed_one_has_no_positive_candidate(rng):
+    # why hoffman_constant admits every candidate above ADMISSION_TOL without
+    # excluding the supersets of a dependent support: by Cauchy interlacing,
+    # a support that holds one whose candidate collapsed is singular too, so
+    # its candidate is 0 or +inf and is never admitted
+    from privlp.accuracy import ADMISSION_TOL, _support_walk
+    held = 0
+    for A in _table_families(rng):
+        m, rank = A.shape[0], np.linalg.matrix_rank(A)
+        masks = np.concatenate([(1 << np.array(list(itertools.combinations(range(m), size))))
+                                .sum(axis=1) for size in range(1, min(m, rank) + 1)])
+        g = np.concatenate(list(_support_walk(A, rank, "A")))
+        collapsed = masks[g <= ADMISSION_TOL]
+        holds = ((masks[:, None] & collapsed == collapsed)
+                 & (masks[:, None] != collapsed)).any(axis=1)
+        assert np.isin(g[holds], (0.0, np.inf)).all()
+        held += holds.sum()
+    assert held > 0  # the families do hold such supports
 
-    def fabricated(gram, supports):
-        g = candidates(gram, supports)
-        masks = (1 << supports).sum(axis=1)
-        g[masks == 0b011] = 0.0     # rows 0 and 1: a dependent pair
-        g[masks == 0b111] = 1e-3    # rows 0-2: a candidate below every true one
-        return g
 
-    monkeypatch.setattr(accuracy, "_support_candidates", fabricated)
-    A = rng.normal(size=(5, 3))
-    assert hoffman_constant(A) == hoffman_table(A) < 1e3
+def test_a_gram_overflow_is_named():
+    # A @ A.T overflows for entries above about 1.3e154; the constant must
+    # not be computed from the overflowed Gram matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"A @ A\.T overflows; entries of A are too large"):
+            hoffman_constant([[1e200, 1.0]])
+        with pytest.raises(ValueError, match=r"M @ M\.T overflows; entries of M are too large"):
+            inner_cone_min([[1e200, 1.0]])
 
 
 def test_hoffman_names_a_non_finite_entry():

@@ -176,6 +176,18 @@ def test_bound_clipped_zero_when_matrix_at_supremum(tmp_path, capsys):
     assert payload["bound"] == 0.0
 
 
+def test_bound_names_a_gram_overflow(tmp_path, capsys):
+    # entries above about 1.3e154 overflow A @ A.T; the Hoffman constant must
+    # not be computed from the overflowed Gram matrix
+    doc = dict(BASIC, A=[[1e200, 1.0], [0.0, 1.0]], sup_A=[[2e200, 3.0], [0.0, 3.0]])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: A @ A.T overflows; entries of A are too large\n"
+    assert captured.out == ""
+
+
 def test_sweep_writes_csv_and_json(grid_file, tmp_path):
     prefix = str(tmp_path / "sweep")
     args = ["sweep", "--grid-config", grid_file, "--eps-grid", "0.5,2",

@@ -348,6 +348,7 @@ def test_privatized_document_round_trip(rng):
     sys_ = _random_system(rng)
     lp = LinearProgram(c=np.ones(sys_.shape[1]), system=sys_, privacy=PP)
     priv = privatize_matrix(sys_, PP, seed=42)
+    assert not hasattr(priv, "seed")  # the mechanism's secret stays with the caller
     doc = privatized_document(lp, priv)
     assert doc["mechanism"]["sigma"] == PP.sigma
     assert "seed" not in doc["mechanism"]  # the mechanism's secret is never released

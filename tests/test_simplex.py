@@ -527,7 +527,7 @@ def _singular_case(rng):
 
 
 def test_singular_update_takes_the_slack_start(rng):
-    from privlp.warmstart import _checked
+    from privlp.simplex import _checked
     for _ in range(5):
         lp, start, system = _singular_case(rng)
         A, b = np.asarray(system.A), np.asarray(system.b)
@@ -550,7 +550,7 @@ def test_start_check_reads_the_basis_norm_from_the_columns_of_a(rng):
     # number set near 1 / PIVOT_TOL through a sum down B itself, the check
     # decides as B does, also with one x column, where a plain sum over the
     # gathered column would add its rows pairwise
-    from privlp.warmstart import PIVOT_TOL, _basis_matrix, _checked
+    from privlp.simplex import PIVOT_TOL, _basis_matrix, _checked
     for trial in range(300):
         k, m, n = int(rng.integers(1, 5)), int(rng.integers(8, 30)), int(rng.integers(1, 30))
         A = rng.normal(size=(k, m, n)) * 10.0 ** rng.integers(-5, 5, size=(k, m, n))
@@ -579,7 +579,7 @@ def test_refine_solves_with_the_basis_matrix_of_the_final_basis(rng, monkeypatch
     # the final basis columns of [A | I], bit for bit
     import dataclasses
     from privlp import simplex
-    from privlp.warmstart import _basis_matrix
+    from privlp.simplex import _basis_matrix
     from conftest import random_validated_lp
     seen = {}
     used = []
@@ -715,7 +715,7 @@ def _family(family):
 def _recorded_ratio_ties(monkeypatch):
     """A list recording, per leaving-row choice outside Bland's rule, whether the ratios tied."""
     from privlp import simplex
-    from privlp.warmstart import PIVOT_TOL
+    from privlp.simplex import PIVOT_TOL
     ties, leaving = [], simplex._Tableau._leaving_row
 
     def recording(tab, col, bland):
