@@ -13,11 +13,12 @@ feasible for it is feasible for the true constraints. There is one path,
 (params, seed) pairs; :func:`privatize_matrix` is its block of one plus the
 per-row metadata. Rows are privatized independently (disjoint data,
 parallel composition): row ``i`` under ``seed`` draws its uniforms from its
-own stream keyed by ``(seed, i)``, and the inverse CDF, shift and clip then
-run once over the stack of every seed's private rows, with each row's
-``s_i`` and each seed's ``sigma`` broadcast along the entries. ``s_i`` comes
-from :func:`_row_calibration`, once per distinct params of a block, and
-``xi_term`` reads it too.
+own stream keyed by ``(seed, i)``. One :func:`seeds.row_uniforms` call
+draws every stream of a block in one numpy pass, and the inverse CDF, shift
+and clip then run once over the stack of every seed's private rows, with
+each row's ``s_i`` and each seed's ``sigma`` broadcast along the entries.
+``s_i`` comes from :func:`_row_calibration`, once per distinct params of a
+block, and ``xi_term`` reads it too.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ConstraintSystem, LinearProgram, PrivacyParams
-from .seeds import row_stream
+from .seeds import row_uniforms
 
 
 def support_width(k: float, epsilon: float, delta: float, n0: int) -> float:
@@ -95,12 +96,19 @@ def _row_calibration(sys: ConstraintSystem, p: PrivacyParams) -> tuple[np.ndarra
     """``(n0, widths)``: free-entry counts of ``sys.private_rows``, in row order,
     and ``widths[c] = support_width(k, epsilon, delta, c)`` once per distinct
     count ``c`` (0 elsewhere), so ``widths[n0]`` is each row's ``s_i``.
+
+    Raises ``ValueError`` when ``sigma = k/epsilon`` or a width is not
+    finite: the noise, and every bound read from it, would be NaN or inf.
     """
     counts, rows = sys.private_rows[:2]
     n0 = counts[rows]
     widths = np.zeros(sys.shape[1] + 1)
     for c in set(n0.tolist()):
         widths[c] = support_width(p.k, p.epsilon, p.delta, c)
+    if not (math.isfinite(p.sigma) and np.isfinite(widths).all()):
+        raise ValueError(f"the noise scale k/epsilon and every support width must be finite; "
+                         f"k/epsilon = {p.sigma}, widths up to {widths.max()} "
+                         f"(k={p.k}, epsilon={p.epsilon}, delta={p.delta})")
     return n0, widths
 
 
@@ -142,23 +150,21 @@ def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], seed
     ``privatize_matrix(sys, params[t], seeds[t]).A_tilde``. The half-widths
     are computed once per distinct params, and the noise transform runs once
     over the stack of all seeds' private rows. Row ``i`` of seed ``t`` draws
-    its uniforms from ``row_stream(seeds[t], i)``, seed by seed, so that a
-    seed's pool is built once. Returns ``(s, z)``: the half-width of each row
-    of ``sys.private_rows`` per seed, shape ``(len(seeds), rows)``, and the
-    noise drawn, shape ``(len(seeds), rows, n)``.
+    ``row_stream(seeds[t], i).random(n0_i)``, and one ``row_uniforms`` call
+    draws them for every seed and row. Returns ``(s, z)``: the half-width of
+    each row of ``sys.private_rows`` per seed, shape ``(len(seeds), rows)``,
+    and the noise drawn, shape ``(len(seeds), rows, n)``.
     """
     counts, rows, block, A_rows, sup = sys.private_rows
     out[...] = sys.A
-    if not rows.size:
-        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), *block.shape))
     n0 = counts[rows]
     widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
+    if not rows.size:
+        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), *block.shape))
     s = np.array([widths[p] for p in params])
     sigma = np.array([p.sigma for p in params])
-    pairs = list(zip(rows.tolist(), n0.tolist()))
     u = np.zeros((len(seeds), *block.shape))
-    for u_t, seed in zip(u, seeds):  # per seed: for one seed, a 3-D scatter costs 4x a 2-D one
-        u_t[block] = np.concatenate([row_stream(seed, i).random(c) for i, c in pairs])
+    u[:, block] = row_uniforms(seeds, rows, n0)
     out[:, rows], z = _noisy_rows(A_rows, block, sup, u, s[:, :, None], sigma[:, None, None])
     return s, z
 
@@ -171,7 +177,7 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     ``(seed, i)``, so the output is a pure function of (system, params,
     seed) regardless of execution order. Fixed seed, identical output.
     The matrix is :func:`privatize_block`'s block of one; fully masked
-    (public) rows are copied without building a stream. Which rows those
+    (public) rows are copied and draw nothing. Which rows those
     are is read from ``sys.private_rows``, which a system computes once.
     """
     m, n = sys.shape

@@ -2,19 +2,23 @@
 
 Every random draw in the package descends from a 64-bit base seed through
 either :func:`derive_seed` (a SplitMix64 hash over index tuples, used for
-per-trial streams in experiments) or :func:`row_stream` (NumPy seed-sequence
-spawning, used for per-row noise). Both are pure functions of their inputs,
-so results do not depend on iteration order or parallel scheduling.
+per-trial streams in experiments) or the row streams keyed by (seed, row)
+(NumPy seed-sequence spawning, used for per-row noise). Both are pure
+functions of their inputs, so results do not depend on iteration order or
+parallel scheduling.
 
-:func:`row_stream` reproduces the part of NumPy's ``SeedSequence`` (after
-O'Neill's ``seed_seq``) that a spawned sequence ``SeedSequence(entropy=seed,
-spawn_key=(row,))`` runs on its way into ``PCG64``: the seed's entropy pool,
-the mixing of the spawn word into it, and ``generate_state(4, uint64)``. The
-pool depends on the seed alone and is computed once per seed; each row then
-costs a handful of 32-bit integer operations instead of a new
-``SeedSequence``. The stream equals ``default_rng(SeedSequence(...))`` bit for
-bit; ``tests/test_mechanism.py::test_row_stream_is_the_default_rng_stream``
-pins that.
+The row stream of (seed, row) is ``default_rng(SeedSequence(entropy=seed,
+spawn_key=(row,)))``, bit for bit. :func:`_state_words` runs the part of
+NumPy's ``SeedSequence`` (after O'Neill's ``seed_seq``) that such a sequence
+runs on its way into ``PCG64``, for every (seed, row) of a block at once in
+``uint64`` arrays: the seeds' entropy pools, the mixing of each row's spawn
+word into them, and ``generate_state(4, uint64)``. :func:`row_uniforms` then
+runs ``PCG64`` itself (O'Neill's PCG, XSL-RR output) on those words and
+returns every row's ``random()`` draws in one pass; :func:`row_stream` hands
+the words of one (seed, row) to NumPy's own ``PCG64`` as a ``Generator``.
+``tests/test_mechanism.py::test_row_stream_is_the_default_rng_stream`` pins
+the words against NumPy, and the ``row_uniforms`` tests pin the draws
+against ``row_stream``.
 """
 from __future__ import annotations
 
@@ -32,22 +36,20 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+# PCG64's 128-bit multiplier, PCG_DEFAULT_MULTIPLIER_128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_consts(init: int, mult: int, first: int, count: int) -> tuple[int, ...]:
-    """The hash constant ``init * mult**j mod 2**32``, ``j = first, ..., first + count - 1``."""
-    return tuple(init * pow(mult, j, 1 << 32) & _MASK32 for j in range(first, first + count))
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """hashmix's constant ``init * mult**j mod 2**32`` for ``j = 0, ..., count - 1``."""
+    return np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(count)], dtype=np.uint64)
 
 
-# hashmix's constant before and after each of the 4 calls that mix the spawn
-# word into the pool; filling and cross-mixing the pool took the first 4 + 12
-_SPAWN_HASH = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE, _POOL_SIZE + 1)
-_SPAWN_CONSTS = tuple(zip(_SPAWN_HASH, _SPAWN_HASH[1:]))
-# generate_state hashes 8 uint32 words for PCG64's 4 uint64 words; per uint64
-# word: (pool index of its low half, constant before, between, after the halves)
-_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
-_STATE_CONSTS = tuple((i % _POOL_SIZE, *_STATE_HASH[i:i + 3]) for i in range(0, 8, 2))
+# call j of hashmix XORs with constant j and multiplies by constant j + 1:
+# 4 calls fill the pool, 12 cross-mix it and 4 mix in the spawn word
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 21)
+# generate_state hashes 8 uint32 words, the pool twice over, for PCG64's 4 uint64 words
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 9)[:, None, None]
 
 
 def _splitmix64(state: int) -> int:
@@ -71,27 +73,109 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
-@lru_cache(maxsize=1)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """Entropy pool of ``SeedSequence(seed)``.
+def _hashmix(value, c0, c1):
+    h = (value ^ c0) * c1 & _MASK32
+    return h ^ h >> 16
 
-    A spawned sequence pads a seed shorter than the pool with zero words
-    before its spawn key; an unspawned one hashes zeros for the missing
-    words, so the two pools agree.
+
+def _mix(x, y):
+    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _state_words(seeds, rows) -> np.ndarray:
+    """``generate_state(4, uint64)`` of ``SeedSequence(entropy=seed & (2**64 - 1),
+    spawn_key=(row,))`` for every seed and row, shape ``(4, len(seeds), len(rows))``.
+
+    Every word is a ``uint64`` array holding 32-bit values, so products wrap
+    silently and ``& _MASK32`` reduces them mod 2**32. A seed of one or two
+    32-bit words pads to the pool's four with zeros, spawned or not.
     """
-    return tuple(np.random.SeedSequence(seed).pool.tolist())
+    rows = [operator.index(row) for row in rows]
+    if rows and not 0 <= min(rows) <= max(rows) <= _MASK32:
+        raise ValueError(f"row indices must lie in [0, 2**32), got {min(rows)} to {max(rows)}")
+    seeds = np.array([operator.index(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    zero = np.zeros_like(seeds)
+    pool = _hashmix(np.stack([seeds & _MASK32, seeds >> 32, zero, zero]),
+                    _HASH_A[:4, None], _HASH_A[1:5, None])
+    for src, j in enumerate(range(4, 16, 3)):  # each word, hashed, into the three others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[j:j + 3, None], _HASH_A[j + 1:j + 4, None]))
+    spawn = _hashmix(np.array(rows, dtype=np.uint64), _HASH_A[16:20, None, None], _HASH_A[17:21, None, None])
+    pool = _mix(pool[:, :, None], spawn)
+    halves = _hashmix(np.concatenate([pool, pool]), _HASH_B[:8], _HASH_B[1:])
+    return halves[0::2] | halves[1::2] << 32  # little-endian pairs, as NumPy views them
+
+
+def _mul128(a, b):
+    """``a * b mod 2**128`` on (high, low) pairs of ``uint64`` arrays, from 32-bit halves."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+@lru_cache(maxsize=16)
+def _draw_table(count: int) -> tuple[np.ndarray, ...]:
+    """``MULT**(k+1)`` and ``S_(k+1)`` mod 2**128 for draws k = 1, ..., count, as
+    read-only (high, low) ``uint64`` arrays, where ``S_j = sum_{i<j} MULT**i``.
+
+    ``PCG64`` seeded with state words ``(state, seq)`` sets ``inc = seq << 1
+    | 1``, steps from 0 (to ``inc``), adds ``state`` and steps again; a draw
+    steps once more and outputs. So the state of draw k is ``MULT**(k+1) *
+    (state + inc) + S_(k+1) * inc``.
+    """
+    mask = (1 << 128) - 1
+    power, total, table = _PCG_MULT, 1, []
+    for _ in range(count):
+        power, total = power * _PCG_MULT & mask, total + power & mask
+        table.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
+    words = np.array(table, dtype=np.uint64).T.copy()
+    words.flags.writeable = False
+    return tuple(words)
+
+
+def row_uniforms(seeds, rows, counts) -> np.ndarray:
+    """``row_stream(seed, row).random(count)`` for every seed and (row, count), in one pass.
+
+    Returns shape ``(len(seeds), sum(counts))``: per seed, each row's draws
+    in the order of ``rows``. Each draw's ``PCG64`` state is reached in one
+    jump from the row's state words (:func:`_draw_table`) and output by
+    XSL-RR, whose top 53 bits ``random()`` keeps. All of it runs on
+    ``uint64`` arrays, where NumPy wraps without a warning. ``rows`` is not
+    empty and lies in ``[0, 2**32)``; ``counts`` are non-negative.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    words = _state_words(seeds, rows)
+    inc = (words[2] << 1 | words[3] >> 63, words[3] << 1 | 1)
+    start = _add128((words[0], words[1]), inc)
+    draw_row = np.repeat(np.arange(counts.size), counts)
+    draw_k = np.arange(draw_row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    power_hi, power_lo, total_hi, total_lo = (w[draw_k] for w in _draw_table(int(counts.max())))
+    hi, lo = _add128(_mul128((power_hi, power_lo), (start[0][:, draw_row], start[1][:, draw_row])),
+                     _mul128((total_hi, total_lo), (inc[0][:, draw_row], inc[1][:, draw_row])))
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0 ** -53
 
 
 class _RowSeed(ISeedSequence):
     """The four ``uint64`` words ``PCG64`` asks its seed sequence for."""
 
-    def __init__(self, words: list[int]):
+    def __init__(self, words: np.ndarray):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError(f"a row seed gives 4 uint64 words only, not {n_words} of {dtype}")
-        return np.array(self._words, dtype=np.uint64)
+        return self._words.copy()
 
 
 def row_stream(seed: int, row_index: int) -> np.random.Generator:
@@ -100,24 +184,10 @@ def row_stream(seed: int, row_index: int) -> np.random.Generator:
     The stream of ``default_rng(SeedSequence(entropy=seed & (2**64 - 1),
     spawn_key=(row_index,)))``, bit for bit (pinned by
     ``test_row_stream_is_the_default_rng_stream`` and the interleaved-seed
-    test beside it), built without that ``SeedSequence``: the seed's pool
-    comes from a one-entry cache, and the row's spawn word is mixed into it
-    and ``PCG64``'s four state words are hashed out of it in Python ints,
-    with NumPy's constants and order. ``row_index`` must lie in
-    ``[0, 2**32)``, where the spawn key is one word. NumPy integers are
-    accepted like Python ints.
+    test beside it), built without that ``SeedSequence``: ``PCG64`` gets the
+    state words of :func:`_state_words`. The privatization path draws from
+    :func:`row_uniforms` instead; this is its one-row reference.
+    ``row_index`` must lie in ``[0, 2**32)``, where the spawn key is one
+    word. NumPy integers are accepted like Python ints.
     """
-    row_index = operator.index(row_index)
-    if not 0 <= row_index <= _MASK32:
-        raise ValueError(f"row_index must lie in [0, 2**32), got {row_index}")
-    pool = []
-    for word, (c0, c1) in zip(_seed_pool(operator.index(seed) & _MASK64), _SPAWN_CONSTS):
-        h = (row_index ^ c0) * c1 & _MASK32                          # hashmix(row_index)
-        x = (_MIX_MULT_L * word - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32  # mix(word, h)
-        pool.append(x ^ x >> 16)
-    words = []
-    for i, c0, c1, c2 in _STATE_CONSTS:
-        lo = (pool[i] ^ c0) * c1 & _MASK32
-        hi = (pool[i + 1] ^ c1) * c2 & _MASK32
-        words.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)  # little-endian, as NumPy views them
-    return np.random.Generator(np.random.PCG64(_RowSeed(words)))
+    return np.random.Generator(np.random.PCG64(_RowSeed(_state_words([seed], [row_index])[:, 0, 0])))

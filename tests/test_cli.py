@@ -188,6 +188,21 @@ def test_bound_names_a_gram_overflow(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("privatize", ["--epsilon", "1e-320", "--k", "1"]),       # k/epsilon overflows
+    ("privatize", ["--epsilon", "1e-300", "--k", "1e300"]),
+    ("solve", ["--private", "--epsilon", "1", "--k", "1e308"]),  # k/epsilon is finite, s_i is not
+    ("solve", ["--private", "--epsilon", "1e-320", "--k", "1"]),
+])
+def test_private_runs_name_a_noise_scale_that_is_not_finite(problem_file, tmp_path, capsys,
+                                                            command, flags):
+    out = tmp_path / "out.json"
+    assert main([command, problem_file, *flags, "--seed", "7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the noise scale k/epsilon and every support width must be finite")
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_writes_csv_and_json(grid_file, tmp_path):
     prefix = str(tmp_path / "sweep")
     args = ["sweep", "--grid-config", grid_file, "--eps-grid", "0.5,2",

@@ -18,7 +18,7 @@ from privlp import (
 from privlp.cmdp import build_gridworld, default_grid, occupancy_lp
 from privlp.mechanism import privatize_block
 from privlp.problem import LinearProgram, load_problem
-from privlp.seeds import derive_seed, row_stream
+from privlp.seeds import derive_seed, row_stream, row_uniforms
 from privlp.simplex import solve_lp
 
 from oracles import support_width_hp, trunc_laplace_cdf, trunc_laplace_moment
@@ -127,7 +127,8 @@ def _one_row(row, mask_row, sup_row):
 def _draw_from(monkeypatch, rng):
     """Make every row privatized (``privatize_matrix``, ``privatize_block``) draw from ``rng``."""
     import privlp.mechanism as mechanism
-    monkeypatch.setattr(mechanism, "row_stream", lambda seed, row_index: rng)
+    monkeypatch.setattr(mechanism, "row_uniforms",
+                        lambda seeds, rows, counts: rng.random((len(seeds), int(np.sum(counts)))))
 
 
 def test_fully_masked_row_unchanged(rng, monkeypatch):
@@ -211,16 +212,16 @@ def test_fully_masked_matrix_passes_through(rng):
     assert np.all(priv.row_nonzero_counts == 0)
 
 
-def _count_streams(monkeypatch):
-    """Record the ``(seed, row)`` of every row stream built, in order."""
+def _count_draws(monkeypatch):
+    """Record the ``(seeds, rows, counts)`` of every ``row_uniforms`` call, in order."""
     import privlp.mechanism as mechanism
     calls = []
 
-    def counting_stream(seed, row_index):
-        calls.append((seed, row_index))
-        return row_stream(seed, row_index)
+    def counting_draws(seeds, rows, counts):
+        calls.append((list(seeds), np.asarray(rows).tolist(), np.asarray(counts).tolist()))
+        return row_uniforms(seeds, rows, counts)
 
-    monkeypatch.setattr(mechanism, "row_stream", counting_stream)
+    monkeypatch.setattr(mechanism, "row_uniforms", counting_draws)
     return calls
 
 
@@ -231,24 +232,23 @@ def _rows_1_and_3_private():
 
 
 def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
-    calls = _count_streams(monkeypatch)
+    calls = _count_draws(monkeypatch)
     sys_ = _rows_1_and_3_private()
     A, mask = sys_.A, sys_.zero_mask
     priv = privatize_matrix(sys_, PP, seed=3)
-    assert [row for _, row in calls] == [1, 3]
+    assert [rows for _, rows, _ in calls] == [[1, 3]]
     assert np.array_equal(priv.A_tilde[mask], A[mask])  # public nonzero entries included
     assert priv.row_supports[[0, 2]].tolist() == [0.0, 0.0]
     for i in (1, 3):  # skipping public rows leaves every other row's draws unchanged
         assert np.array_equal(priv.A_tilde[i], _row_on_its_stream(sys_, PP, 3, i)[0])
 
 
-def test_block_builds_row_streams_seed_by_seed(monkeypatch):
-    # one seed's rows in a run, so that the seed's entropy pool is built once
-    calls = _count_streams(monkeypatch)
+def test_block_draws_every_seed_in_one_call(monkeypatch):
+    calls = _count_draws(monkeypatch)
     sys_ = _rows_1_and_3_private()
     out = np.empty((3, *sys_.shape))
     privatize_block(sys_, [PP] * 3, [3, 8, 5], out)
-    assert calls == [(3, 1), (3, 3), (8, 1), (8, 3), (5, 1), (5, 3)]
+    assert calls == [([3, 8, 5], [1, 3], [1, 1])]
     assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde
                                       for seed in (3, 8, 5)]).tobytes()
 
@@ -310,6 +310,22 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
     assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
     privs = [privatize_matrix(sys_, p, seed, record_noise=True) for p, seed in zip(params, seeds)]
     _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
+
+
+@pytest.mark.parametrize("p, free_counts", [
+    (PrivacyParams(1e-320, 0.05, 1.0), [7, 2, 0, 5, 1]),   # k/epsilon overflows to inf
+    (PrivacyParams(1e-300, 0.05, 1e300), [7, 2, 0, 5, 1]),
+    (PrivacyParams(1.0, 0.05, 1e308), [7, 2, 0, 5, 1]),    # k/epsilon is finite, every s_i is inf
+    (PrivacyParams(1e-320, 0.05, 1.0), [0, 0, 0, 0, 0]),   # all public: no s_i, sigma still checked
+])
+def test_a_noise_scale_or_support_width_that_is_not_finite_is_named(p, free_counts):
+    # the calibration refuses it before any noise is drawn
+    from privlp.accuracy import xi_term
+    sys_ = _mixed_system(np.random.default_rng(4), 5, 7, free_counts)
+    for call in (lambda: privatize_matrix(sys_, p, 3), lambda: xi_term(sys_, p),
+                 lambda: privatize_block(sys_, [PP, p], [3, 4], np.empty((2, *sys_.shape)))):
+        with pytest.raises(ValueError, match="k/epsilon and every support width must be finite"):
+            call()
 
 
 def test_row_supports_match_closed_form(rng):
@@ -406,8 +422,8 @@ def test_row_stream_is_the_default_rng_stream(seed, row):
 
 
 def test_row_stream_matches_default_rng_on_interleaved_seeds():
-    # 2000 streams whose seed switches between three at random: about two
-    # thirds of the calls replace the per-seed cache, the rest hit it
+    # 2000 streams whose seed switches between three at random, with rows
+    # across the whole spawn word
     draw = np.random.default_rng(5)
     seeds = [*draw.integers(-2 ** 63, 2 ** 63, 2).tolist(), 2 ** 32 + 1]
     for seed, row in zip(draw.choice(seeds, 2000).tolist(), draw.integers(0, 2 ** 32, 2000).tolist()):
@@ -418,6 +434,58 @@ def test_row_stream_matches_default_rng_on_interleaved_seeds():
 def test_row_stream_rejects_rows_beyond_one_spawn_word(row):
     with pytest.raises(ValueError):
         row_stream(3, row)
+
+
+_UNIFORM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, *_BLOCK_SEEDS]
+_UNIFORM_ROWS = [(0, 1), (2 ** 32 - 1, 6), (5, 40), (2 ** 31, 100), (0, 6)]  # (row, count)
+_MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
+
+
+def _jump_terms(seed, row, count):
+    """Per draw of row stream ``(seed, row)``: the two 128-bit terms whose sum
+    mod 2**128 is its ``PCG64`` state, ``MULT**(k+1) * (state + inc)`` and
+    ``S_(k+1) * inc``, in Python ints from NumPy's own seed words. The last
+    sum is checked against NumPy's ``PCG64`` state after ``count`` draws.
+    """
+    sequence = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(row,))
+    w = sequence.generate_state(4, np.uint64).tolist()
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    start = ((w[0] << 64 | w[1]) + inc) & _MASK128
+    power, total, terms = mult, 1, []
+    for _ in range(count):
+        power, total = power * mult & _MASK128, (total + power) & _MASK128
+        terms.append((power * start & _MASK128, total * inc & _MASK128))
+    bit_generator = np.random.PCG64(sequence)
+    bit_generator.random_raw(count)
+    assert sum(terms[-1]) & _MASK128 == bit_generator.state["state"]["state"]
+    return terms
+
+
+def _row_streams(seeds, rows_counts):
+    return np.array([np.concatenate([row_stream(seed, row).random(count) for row, count in rows_counts])
+                     for seed in seeds])
+
+
+@pytest.mark.parametrize("seeds", [
+    _UNIFORM_SEEDS,                         # repeats 0 and 2**64 - 1
+    [np.int32(-3)],                         # a block of one
+    [7, np.uint64(7), -7, np.int64(7), 7],  # one seed repeated, and its negative
+])
+def test_row_uniforms_is_every_row_stream_bytes(seeds):
+    rows, counts = zip(*_UNIFORM_ROWS)
+    assert row_uniforms(seeds, rows, counts).tobytes() == _row_streams(seeds, _UNIFORM_ROWS).tobytes()
+    assert row_uniforms(seeds, rows[2:3], counts[2:3]).tobytes() == \
+        _row_streams(seeds, _UNIFORM_ROWS[2:3]).tobytes()
+
+
+def test_row_uniforms_sample_reaches_rotation_zero_and_a_carry():
+    # the byte test's draws include an XSL-RR rotation of 0, where the left
+    # shift is by 64 & 63 = 0, and a carry out of the low words of the jump's sum
+    terms = [term for seed in _UNIFORM_SEEDS for row, count in _UNIFORM_ROWS
+             for term in _jump_terms(seed, row, count)]
+    assert any(((a + b) & _MASK128) >> 122 == 0 for a, b in terms)
+    assert any((a & _MASK64) + (b & _MASK64) > _MASK64 for a, b in terms)
 
 
 @pytest.mark.parametrize("numpy_seed", [np.int64(7), np.uint64(7), np.int64(-7), np.uint64(2 ** 64 - 7)])
