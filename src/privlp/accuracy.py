@@ -114,7 +114,8 @@ def _support_walk(A: np.ndarray, max_size: int, name: str) -> Iterator[np.ndarra
     if not np.isfinite(gram).all():
         raise ValueError(f"{name} @ {name}.T overflows; entries of {name} are too large")
     for size in range(1, min(m, max_size) + 1):
-        idx = np.array(list(itertools.combinations(range(m), size)))
+        idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), size)),
+                          np.intp, math.comb(m, size) * size).reshape(-1, size)
         if size == 1:
             yield np.sqrt(np.maximum(np.diag(gram), 0.0))
         else:
@@ -193,14 +194,19 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
         xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 ), in row order
 
     Clipped case (some entry can hit its bound): xi is the Frobenius norm
-    of (A - sup_A), the worst tightening the clipping allows.
+    of (A - sup_A), the worst tightening the clipping allows; a norm that
+    overflows raises ``ValueError``.
     """
     if sys.equality is not None:
         raise ValueError("xi_term reads A x <= b; pass the system's inequality_form()")
     _, _, free, A, sup = sys.private_rows
     n0, widths = _row_calibration(sys, p)
     if (free & (A + 2.0 * widths[n0][:, None] >= sup)).any():
-        return float(np.linalg.norm(sys.A - sys.sup_A)), XI_CLIPPED
+        with np.errstate(over="ignore"):
+            xi = float(np.linalg.norm(sys.A - sys.sup_A))
+        if not math.isfinite(xi):
+            raise ValueError("the norm of A - sup_A overflows; entries of A - sup_A are too large")
+        return xi, XI_CLIPPED
     m = sys.shape[0]
     ratio = p.k / p.epsilon
     terms = np.zeros_like(widths)

@@ -233,8 +233,15 @@ class LinearProgram:
 
     @property
     def lipschitz(self) -> float:
-        """Lipschitz constant of the objective: the Euclidean norm of c."""
-        return float(np.linalg.norm(self.c))
+        """Lipschitz constant of the objective: the Euclidean norm of c.
+
+        Raises ``ValueError`` when the norm overflows.
+        """
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.c))
+        if not math.isfinite(norm):
+            raise ValueError("the norm of c overflows; entries of c are too large")
+        return norm
 
 
 @dataclass(frozen=True)

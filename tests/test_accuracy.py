@@ -248,6 +248,34 @@ def test_a_gram_overflow_is_named():
             inner_cone_min([[1e200, 1.0]])
 
 
+def _overflowing(c=(1.0, 1.0), sup_A=((3.0, 0.0), (0.0, 3.0))):
+    system = ConstraintSystem(A=np.eye(2), b=[1.0, 1.0], zero_mask=np.eye(2) == 0, sup_A=sup_A)
+    return LinearProgram(c=c, system=system)
+
+
+@pytest.mark.parametrize("lp, message", [
+    # ||A - sup_A||_F is about 1e200, but its square overflows: xi read inf
+    (_overflowing(sup_A=[[1e200, 0.0], [0.0, 1.5]]),
+     r"^the norm of A - sup_A overflows; entries of A - sup_A are too large$"),
+    # ||c|| is about 1.4e300, but its square overflows: L read inf
+    (_overflowing(c=[1e300, 1e300]), r"^the norm of c overflows; entries of c are too large$"),
+])
+def test_an_overflowing_norm_is_named(lp, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            cost_bound(lp, PP)
+
+
+def test_a_finite_norm_keeps_its_bits():
+    # no rescaling: a norm that does not overflow is numpy's, to the bit
+    lp = _overflowing(c=[1e150, 3e150], sup_A=[[1e150, 0.0], [0.0, 1.5]])
+    assert lp.lipschitz == float(np.linalg.norm(lp.c))
+    xi, case = xi_term(lp.system, PP)
+    assert case == XI_CLIPPED
+    assert xi == float(np.linalg.norm(lp.system.A - lp.system.sup_A))
+
+
 def test_hoffman_names_a_non_finite_entry():
     with pytest.raises(ValueError, match=r"A\[0\]\[0\] is inf; entries must be finite"):
         hoffman_constant([[np.inf]])

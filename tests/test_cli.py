@@ -188,6 +188,21 @@ def test_bound_names_a_gram_overflow(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, message", [
+    ("bound_xi_overflows.json", "the norm of A - sup_A overflows; entries of A - sup_A are too large"),
+    ("bound_lipschitz_overflows.json", "the norm of c overflows; entries of c are too large"),
+])
+def test_bound_names_an_overflowing_norm(tmp_path, capsys, name, message):
+    # each printed Infinity for xi or L, and so for the bound, and exited 0
+    from pathlib import Path
+    out = tmp_path / "bound.json"
+    problem = Path(__file__).parent / "data" / name
+    assert main(["bound", str(problem), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("privatize", ["--epsilon", "1e-320", "--k", "1"]),       # k/epsilon overflows
     ("privatize", ["--epsilon", "1e-300", "--k", "1e300"]),

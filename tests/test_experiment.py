@@ -387,3 +387,85 @@ def test_block_size_does_not_change_the_sweep_bytes(monkeypatch, tmp_path, sourc
     assert json_bytes == (data / f"{pinned}.json").read_bytes()
     if (data / f"{pinned}.csv").exists():
         assert csv_bytes == (data / f"{pinned}.csv").read_bytes()
+
+
+class _XiRaises:
+    """A geometry whose bound completion fails, as an overflowing ``xi`` does."""
+
+    def report(self, system, p):
+        raise ValueError("xi is planted to fail")
+
+
+def _geometry_raising(lp):
+    from privlp import DegenerateSystemError
+    raise DegenerateSystemError("planted: no admissible row subset")
+
+
+@pytest.mark.parametrize("geometry, error, message", [
+    (_geometry_raising, "DegenerateSystemError", "planted: no admissible row subset"),
+    (lambda lp: _XiRaises(), "ValueError", "xi is planted to fail"),
+])
+@pytest.mark.parametrize("fault", ["violate", "fail"])
+def test_a_bound_error_wins_over_a_trial_fault_in_the_first_block(monkeypatch, geometry,
+                                                                   error, message, fault):
+    # a serial sweep raised the geometry's (or an epsilon's xi) error before
+    # its first block; the worker thread must not let a block's SweepAbort win
+    from privlp import experiment
+    monkeypatch.setattr(experiment, "bound_geometry", geometry)
+    _plant(monkeypatch, {0: fault})
+    blocks = []
+    solve_block = experiment.simplex.solve_block
+    monkeypatch.setattr(experiment.simplex, "solve_block",
+                        lambda *args: blocks.append(args) or solve_block(*args))
+    with pytest.raises(ValueError) as raised:
+        sweep_linear_program(_lp12x6(), ExperimentConfig(eps_grid=(1.0,), trials=3, k=0.02))
+    assert type(raised.value).__name__ == error and str(raised.value) == message
+    assert len(blocks) == 1  # the one block ran, and its planted fault was met
+
+
+def test_no_thread_outlives_a_sweep_on_any_way_out(monkeypatch):
+    import threading
+    from privlp import DegenerateSystemError, experiment, simplex
+    lp = _lp12x6()
+    config = ExperimentConfig(eps_grid=(0.5, 2.0), trials=4, k=0.02)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    before = threading.active_count()
+    sweep_linear_program(lp, config)
+    sweep_gridworld(default_grid(), _grid_config(trials=2))  # its geometry stops at the row cap
+    assert threading.active_count() == before
+    for patch, error in [(lambda p: _plant(p, {1: "fail"}), experiment.SweepAbort),
+                         (lambda p: p.setattr(experiment, "bound_geometry", _geometry_raising),
+                          DegenerateSystemError),
+                         (lambda p: p.setattr(simplex, "solve_block", interrupted),
+                          KeyboardInterrupt)]:
+        with monkeypatch.context() as patched:
+            patch(patched)
+            with pytest.raises(error):
+                sweep_linear_program(lp, config)
+        assert threading.active_count() == before
+
+
+def test_the_geometry_worker_runs_under_the_callers_errstate(monkeypatch):
+    # np.errstate is a context variable: a thread started without the
+    # caller's context would see numpy's defaults
+    import threading
+    import numpy as np
+    from privlp import experiment
+    from privlp.accuracy import bound_geometry
+    seen = []
+
+    def recording(lp):
+        seen.append((np.geterr()["over"], threading.get_ident()))
+        return bound_geometry(lp)
+
+    lp = _lp12x6()
+    config = ExperimentConfig(eps_grid=(0.5, 2.0), trials=3, k=0.02)
+    expected = sweep_linear_program(lp, config)
+    monkeypatch.setattr(experiment, "bound_geometry", recording)
+    with np.errstate(over="raise"):
+        assert sweep_linear_program(lp, config) == expected
+    ((over, ident),) = seen
+    assert over == "raise" and ident != threading.get_ident()
