@@ -20,7 +20,8 @@ principal submatrix of A_J A_J^T. The Hoffman constant needs the supports
 of at most rank(A) rows, ``inner_cone_min`` those of at most rank + 1
 (Peña, Vera & Zuluaga, "New characterizations of Hoffman constants for
 systems of linear constraints", Math. Programming, 2021); each batched
-``eigh`` call takes up to 256 supports of one size.
+``eigh`` call takes up to 256 supports of one size, less those that
+:func:`_acute` shows to hold no nonnegative bottom eigenvector.
 
 Only ``xi`` depends on the privacy parameters. :func:`bound_geometry`
 computes the other three factors once per problem, and
@@ -76,21 +77,52 @@ def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     return simplex.phase1_feasible(public) is not None
 
 
+def _acute(blocks: np.ndarray) -> np.ndarray:
+    """Per Gram block ``G_S``: has it a row i with ``G_ij > delta_S`` for every ``j != i``?
+
+    Such a block's bottom eigenspace holds no nonnegative vector, so its
+    candidate is +inf. Take row i of ``G_S v = lambda_min v`` with ``v >=
+    0``: ``sum_{j != i} G_ij v_j = (lambda_min - G_ii) v_i <= 0``, so ``v``
+    is ``e_i``, and ``G_S e_i = lambda_min e_i`` needs ``G_ji = 0``.
+
+    The margin ``delta_S = 1e-2 * max(M, 1e-4)``, ``M = max_j G_jj =
+    max|G_S|``, keeps this true of what :func:`_support_candidates`
+    computes. It accepts a unit ``v`` with entries at least ``-tau`` and
+    ``||(G_S - lo) v|| <= rho``: ``tau`` is the ``1e-12`` sign tolerance,
+    or about ``sqrt(size) * FEAS_TOL`` in the orthant LP, and ``rho`` is
+    the cluster width ``1e-10 * max(1, lambda_max)`` plus ``eigh``'s
+    backward error, about ``size^3 * 2e-16 * M``. Row i bounds
+    ``sum_{j != i} |v_j|`` by ``((size + 1) M tau + 3 rho) / delta_S <
+    1e-3``, so ``v_i > 0.99``, and row j's ``G_ji v_i > 0.99 delta_S``
+    exceeds the ``2e-3 M + 2 rho`` the rest of that row can cancel. The
+    floor ``1e-6`` covers the cluster width, absolute below unit scale.
+    """
+    size = blocks.shape[-1]
+    diagonal = np.diagonal(blocks, axis1=1, axis2=2)
+    margin = 1e-2 * np.maximum(diagonal.max(axis=1), 1e-4)
+    over = (blocks > margin[:, None, None]) | np.eye(size, dtype=bool)
+    return over.all(axis=2).any(axis=1)
+
+
 def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Per support, min of sqrt(v' G v) over unit v >= 0 supported on all its rows.
 
     ``supports`` is a (count, size) array of row indices, size >= 2. The
     value is the bottom-eigenvalue square root when the bottom eigenspace
     contains a nonnegative vector, else +inf (no interior critical point on
-    this support; smaller supports cover the boundary). A simple bottom
-    eigenvalue needs only a sign check of its eigenvector; a repeated one
-    falls back to the orthant LP. Bottom eigenvalues under the
+    this support; smaller supports cover the boundary), without an
+    ``eigh`` for a block that :func:`_acute` flags. A matrix's ``eigh``
+    does not depend on its batch, so skipping blocks moves no bit. A
+    simple bottom eigenvalue needs only a sign check of its eigenvector; a
+    repeated one falls back to the orthant LP. Bottom eigenvalues under the
     numerical-rank threshold collapse to exactly zero: their square root
     would otherwise surface eigensolver round-off (~1e-8) above the
     admission tolerance and fabricate huge Hoffman constants for genuinely
     degenerate subsets.
     """
-    eigvals, eigvecs = np.linalg.eigh(gram[supports[:, :, None], supports[:, None, :]])
+    blocks = gram[supports[:, :, None], supports[:, None, :]]
+    kept = ~_acute(blocks)
+    eigvals, eigvecs = np.linalg.eigh(blocks[kept])
     lo = eigvals[:, 0]
     scale = np.maximum(1.0, np.abs(eigvals[:, -1]))
     group = eigvals <= (lo + 1e-10 * scale)[:, None]
@@ -99,7 +131,9 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(group.sum(axis=1) > 1):
         touches[i] = _eigenspace_touches_orthant(eigvecs[i][:, group[i]])
     values = np.where(lo <= 1e-13 * scale, 0.0, np.sqrt(np.maximum(lo, 0.0)))
-    return np.where(touches, values, np.inf)
+    candidates = np.full(len(supports), np.inf)
+    candidates[kept] = np.where(touches, values, np.inf)
+    return candidates
 
 
 def _support_walk(A: np.ndarray, max_size: int, name: str) -> Iterator[np.ndarray]:
@@ -194,8 +228,9 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
         xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 ), in row order
 
     Clipped case (some entry can hit its bound): xi is the Frobenius norm
-    of (A - sup_A), the worst tightening the clipping allows; a norm that
-    overflows raises ``ValueError``.
+    of (A - sup_A), the worst tightening the clipping allows. In either
+    case an ``xi`` that overflows raises ``ValueError``; a finite one is
+    not rescaled, so it keeps its bits.
     """
     if sys.equality is not None:
         raise ValueError("xi_term reads A x <= b; pass the system's inequality_form()")
@@ -210,9 +245,16 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     m = sys.shape[0]
     ratio = p.k / p.epsilon
     terms = np.zeros_like(widths)
-    for c in np.flatnonzero(widths).tolist():  # a float's ** 2 may differ from numpy's x * x
-        terms[c] = 2.0 * m * ratio * ratio * c + (c * float(widths[c])) ** 2
-    return math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1]), XI_INTERIOR
+    try:
+        for c in np.flatnonzero(widths).tolist():  # a float's ** 2 may differ from numpy's x * x
+            terms[c] = 2.0 * m * ratio * ratio * c + (c * float(widths[c])) ** 2
+        with np.errstate(over="ignore"):
+            xi = math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1])
+    except OverflowError:  # raised by a float's ** 2
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise ValueError("the interior xi overflows; k/epsilon and the support widths are too large")
+    return xi, XI_INTERIOR
 
 
 class BoundGeometry(NamedTuple):

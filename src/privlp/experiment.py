@@ -23,9 +23,8 @@ re-checked against the original rows in one product and scored in one pass,
 and each cell's results go to its own epsilon's record, in trial order. A
 block of 32 grid cells holds about 2 MB while it runs. The bound's
 geometry depends on neither epsilon nor the draws, so it is computed once,
-on one worker thread that runs beside the blocks and is joined before the
-per-epsilon bounds are completed; an error from it, or from an epsilon's
-``xi``, wins over a block's, as it would in a serial sweep. Only the sweep
+and each epsilon's bound is completed from it before the first block; an
+error from either ends the sweep before any trial runs. Only the sweep
 warm-starts, as a non-private evaluation against the true baseline; a
 released private solution (``privlp solve --private``) starts from the
 slack basis, so that it is a function of the privatized matrix alone and
@@ -33,12 +32,10 @@ post-processing covers it.
 """
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import json
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,43 +117,6 @@ def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
     )
 
 
-class _GeometryWorker(threading.Thread):
-    """:func:`bound_geometry` of one problem, computed on its own thread.
-
-    The thread runs in a copy of the starting thread's context, so the
-    caller's ``np.errstate`` holds in it. Most of the geometry's time is
-    batched ``eigh``, which releases the GIL, so it overlaps the sweep's
-    trial blocks.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        # a daemon: a second interrupt during the join must not keep the process alive
-        super().__init__(name="privlp-bound-geometry", daemon=True)
-        self._lp, self._context = lp, contextvars.copy_context()
-        self._outcome = None  # the geometry, None beyond the Hoffman row cap, or its error
-
-    def run(self):
-        try:
-            self._outcome = self._context.run(bound_geometry, self._lp)
-        except HoffmanSizeError:
-            self._outcome = None
-        except BaseException as exc:  # raised again on the caller's thread by bounds()
-            self._outcome = exc
-
-    def bounds(self, system, privacy) -> list[float]:
-        """Join, then complete the bound for each privacy setting; raises the geometry's error.
-
-        Beyond the exact-Hoffman row cap each bound is ``inf``, which is
-        still a valid bound.
-        """
-        self.join()
-        geometry = self._outcome
-        if isinstance(geometry, BaseException):
-            raise geometry
-        return [math.inf if geometry is None else geometry.report(system, p).bound
-                for p in privacy]
-
-
 def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
     """Validate, solve the baseline, then privatize and re-solve block by block of cells.
 
@@ -164,13 +124,13 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     values whose percent loss is the cost of privacy. The worst case is
     validated and the baseline checked before any geometry or trial work.
     The bound's geometry (``L``, ``||x_bar||`` and ``H(A)``) is then
-    computed once, on a worker thread, while the caller's thread factors
-    the baseline's basis, from which every trial starts the simplex, and
-    privatizes, solves, re-checks against all original rows and scores
-    each block of cells. The worker is joined before each epsilon's bound
-    is completed, and on every way out, an interrupt included. The error
-    raised is the one a serial sweep would raise: one from the geometry or
-    from an epsilon's ``xi`` wins over one from a trial block.
+    computed once and each epsilon's bound completed from it, so an error
+    from the geometry or from an epsilon's ``xi`` is raised before any
+    block runs. Beyond the exact-Hoffman row cap the bound is recorded as
+    ``inf``, which is still a valid bound. The baseline's basis is then
+    factored once, every trial starts the simplex from it, and each block
+    of cells is privatized, solved, re-checked against all original rows
+    and scored together.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -179,25 +139,16 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
         raise ValueError(f"baseline problem is {base.status}; the sweep needs a finite optimum")
     base_score = float(score(base.x[None])[0])
     cmdp_mod.require_positive_baseline(base_score)
-    geometry = _GeometryWorker(lp)
-    geometry.start()
     try:
-        cops, gaps = _trial_blocks(lp, sys_, config, score, base, base_score)
-    except Exception:
-        geometry.bounds(sys_, config.privacy)  # a serial sweep raised its error before any block
-        raise
-    finally:
-        geometry.join()
-    bounds = geometry.bounds(sys_, config.privacy)
-    return [_aggregate(*record) for record in zip(config.eps_grid, cops, gaps, bounds)]
-
-
-def _trial_blocks(lp, sys_, config, score, base, base_score) -> tuple[list, list]:
-    """Each epsilon's costs of privacy and objective gaps, in trial order."""
+        geometry = bound_geometry(lp)
+    except HoffmanSizeError:
+        geometry = None
+    bounds = [math.inf if geometry is None else geometry.report(sys_, p).bound
+              for p in config.privacy]
     start = simplex.WarmStart(sys_, base.basic_columns)
-    cells = [(ei, trial) for ei in range(len(config.privacy)) for trial in range(config.trials)]
+    cells = [(ei, trial) for ei in range(len(bounds)) for trial in range(config.trials)]
     A_block = np.empty((min(_TRIAL_BLOCK, len(cells)), *sys_.shape))
-    cops, gaps = [[] for _ in config.privacy], [[] for _ in config.privacy]
+    cops, gaps = [[] for _ in bounds], [[] for _ in bounds]
     for first in range(0, len(cells), _TRIAL_BLOCK):
         block_cells = cells[first:first + _TRIAL_BLOCK]
         seeds = [derive_seed(config.base_seed, ei, trial) for ei, trial in block_cells]
@@ -220,7 +171,7 @@ def _trial_blocks(lp, sys_, config, score, base, base_score) -> tuple[list, list
         for (ei, _), value, sol in zip(block_cells, score(X), solved):
             cops[ei].append(cmdp_mod.cost_of_privacy(base_score, float(value)))
             gaps[ei].append(abs(base.objective - sol.objective))
-    return cops, gaps
+    return [_aggregate(*record) for record in zip(config.eps_grid, cops, gaps, bounds)]
 
 
 def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:

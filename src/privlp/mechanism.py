@@ -56,19 +56,21 @@ def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float | np.ndarray) -> np.
     ``s`` and ``sigma`` are broadcast against the uniforms ``u``: in the
     batched pass ``u`` is ``(seeds, rows, n)``, ``s`` ``(seeds, rows, 1)``
     and ``sigma`` ``(seeds, 1, 1)``. The constants of each half-width come
-    from scalar ``math`` calls, so a draw's value does not depend on the
-    batch it is computed in. A uniform of exactly 0 maps to exactly ``-s``.
+    from scalar ``math`` calls, once per distinct ratio ``s / sigma``, so a
+    draw's value does not depend on the batch it is computed in. A uniform
+    of exactly 0 maps to exactly ``-s``.
     """
     ratio = s / sigma
-    ratios = ratio.ravel().tolist()
+    ratios = sorted(set(ratio.ravel().tolist()))
+    at = np.searchsorted(ratios, ratio)  # each ratio's own index: its exact value is in ratios
 
     def per_width(f):
-        return np.array([f(r) for r in ratios]).reshape(ratio.shape)
+        return np.array([f(r) for r in ratios])[at]
 
     two_u = 2.0 * u
     # e^ratio overflows beyond ratio ~709.78; rows above 700 take the form below
     lower = -s + sigma * np.log1p(two_u * per_width(lambda r: math.expm1(r) if r <= 700.0 else 0.0))
-    if max(ratios) > 700.0:
+    if ratios[-1] > 700.0:
         # equivalent form that never overflows; exp(-ratio) may underflow
         # and u = 0 then maps to -inf, clipped back to the -s endpoint
         with np.errstate(divide="ignore"):

@@ -237,6 +237,68 @@ def test_a_support_that_holds_a_collapsed_one_has_no_positive_candidate(rng):
     assert held > 0  # the families do hold such supports
 
 
+def _candidates_with_and_without_the_filter(monkeypatch, A):
+    """``_support_candidates`` over every support of 2 to rank + 1 rows, filtered and not."""
+    from privlp import accuracy
+    gram = A @ A.T
+    sizes = range(2, min(A.shape[0], np.linalg.matrix_rank(A) + 1) + 1)
+    supports = [np.array(list(itertools.combinations(range(A.shape[0]), size))) for size in sizes]
+    filtered = [accuracy._support_candidates(gram, idx) for idx in supports]
+    with monkeypatch.context() as unfiltered:
+        unfiltered.setattr(accuracy, "_acute", lambda blocks: np.zeros(len(blocks), bool))
+        plain = [accuracy._support_candidates(gram, idx) for idx in supports]
+    pruned = sum(accuracy._acute(gram[idx[:, :, None], idx[:, None, :]]).sum() for idx in supports)
+    return filtered, plain, pruned
+
+
+def _acute_boundary_families(rng):
+    """Gram blocks at the filter's edges: a repeated bottom eigenvalue
+    (the orthant-LP branch), entries at +-delta_S, and entries near 1e-15."""
+    yield np.eye(4)  # G = I, not acute: both runs take the orthant LP
+    for size, rho in ((3, 0.3), (4, 0.05), (5, 0.5)):
+        # G = (1 - rho) I + rho 11^T, acute: bottom eigenvalue 1 - rho, repeated
+        yield np.hstack([np.sqrt(1.0 - rho) * np.eye(size), np.full((size, 1), np.sqrt(rho))])
+    for scale in (1.0, 1e-2, 3e-3, 1e3):  # 3e-3: delta_S is the floor 1e-6
+        delta = 1e-2 * max(scale ** 2, 1e-4)
+        for t in (delta * (1 - 1e-12), delta * (1 + 1e-12), -delta, delta):
+            cos, sin = t / scale ** 2, np.sqrt(1 - (t / scale ** 2) ** 2)
+            yield scale * np.array([[1.0, 0.0, 0.0], [cos, sin, 0.0], [cos, 0.0, sin],
+                                    [-1.0, 0.0, 0.0]])
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    yield q + rng.choice([-1e-15, 1e-15], size=(4, 4))        # unit rows, Gram entries ~1e-15
+    yield 3e-8 * rng.uniform(0.1, 1.0, size=(5, 3))            # every Gram entry near 1e-15
+
+
+def test_the_acute_filter_keeps_every_candidate_bit_for_bit(rng, monkeypatch):
+    # a support the filter skips must be one whose computed candidate is
+    # +inf anyway: filtered and unfiltered runs agree to the bit
+    from pathlib import Path
+    from privlp import load_problem
+    pin = load_problem((Path(__file__).parent / "data" / "lp14x6_dependent_rows.json").read_text())
+    families = [*_table_families(rng), pin.system.inequality_form().A,
+                *_acute_boundary_families(rng)]
+    pruned = 0
+    for A in families:
+        filtered, plain, skipped = _candidates_with_and_without_the_filter(monkeypatch, A)
+        for ours, theirs in zip(filtered, plain):
+            assert ours.tobytes() == theirs.tobytes()
+        pruned += skipped
+    assert pruned > 1000  # the filter did skip supports here
+
+
+def test_fewer_than_half_of_the_pins_supports_reach_eigh(monkeypatch):
+    from pathlib import Path
+    from privlp import load_problem
+    lp = load_problem((Path(__file__).parent / "data" / "lp12x6_seed20240817.json").read_text())
+    A = lp.system.inequality_form().A
+    eigh, decomposed = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: decomposed.append(len(a)) or eigh(a))
+    hoffman_constant(A)
+    supports = sum(math.comb(12, size) for size in range(2, np.linalg.matrix_rank(A) + 1))
+    assert supports == 2497 and 0 < sum(decomposed) < supports / 2
+
+
 def test_a_gram_overflow_is_named():
     # A @ A.T overflows for entries above about 1.3e154; the constant must
     # not be computed from the overflowed Gram matrix
@@ -265,6 +327,22 @@ def test_an_overflowing_norm_is_named(lp, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             cost_bound(lp, PP)
+
+
+@pytest.mark.parametrize("sup, params", [
+    # (n0 s)^2 of about 1e321 raised a bare OverflowError
+    (1e300, PrivacyParams(epsilon=1.0, delta=0.05, k=1e160)),
+    # s is 20, but 2 m (k/eps)^2 n0 read inf, and so did xi
+    (100.0, PrivacyParams(epsilon=1e-160, delta=0.05, k=1.0)),
+])
+def test_an_overflowing_interior_xi_is_named(sup, params):
+    system = ConstraintSystem(A=np.eye(2), b=[1.0, 1.0], zero_mask=np.eye(2) == 0,
+                              sup_A=sup * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the interior xi overflows; k/epsilon and the "
+                                             r"support widths are too large$"):
+            xi_term(system, params)
 
 
 def test_a_finite_norm_keeps_its_bits():

@@ -191,9 +191,12 @@ def test_bound_names_a_gram_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("name, message", [
     ("bound_xi_overflows.json", "the norm of A - sup_A overflows; entries of A - sup_A are too large"),
     ("bound_lipschitz_overflows.json", "the norm of c overflows; entries of c are too large"),
+    ("bound_xi_interior_overflows.json",
+     "the interior xi overflows; k/epsilon and the support widths are too large"),
 ])
 def test_bound_names_an_overflowing_norm(tmp_path, capsys, name, message):
-    # each printed Infinity for xi or L, and so for the bound, and exited 0
+    # the first two printed Infinity for xi or L, and so for the bound, and
+    # exited 0; the interior xi ended in a bare OverflowError's traceback
     from pathlib import Path
     out = tmp_path / "bound.json"
     problem = Path(__file__).parent / "data" / name

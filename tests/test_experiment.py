@@ -408,8 +408,8 @@ def _geometry_raising(lp):
 @pytest.mark.parametrize("fault", ["violate", "fail"])
 def test_a_bound_error_wins_over_a_trial_fault_in_the_first_block(monkeypatch, geometry,
                                                                    error, message, fault):
-    # a serial sweep raised the geometry's (or an epsilon's xi) error before
-    # its first block; the worker thread must not let a block's SweepAbort win
+    # the geometry and every epsilon's xi are computed before the first
+    # block, so their error is raised and the block's planted fault is never met
     from privlp import experiment
     monkeypatch.setattr(experiment, "bound_geometry", geometry)
     _plant(monkeypatch, {0: fault})
@@ -420,10 +420,12 @@ def test_a_bound_error_wins_over_a_trial_fault_in_the_first_block(monkeypatch, g
     with pytest.raises(ValueError) as raised:
         sweep_linear_program(_lp12x6(), ExperimentConfig(eps_grid=(1.0,), trials=3, k=0.02))
     assert type(raised.value).__name__ == error and str(raised.value) == message
-    assert len(blocks) == 1  # the one block ran, and its planted fault was met
+    assert blocks == []  # no block ran
 
 
 def test_no_thread_outlives_a_sweep_on_any_way_out(monkeypatch):
+    # a sweep runs on the caller's thread alone: it starts no thread, on
+    # success or on any error, so none can outlive it
     import threading
     from privlp import DegenerateSystemError, experiment, simplex
     lp = _lp12x6()
@@ -432,10 +434,13 @@ def test_no_thread_outlives_a_sweep_on_any_way_out(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
+    def no_thread(self):
+        raise AssertionError(f"a sweep started the thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     before = threading.active_count()
     sweep_linear_program(lp, config)
     sweep_gridworld(default_grid(), _grid_config(trials=2))  # its geometry stops at the row cap
-    assert threading.active_count() == before
     for patch, error in [(lambda p: _plant(p, {1: "fail"}), experiment.SweepAbort),
                          (lambda p: p.setattr(experiment, "bound_geometry", _geometry_raising),
                           DegenerateSystemError),
@@ -445,12 +450,12 @@ def test_no_thread_outlives_a_sweep_on_any_way_out(monkeypatch):
             patch(patched)
             with pytest.raises(error):
                 sweep_linear_program(lp, config)
-        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
-def test_the_geometry_worker_runs_under_the_callers_errstate(monkeypatch):
-    # np.errstate is a context variable: a thread started without the
-    # caller's context would see numpy's defaults
+def test_the_geometry_runs_on_the_callers_thread_under_the_callers_errstate(monkeypatch):
+    # np.errstate is a context variable: the geometry must see the caller's
+    # setting, on the caller's own thread
     import threading
     import numpy as np
     from privlp import experiment
@@ -468,4 +473,4 @@ def test_the_geometry_worker_runs_under_the_callers_errstate(monkeypatch):
     with np.errstate(over="raise"):
         assert sweep_linear_program(lp, config) == expected
     ((over, ident),) = seen
-    assert over == "raise" and ident != threading.get_ident()
+    assert over == "raise" and ident == threading.get_ident()
