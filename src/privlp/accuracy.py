@@ -21,7 +21,9 @@ of at most rank(A) rows, ``inner_cone_min`` those of at most rank + 1
 (Peña, Vera & Zuluaga, "New characterizations of Hoffman constants for
 systems of linear constraints", Math. Programming, 2021); each batched
 ``eigh`` call takes up to 256 supports of one size, less those that
-:func:`_acute` shows to hold no nonnegative bottom eigenvector.
+:func:`_acute` shows to hold no nonnegative bottom eigenvector. Both walks
+share one budget, ``_MAX_SUPPORTS``, on the supports that the matrix's
+shape allows them.
 
 Only ``xi`` depends on the privacy parameters. :func:`bound_geometry`
 computes the other three factors once per problem, and
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +48,8 @@ from .mechanism import _row_calibration
 from .problem import ConstraintSystem, LinearProgram, PrivacyParams, _require_finite
 from . import simplex
 
-HOFFMAN_ROW_CAP = 14
 ADMISSION_TOL = 1e-9
+_MAX_SUPPORTS = 2 ** 14 - 1  # row supports either walk may evaluate: all those of 14 rows
 _SUPPORT_CHUNK = 256  # supports per batched eigh call
 
 XI_INTERIOR = "interior"
@@ -55,7 +57,7 @@ XI_CLIPPED = "clipped"
 
 
 class HoffmanSizeError(ValueError):
-    """Row count exceeds the exact-enumeration cap."""
+    """The exact enumeration would evaluate more row supports than ``_MAX_SUPPORTS``."""
 
 
 class DegenerateSystemError(ValueError):
@@ -72,9 +74,7 @@ def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     sums = vectors.sum(axis=0)
     rows = np.vstack([np.hstack([-vectors, vectors]), np.concatenate([sums, -sums])])
     last = np.arange(rows.shape[0]) == rows.shape[0] - 1  # the normalization, an equality
-    public = ConstraintSystem(A=rows, b=last.astype(float), zero_mask=np.ones(rows.shape, bool),
-                              sup_A=rows, equality=last)
-    return simplex.phase1_feasible(public) is not None
+    return simplex._phase1(rows, last.astype(float), last) is not None
 
 
 def _acute(blocks: np.ndarray) -> np.ndarray:
@@ -136,25 +136,36 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return candidates
 
 
-def _support_walk(A: np.ndarray, max_size: int, name: str) -> Iterator[np.ndarray]:
-    """Per size up to ``max_size``: the candidates g(S) of the row supports of that size.
+def _support_walk(A, extra: int, name: str) -> np.ndarray:
+    """The candidates g(S) of every row support S of at most ``rank(A) + extra`` rows.
 
-    A singleton's g is its row norm; a larger support's is ``_support_candidates``'s.
-    Raises ``ValueError`` naming the matrix ``name`` when its Gram matrix overflows.
+    A singleton's g is its row norm; a larger support's is
+    ``_support_candidates``'s. Raises ``ValueError`` naming the matrix
+    ``name`` for a non-finite entry or an overflowing Gram matrix, and
+    :class:`HoffmanSizeError` when the supports of at most ``n + extra``
+    rows, counted from the shape alone so that no SVD runs first, number
+    more than ``_MAX_SUPPORTS``.
     """
-    m = A.shape[0]
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    _require_finite(A, name)
+    m, n = A.shape
+    count = 0
+    for size in range(1, min(m, n + extra) + 1):
+        count += math.comb(m, size)
+        if count > _MAX_SUPPORTS:
+            raise HoffmanSizeError(f"exact enumeration over the {m} rows of {name} would evaluate at "
+                                   f"least {count} row supports, over its budget of {_MAX_SUPPORTS}")
     with np.errstate(over="ignore"):
         gram = A @ A.T
     if not np.isfinite(gram).all():
         raise ValueError(f"{name} @ {name}.T overflows; entries of {name} are too large")
-    for size in range(1, min(m, max_size) + 1):
+    candidates = [np.sqrt(np.maximum(np.diag(gram), 0.0))]
+    for size in range(2, min(m, np.linalg.matrix_rank(A) + extra) + 1):
         idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), size)),
                           np.intp, math.comb(m, size) * size).reshape(-1, size)
-        if size == 1:
-            yield np.sqrt(np.maximum(np.diag(gram), 0.0))
-        else:
-            yield np.concatenate([_support_candidates(gram, idx[i:i + _SUPPORT_CHUNK])
-                                  for i in range(0, len(idx), _SUPPORT_CHUNK)])
+        candidates.append(np.concatenate([_support_candidates(gram, idx[i:i + _SUPPORT_CHUNK])
+                                          for i in range(0, len(idx), _SUPPORT_CHUNK)]))
+    return np.concatenate(candidates)
 
 
 def inner_cone_min(M) -> float:
@@ -163,15 +174,13 @@ def inner_cone_min(M) -> float:
     Face enumeration over the supports of v of at most rank(M) + 1 rows (a
     zero comes from a minimal positively dependent set, of at most rank + 1
     rows); every candidate is attained by a feasible v, and the minimizer
-    is the bottom eigenpair of its own support's Gram block.
+    is the bottom eigenpair of its own support's Gram block. Raises
+    :class:`HoffmanSizeError` beyond the support budget of
+    :func:`_support_walk`, which ``hoffman_constant`` shares.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
+    if np.size(M) == 0:
         raise ValueError("M must be non-empty")
-    if M.shape[0] > 20:
-        raise ValueError(f"face enumeration over {M.shape[0]} rows is too large")
-    _require_finite(M, "M")
-    return float(min(g.min() for g in _support_walk(M, np.linalg.matrix_rank(M) + 1, "M")))
+    return float(_support_walk(M, 1, "M").min())
 
 
 def hoffman_constant(A) -> float:
@@ -184,15 +193,12 @@ def hoffman_constant(A) -> float:
     nonsingular Gram block, so only supports of at most rank(A) rows are
     evaluated; by Cauchy interlacing a support that holds a singular one is
     singular too, with g 0 or +inf, so it is never admitted.
-    Raises :class:`HoffmanSizeError` beyond the row cap and
+    Raises :class:`HoffmanSizeError` when the supports of at most
+    ``min(m, n)`` rows number more than the budget of :func:`_support_walk`
+    (every input of at most 14 rows is within it), and
     :class:`DegenerateSystemError` when no subset is admissible.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    _require_finite(A, "A")
-    if A.shape[0] > HOFFMAN_ROW_CAP:
-        raise HoffmanSizeError(
-            f"exact Hoffman enumeration supports at most {HOFFMAN_ROW_CAP} rows, got {A.shape[0]}")
-    g = np.concatenate([np.zeros(0), *_support_walk(A, np.linalg.matrix_rank(A), "A")])
+    g = _support_walk(A, 0, "A")
     admitted = g[g > ADMISSION_TOL]
     if not admitted.size:
         raise DegenerateSystemError("no admissible row subset; Hoffman constant undefined")

@@ -168,20 +168,18 @@ def build_gridworld(cfg: GridConfig) -> Cmdp:
     p = cfg.width * cfg.height
     q = 4
     goal = cfg.cell_index(cfg.goal)
+    states = np.arange(p)
+    moves = np.array(list(_MOVES.values()))  # (direction, (dr, dc)), in action order
+    rr = states[:, None] // cfg.width + moves[:, 0]
+    cc = states[:, None] % cfg.width + moves[:, 1]
+    inside = (0 <= rr) & (rr < cfg.height) & (0 <= cc) & (cc < cfg.width)
+    dest = np.where(inside, rr * cfg.width + cc, states[:, None])  # (state, direction)
+    prob = np.where(np.eye(q, dtype=bool), 1.0 - cfg.slip, cfg.slip / 3.0)  # (action, direction)
     T = np.zeros((p, q, p))
-    for r in range(cfg.height):
-        for c in range(cfg.width):
-            s = cfg.cell_index((r, c))
-            if s == goal:
-                T[s, :, s] = 1.0
-                continue
-            for action in range(q):
-                for direction, (dr, dc) in _MOVES.items():
-                    prob = 1.0 - cfg.slip if direction == action else cfg.slip / 3.0
-                    rr, cc = r + dr, c + dc
-                    dest = s if not (0 <= rr < cfg.height and 0 <= cc < cfg.width) \
-                        else cfg.cell_index((rr, cc))
-                    T[s, action, dest] += prob
+    # one pass over (state, action, direction) in that order, so moves onto one cell add in turn
+    np.add.at(T, (states[:, None, None], np.arange(q)[:, None], dest[:, None, :]), prob)
+    T[goal] = 0.0
+    T[goal, :, goal] = 1.0
     rewards = np.zeros((p, q))
     rewards[goal, :] = cfg.goal_reward
     mu = np.zeros(p)

@@ -126,11 +126,11 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     The bound's geometry (``L``, ``||x_bar||`` and ``H(A)``) is then
     computed once and each epsilon's bound completed from it, so an error
     from the geometry or from an epsilon's ``xi`` is raised before any
-    block runs. Beyond the exact-Hoffman row cap the bound is recorded as
-    ``inf``, which is still a valid bound. The baseline's basis is then
-    factored once, every trial starts the simplex from it, and each block
-    of cells is privatized, solved, re-checked against all original rows
-    and scored together.
+    block runs. Beyond the exact-Hoffman support budget the bound is
+    recorded as ``inf``, which is still a valid bound. The baseline's basis
+    is then factored once, every trial starts the simplex from it, and each
+    block of cells is privatized, solved, re-checked against all original
+    rows and scored together.
     """
     vp = validate(lp)
     sys_ = vp.system

@@ -14,11 +14,11 @@ runs on its way into ``PCG64``, for every (seed, row) of a block at once in
 ``uint64`` arrays: the seeds' entropy pools, the mixing of each row's spawn
 word into them, and ``generate_state(4, uint64)``. :func:`row_uniforms` then
 runs ``PCG64`` itself (O'Neill's PCG, XSL-RR output) on those words and
-returns every row's ``random()`` draws in one pass; :func:`row_stream` hands
-the words of one (seed, row) to NumPy's own ``PCG64`` as a ``Generator``.
+returns every row's ``random()`` draws in one pass; :func:`row_stream` is
+NumPy's own generator for one (seed, row).
 ``tests/test_mechanism.py::test_row_stream_is_the_default_rng_stream`` pins
-the words against NumPy, and the ``row_uniforms`` tests pin the draws
-against ``row_stream``.
+the words against NumPy's ``generate_state``, and the ``row_uniforms`` tests
+pin the draws against NumPy's ``default_rng``.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import operator
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,28 +165,13 @@ def row_uniforms(seeds, rows, counts) -> np.ndarray:
     return (x >> 11) * 2.0 ** -53
 
 
-class _RowSeed(ISeedSequence):
-    """The four ``uint64`` words ``PCG64`` asks its seed sequence for."""
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a row seed gives 4 uint64 words only, not {n_words} of {dtype}")
-        return self._words.copy()
-
-
 def row_stream(seed: int, row_index: int) -> np.random.Generator:
     """Independent generator for one matrix row, keyed by (seed, row).
 
-    The stream of ``default_rng(SeedSequence(entropy=seed & (2**64 - 1),
-    spawn_key=(row_index,)))``, bit for bit (pinned by
-    ``test_row_stream_is_the_default_rng_stream`` and the interleaved-seed
-    test beside it), built without that ``SeedSequence``: ``PCG64`` gets the
-    state words of :func:`_state_words`. The privatization path draws from
-    :func:`row_uniforms` instead; this is its one-row reference.
-    ``row_index`` must lie in ``[0, 2**32)``, where the spawn key is one
-    word. NumPy integers are accepted like Python ints.
+    NumPy's own ``default_rng(SeedSequence(entropy=seed & (2**64 - 1),
+    spawn_key=(row_index,)))``. The privatization path draws from
+    :func:`row_uniforms` instead; this is its one-row reference. NumPy
+    integers are accepted like Python ints.
     """
-    return np.random.Generator(np.random.PCG64(_RowSeed(_state_words([seed], [row_index])[:, 0, 0])))
+    return np.random.default_rng(np.random.SeedSequence(entropy=operator.index(seed) & _MASK64,
+                                                        spawn_key=(operator.index(row_index),)))

@@ -192,7 +192,7 @@ def test_criterion_06_expected_loss_bound(lp_suite, grid_setup):
     grid_sys = grid_lp.system
     with pytest.raises(HoffmanSizeError):
         cost_bound(grid_lp, PP)
-    # the sweep's rule: beyond the exact-Hoffman row cap the bound is inf
+    # the sweep's rule: beyond the exact-Hoffman support budget the bound is inf
     grid_bound = sweep_gridworld(cfg, ExperimentConfig(
         eps_grid=(PP.epsilon,), trials=1, delta=PP.delta, k=PP.k))[0].predicted_bound
     gaps = []

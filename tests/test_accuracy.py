@@ -186,6 +186,8 @@ def _table_families(rng):
         yield from (pm, dup, mult, zero)
         yield rng.normal(size=(m, 2)) @ rng.normal(size=(2, n))  # rank 2, tall
         yield np.round(2.0 * base)                               # integer-rounded
+    # past 14 rows, within the support budget: 696 supports of at most 3 rows, and 120 of 2
+    yield from (rng.normal(size=(16, 3)), rng.normal(size=(15, 2)))
 
 
 def test_hoffman_and_inner_min_equal_the_table_algorithm_bit_for_bit(rng):
@@ -228,7 +230,7 @@ def test_a_support_that_holds_a_collapsed_one_has_no_positive_candidate(rng):
         m, rank = A.shape[0], np.linalg.matrix_rank(A)
         masks = np.concatenate([(1 << np.array(list(itertools.combinations(range(m), size))))
                                 .sum(axis=1) for size in range(1, min(m, rank) + 1)])
-        g = np.concatenate(list(_support_walk(A, rank, "A")))
+        g = _support_walk(A, 0, "A")
         collapsed = masks[g <= ADMISSION_TOL]
         holds = ((masks[:, None] & collapsed == collapsed)
                  & (masks[:, None] != collapsed)).any(axis=1)
@@ -368,9 +370,26 @@ def test_inner_min_names_a_non_finite_entry():
         inner_cone_min([[np.nan]])
 
 
-def test_hoffman_size_cap():
-    with pytest.raises(HoffmanSizeError):
-        hoffman_constant(np.eye(15))
+def test_hoffman_size_cap(rng):
+    # one budget on the supports of at most n (inner_cone_min: n + 1) rows,
+    # counted until it is passed, refuses both walks at the same count
+    from privlp.accuracy import _MAX_SUPPORTS
+    assert _MAX_SUPPORTS == 2 ** 14 - 1
+    over = r"at least {} row supports, over its budget of 16383$"
+    for walk in (hoffman_constant, inner_cone_min):
+        with pytest.raises(HoffmanSizeError, match=over.format(22818)):
+            walk(np.eye(15))
+        with pytest.raises(HoffmanSizeError, match=over.format(26332)):
+            walk(rng.normal(size=(16, 8)))
+    with pytest.raises(HoffmanSizeError, match=over.format(26332)):
+        inner_cone_min(rng.normal(size=(16, 7)))
+    tall = rng.normal(size=(16, 6))  # 14892 supports of at most 6 rows, 26332 of at most 7
+    assert math.isfinite(hoffman_constant(tall))
+    with pytest.raises(HoffmanSizeError, match=over.format(26332)):
+        inner_cone_min(tall)
+    # the budget is every support of 14 rows: a 14x14 matrix walks them all
+    full = rng.normal(size=(14, 14))
+    assert math.isfinite(hoffman_constant(full)) and math.isfinite(inner_cone_min(full))
 
 
 def test_hoffman_degenerate_input():

@@ -474,6 +474,19 @@ def test_bound_json_with_dependent_rows_matches_the_pinned_bytes(tmp_path):
     assert out.read_bytes() == expected
 
 
+def test_bound_json_of_a_tall_lp_matches_the_pinned_bytes(tmp_path):
+    # 16 rows of 3 columns: 696 supports of at most 3 rows, within the
+    # Hoffman support budget though past 14 rows; the LP is
+    # conftest.random_validated_lp(default_rng(20240817), m=16, n=3, positive_costs=True)
+    from pathlib import Path
+    data = Path(__file__).resolve().parent / "data"
+    out = tmp_path / "bound.json"
+    assert main(["bound", str(data / "lp16x3_seed20240817.json"),
+                 "--epsilon", "1", "--k", "0.02", "--delta", "0.05", "--out", str(out)]) == 0
+    expected = (data / "lp16x3_bound_eps1_k0.02.json").read_bytes()
+    assert out.read_bytes() == expected
+
+
 def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, monkeypatch,
                                                                   tmp_path):
     # a released private solution must depend on A_tilde alone, so only the

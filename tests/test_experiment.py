@@ -185,14 +185,27 @@ def test_grid_sweep_rejects_nonpositive_baseline_before_any_work(monkeypatch):
 
 
 def test_lp_sweep_beyond_hoffman_cap_records_inf_bound(rng):
+    # 16x8: 26,332 supports of at most 8 rows counted, past the 16,383 budget
     from privlp import HoffmanSizeError, PrivacyParams, cost_bound
-    lp = random_validated_lp(rng, m=16, n=3, positive_costs=True)
+    lp = random_validated_lp(rng, m=16, n=8, positive_costs=True)
     config = ExperimentConfig(eps_grid=(0.5, 2.0), trials=3, base_seed=1, delta=0.05, k=0.1)
     records = sweep_linear_program(lp, config)
     assert [r.predicted_bound for r in records] == [math.inf, math.inf]
     assert all(r.n_trials == 3 and r.n_infeasible == 0 for r in records)
     with pytest.raises(HoffmanSizeError):
         cost_bound(lp, PrivacyParams(0.5, 0.05, 0.1))
+
+
+def test_lp_sweep_of_a_tall_few_column_lp_records_the_finite_bound(rng):
+    # 16x3: 696 supports of at most 3 rows, within the Hoffman budget
+    from privlp import cost_bound
+    lp = random_validated_lp(rng, m=16, n=3, positive_costs=True)
+    config = ExperimentConfig(eps_grid=(0.5, 2.0), trials=20, base_seed=1, delta=0.05, k=0.1)
+    records = sweep_linear_program(lp, config)
+    for r, p in zip(records, config.privacy):
+        assert r.predicted_bound == cost_bound(lp, p).bound
+        assert math.isfinite(r.predicted_bound)
+        assert r.mean_abs_objective_gap <= r.predicted_bound
 
 
 # A hazard on the start cell whose public bound alone exceeds the budget: the
@@ -440,7 +453,7 @@ def test_no_thread_outlives_a_sweep_on_any_way_out(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     before = threading.active_count()
     sweep_linear_program(lp, config)
-    sweep_gridworld(default_grid(), _grid_config(trials=2))  # its geometry stops at the row cap
+    sweep_gridworld(default_grid(), _grid_config(trials=2))  # geometry stops at the budget
     for patch, error in [(lambda p: _plant(p, {1: "fail"}), experiment.SweepAbort),
                          (lambda p: p.setattr(experiment, "bound_geometry", _geometry_raising),
                           DegenerateSystemError),
