@@ -104,6 +104,24 @@ def _acute(blocks: np.ndarray) -> np.ndarray:
     return over.all(axis=2).any(axis=1)
 
 
+def _touches_orthant(eigvecs: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per support, does its bottom eigenspace (the columns of ``eigvecs`` that ``group`` marks)
+    hold a nonzero nonnegative vector?
+
+    The bottom eigenvector decides where it is one-signed up to ``1e-12``:
+    it lies in the eigenspace, and a unit vector with entries at least
+    ``-1e-12`` sums to about 1 or more, so the orthant LP would find it
+    too. A simple eigenvalue's eigenspace is that vector's line, so the
+    sign test is the whole answer. Only a repeated eigenvalue whose
+    bottom eigenvector is not one-signed goes to the orthant LP.
+    """
+    bottom = eigvecs[:, :, 0]
+    touches = (bottom >= -1e-12).all(axis=1) | (bottom <= 1e-12).all(axis=1)
+    for i in np.flatnonzero((group.sum(axis=1) > 1) & ~touches):
+        touches[i] = _eigenspace_touches_orthant(eigvecs[i][:, group[i]])
+    return touches
+
+
 def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Per support, min of sqrt(v' G v) over unit v >= 0 supported on all its rows.
 
@@ -112,9 +130,10 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     contains a nonnegative vector, else +inf (no interior critical point on
     this support; smaller supports cover the boundary), without an
     ``eigh`` for a block that :func:`_acute` flags. A matrix's ``eigh``
-    does not depend on its batch, so skipping blocks moves no bit. A
-    simple bottom eigenvalue needs only a sign check of its eigenvector; a
-    repeated one falls back to the orthant LP. Bottom eigenvalues under the
+    does not depend on its batch, so skipping blocks moves no bit. Whether
+    the bottom eigenspace holds a nonnegative vector is
+    :func:`_touches_orthant`'s sign test, and the orthant LP only where
+    that test fails on a repeated eigenvalue. Bottom eigenvalues under the
     numerical-rank threshold collapse to exactly zero: their square root
     would otherwise surface eigensolver round-off (~1e-8) above the
     admission tolerance and fabricate huge Hoffman constants for genuinely
@@ -126,13 +145,9 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     lo = eigvals[:, 0]
     scale = np.maximum(1.0, np.abs(eigvals[:, -1]))
     group = eigvals <= (lo + 1e-10 * scale)[:, None]
-    bottom = eigvecs[:, :, 0]
-    touches = (bottom >= -1e-12).all(axis=1) | (bottom <= 1e-12).all(axis=1)
-    for i in np.flatnonzero(group.sum(axis=1) > 1):
-        touches[i] = _eigenspace_touches_orthant(eigvecs[i][:, group[i]])
     values = np.where(lo <= 1e-13 * scale, 0.0, np.sqrt(np.maximum(lo, 0.0)))
     candidates = np.full(len(supports), np.inf)
-    candidates[kept] = np.where(touches, values, np.inf)
+    candidates[kept] = np.where(_touches_orthant(eigvecs, group), values, np.inf)
     return candidates
 
 

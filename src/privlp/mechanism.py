@@ -9,14 +9,15 @@ calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
 feasible for it is feasible for the true constraints. There is one path,
-:func:`privatize_block`, which privatizes one system under several
-(params, seed) pairs; :func:`privatize_matrix` is its block of one plus the
-per-row metadata. Rows are privatized independently (disjoint data,
-parallel composition): row ``i`` under ``seed`` draws its uniforms from its
-own stream keyed by ``(seed, i)``. One :func:`seeds.row_uniforms` call
-draws every stream of a block in one numpy pass, and the inverse CDF, shift
-and clip then run once over the stack of every seed's private rows, with
-each row's ``s_i`` and each seed's ``sigma`` broadcast along the entries.
+:func:`privatize_block`, which privatizes the private rows of one system
+under several (params, seed) pairs; :func:`privatize_matrix` is its block
+of one plus the public rows and the per-row metadata. Rows are privatized
+independently (disjoint data, parallel composition): row ``i`` under
+``seed`` draws its uniforms from its own stream keyed by ``(seed, i)``.
+One :func:`seeds.row_uniforms` call draws every stream of a block in one
+numpy pass, and the inverse CDF, shift and clip then run once over the
+stack of every seed's private rows, with each row's ``s_i`` and each seed's
+``sigma`` broadcast along the entries.
 ``s_i`` comes from :func:`_row_calibration`, once per distinct params of a
 block, and ``xi_term`` reads it too.
 """
@@ -146,19 +147,20 @@ class PrivatizedSystem:
 
 def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], seeds: Sequence[int],
                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Privatize ``sys`` once per (params, seed) pair into ``out``, shape ``(len(seeds), m, n)``.
+    """Privatize the private rows of ``sys`` once per (params, seed) pair into ``out``.
 
-    ``params`` holds one :class:`PrivacyParams` per seed, and ``out[t]`` is
-    ``privatize_matrix(sys, params[t], seeds[t]).A_tilde``. The half-widths
-    are computed once per distinct params, and the noise transform runs once
-    over the stack of all seeds' private rows. Row ``i`` of seed ``t`` draws
-    ``row_stream(seeds[t], i).random(n0_i)``, and one ``row_uniforms`` call
-    draws them for every seed and row. Returns ``(s, z)``: the half-width of
-    each row of ``sys.private_rows`` per seed, shape ``(len(seeds), rows)``,
-    and the noise drawn, shape ``(len(seeds), rows, n)``.
+    ``out`` has shape ``(len(seeds), rows, n)``, one slot per row of
+    ``sys.private_rows``, and ``params`` holds one :class:`PrivacyParams`
+    per seed: ``out[t]`` is those rows of ``privatize_matrix(sys,
+    params[t], seeds[t]).A_tilde``. The public rows are ``sys.A``'s and are
+    not written. The half-widths are computed once per distinct params, and
+    the noise transform runs once over the stack of all seeds' private rows.
+    Row ``i`` of seed ``t`` draws ``row_stream(seeds[t], i).random(n0_i)``,
+    and one ``row_uniforms`` call draws them for every seed and row. Returns
+    ``(s, z)``: the half-width of each private row per seed, shape
+    ``(len(seeds), rows)``, and the noise drawn, shape ``(len(seeds), rows, n)``.
     """
     counts, rows, block, A_rows, sup = sys.private_rows
-    out[...] = sys.A
     n0 = counts[rows]
     widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
     if not rows.size:
@@ -167,7 +169,7 @@ def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], seed
     sigma = np.array([p.sigma for p in params])
     u = np.zeros((len(seeds), *block.shape))
     u[:, block] = row_uniforms(seeds, rows, n0)
-    out[:, rows], z = _noisy_rows(A_rows, block, sup, u, s[:, :, None], sigma[:, None, None])
+    out[...], z = _noisy_rows(A_rows, block, sup, u, s[:, :, None], sigma[:, None, None])
     return s, z
 
 
@@ -178,18 +180,20 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by
     ``(seed, i)``, so the output is a pure function of (system, params,
     seed) regardless of execution order. Fixed seed, identical output.
-    The matrix is :func:`privatize_block`'s block of one; fully masked
-    (public) rows are copied and draw nothing. Which rows those
+    The private rows are :func:`privatize_block`'s block of one; fully
+    masked (public) rows are copied and draw nothing. Which rows those
     are is read from ``sys.private_rows``, which a system computes once.
     """
     m, n = sys.shape
     counts, rows, block, _, sup = sys.private_rows
-    A_tilde = np.empty((m, n))
-    s, z = privatize_block(sys, (p,), (seed,), A_tilde[None])
+    A_tilde = np.array(sys.A)
+    private = np.empty((1, *block.shape))
+    s, z = privatize_block(sys, (p,), (seed,), private)
+    A_tilde[rows] = private[0]
     supports = np.zeros(m)
     supports[rows] = s[0]
     clipped = np.zeros(m, dtype=int)
-    clipped[rows] = (block & (A_tilde[rows] == sup)).sum(axis=1)
+    clipped[rows] = (block & (private[0] == sup)).sum(axis=1)
     noise = np.full((m, n), np.nan) if record_noise else None
     if record_noise:
         noise[rows] = np.where(block, z[0], np.nan)

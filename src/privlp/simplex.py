@@ -43,10 +43,12 @@ _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 200
 _MAX_VERTEX_BASES = 500_000  # bases one vertex enumeration may meet
 _VERTEX_CHUNK = 256
+_VERTEX_OVERFLOW = "vertex enumeration overflows; the region's vertex coordinates are too large"
 
 # Entries below this are zero to the simplex, and a start basis whose 1-norm
 # condition number reaches its inverse is singular.
 PIVOT_TOL = 1e-10
+_CERTIFY_MARGIN = 1e-9  # relative widening of a warm start's certified norm bounds, for rounding
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -137,7 +139,9 @@ def _checked(A: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
     the largest absolute column sum of ``A`` at the basic x columns, or 1
     for a slack column; ``B^-1`` is the slack block of ``T``. Each column
     sum adds its rows one after another, as a sum down ``B`` does; a sum
-    over the gathered columns may add them pairwise, in other bits.
+    over the gathered columns may add them pairwise, in other bits. This is
+    the exact check; :meth:`WarmStart.tableaus` calls it only on the starts
+    that the norms of their update do not already prove usable.
     """
     m, n = A.shape[-2:]
     rows = np.abs(np.moveaxis(A, -2, 0)[..., basis[basis < n]])
@@ -162,10 +166,15 @@ class WarmStart:
     def __init__(self, system: ConstraintSystem, basic_columns):
         self.system = system
         self.A, self.b = np.asarray(system.A), np.asarray(system.b)
+        m, n = self.A.shape
         self.basis = np.array(basic_columns, dtype=int)
         body = _slack_start(self.A[None], self.b)[0]
-        T0 = _stacked_solve(body[..., :-1][..., self.basis], body)[0]
+        B0 = body[..., :-1][..., self.basis]
+        T0 = _stacked_solve(B0, body)[0]
         self.T0 = T0 if _checked(self.A, self.basis, T0) else None
+        if self.T0 is not None:  # ||B0||_1, ||B0^-1||_1 and max|T0|, which bound every update
+            self._norms = (np.abs(B0[0]).sum(axis=0).max(),
+                           np.abs(T0[:, n:n + m]).sum(axis=0).max(), np.abs(T0).max())
 
     def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(T, basis, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
@@ -174,6 +183,11 @@ class WarmStart:
         it was built: ``"updated"`` for ``B[t]^-1 [A[t] | I | b]`` in the
         start's basis, with ``B[t]`` its basis columns of ``[A[t] | I]``,
         and ``"slack"`` for the slack start where ``B[t]`` is singular.
+        Singular means that :func:`_checked` refuses the updated tableau.
+        A start whose update's norms bound its condition number under
+        ``1 / PIVOT_TOL`` and prove it finite is accepted without reading
+        the tableau again (:meth:`_updated`), and only the rest go to the
+        exact check, so the decision is ``_checked``'s on every start.
         Every system is an update of ``T0`` over the union of the rows that
         changed in any of them, however many those are, and its products
         and solves run as they would on that system alone, so its tableau
@@ -187,8 +201,9 @@ class WarmStart:
         k, m, _ = A.shape
         if self.T0 is None:
             return *_slack_start(A, self.b), np.full(k, "slack", dtype=object)
-        T = self._updated(A, np.flatnonzero((A != self.A).any(axis=(0, 2))))
-        usable = _checked(A, self.basis, T)
+        T, usable = self._updated(A, np.flatnonzero((A != self.A).any(axis=(0, 2))))
+        if not usable.all():
+            usable[~usable] = _checked(A[~usable], self.basis, T[~usable])
         T[:, :, self.basis] = np.eye(m)
         rhs = T[:, :, -1]
         rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0
@@ -197,15 +212,23 @@ class WarmStart:
             T[~usable], basis[~usable] = _slack_start(A[~usable], self.b)
         return T, basis, np.where(usable, "updated", "slack").astype(object)
 
-    def _updated(self, A: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``T0`` updated to each system of ``A`` by the Woodbury identity.
+    def _updated(self, A: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``T0`` updated to each system of ``A`` by the Woodbury identity, and which are certified.
 
         With ``R`` the changed rows, ``D = A[R] - A0[R]``, ``D_B`` its basis
         columns (0 at slacks) and ``U = T0[:, n + R]`` (columns ``R`` of
-        ``B0^-1``): ``T = T0 - U C^-1 (D_B T0 - [D | 0 | 0])``, with
-        ``C = I + D_B U``. A system whose ``C`` is singular gets a NaN
+        ``B0^-1``): ``T = T0 - U S`` with ``S = C^-1 (D_B T0 - [D | 0 | 0])``
+        and ``C = I + D_B U``. A system whose ``C`` is singular gets a NaN
         ``T``. ``np.matmul`` runs each system's products as ``np.dot`` runs
         them on one system, to the bit.
+
+        ``certified[t]`` is True where the update's norms prove that
+        :func:`_checked` accepts ``T[t]``: ``||B||_1 <= ||B0||_1 +
+        ||D_B||_1``; ``||B^-1||_1 <= ||B0^-1||_1 (1 + |R| max|S_slack|)``,
+        since ``U``'s columns are columns of ``B0^-1``; and ``max|T| <=
+        max|T0| + |R| max|U| max|S|``, finite. Each bound is widened by
+        ``_CERTIFY_MARGIN`` for the rounding of the computed norms. A False
+        proves nothing: that system goes to the exact check.
         """
         k, m, n = A.shape
         D = A[:, rows] - self.A[rows]
@@ -215,8 +238,20 @@ class WarmStart:
         U = self.T0[:, n + rows]
         W = np.matmul(D_B, self.T0)
         W[:, :, :n] -= D
-        T = np.matmul(U, _stacked_solve(np.eye(rows.size) + np.matmul(D_B, U), W))
-        return np.subtract(self.T0, T, out=T)
+        S = _stacked_solve(np.eye(rows.size) + np.matmul(D_B, U), W)
+        T = np.matmul(U, S)
+        np.subtract(self.T0, T, out=T)
+        norm, inverse_norm, largest = self._norms
+        S = np.abs(S)
+        slack_max = S[..., n:n + m].max(axis=(1, 2), initial=0.0)
+        size = rows.size * (1.0 + _CERTIFY_MARGIN)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound certifies nothing
+            norm = norm + np.abs(D_B).sum(axis=1).max(axis=1, initial=0.0)
+            inverse_norm = inverse_norm * (1.0 + size * slack_max)
+            largest = largest + size * np.abs(U).max(initial=0.0) * S.max(axis=(1, 2), initial=0.0)
+            certified = ((norm * inverse_norm * (1.0 + _CERTIFY_MARGIN) < 1 / PIVOT_TOL)
+                         & np.isfinite(largest * (1.0 + _CERTIFY_MARGIN)))
+        return T, certified
 
 
 def _priced_objective(costs: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -549,8 +584,12 @@ def _walk_bases(rows: np.ndarray, rhs: np.ndarray,
         rate = -(rows @ inv)  # rate[a, i, j]: how fast slack i falls along edge j of basis a
         # a basis' own rows stay tight along its edges; round-off there must not block at 0
         rate[np.arange(frontier.shape[0])[:, None], frontier] = 0.0
-        ratio = np.divide(np.where(tight, 0.0, slack)[:, :, None], rate,
-                          out=np.full(rate.shape, np.inf), where=rate > 0)
+        try:
+            with np.errstate(over="raise"):  # an edge too long for a float is no ray
+                ratio = np.divide(np.where(tight, 0.0, slack)[:, :, None], rate,
+                                  out=np.full(rate.shape, np.inf), where=rate > 0)
+        except FloatingPointError:
+            raise ValueError(_VERTEX_OVERFLOW) from None
         bounded = np.isfinite(ratio).any(axis=1)
         if not bounded.all():
             return None  # a ray: the region is unbounded
@@ -602,8 +641,12 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return None
     bases, X = walked
     X = X[np.lexsort(bases.T[::-1])]  # the scan's order: by S[0], then S[1], ...
+    with np.errstate(over="ignore"):
+        keys = np.round(X, 9) + 0.0
+    if not np.isfinite(keys).all():
+        raise ValueError(_VERTEX_OVERFLOW)
     first = {}
-    for i, key in enumerate(np.round(X, 9) + 0.0):
+    for i, key in enumerate(keys):
         first.setdefault(key.tobytes(), i)
     return X[list(first.values())]
 
@@ -627,7 +670,10 @@ def max_norm_point(sys: ConstraintSystem):
         return UNBOUNDED
     if vertices.shape[0] == 0:
         raise ValueError("region is empty; max_norm_point requires a feasible system")
-    norms = np.linalg.norm(vertices, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vertices, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("the norm of a vertex overflows; the region's vertices are too large")
     best = norms.max()
     candidates = vertices[norms >= best - FEAS_TOL]
     order = np.lexsort(candidates.T[::-1])  # lexicographic by x_0, then x_1, ...

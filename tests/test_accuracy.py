@@ -129,6 +129,17 @@ def test_hoffman_matches_all_support_enumeration_on_10x3(rng):
         assert hoffman_constant(A) == pytest.approx(hoffman_all_supports(A), rel=1e-12)
 
 
+def _touches_orthant_by_lp(eigvecs, group):
+    """``accuracy._touches_orthant`` with its sign-test shortcut patched off:
+    every repeated bottom eigenvalue goes to the orthant LP."""
+    from privlp import accuracy
+    bottom = eigvecs[:, :, 0]
+    touches = (bottom >= -1e-12).all(axis=1) | (bottom <= 1e-12).all(axis=1)
+    for i in np.flatnonzero(group.sum(axis=1) > 1):
+        touches[i] = accuracy._eigenspace_touches_orthant(eigvecs[i][:, group[i]])
+    return touches
+
+
 def test_orthant_test_decides_as_the_t_lp_on_the_eigenspaces_met(rng, monkeypatch):
     # the repeated bottom eigenspaces of the tier-1 Hoffman inputs: identities,
     # the 10x3 mixed matrix and the inequality form of public equality rows.
@@ -146,6 +157,7 @@ def test_orthant_test_decides_as_the_t_lp_on_the_eigenspaces_met(rng, monkeypatc
         return touches
 
     monkeypatch.setattr(accuracy, "_eigenspace_touches_orthant", compared)
+    monkeypatch.setattr(accuracy, "_touches_orthant", _touches_orthant_by_lp)
     mixed = rng.normal(size=(10, 3))
     mixed[7], mixed[8], mixed[9] = mixed[0], 0.0, 2.5 * mixed[1]
     paired = [np.vstack([E, -E[:2]]) for E in rng.normal(size=(4, 3, 3))]
@@ -288,6 +300,49 @@ def test_the_acute_filter_keeps_every_candidate_bit_for_bit(rng, monkeypatch):
     assert pruned > 1000  # the filter did skip supports here
 
 
+def _counted_orthant_lps(monkeypatch):
+    from privlp import accuracy
+    decide, decisions = accuracy._eigenspace_touches_orthant, []
+    monkeypatch.setattr(accuracy, "_eigenspace_touches_orthant",
+                        lambda vectors: decisions.append(vectors.shape) or decide(vectors))
+    return decisions
+
+
+def test_the_sign_test_shortcut_keeps_every_candidate_bit_for_bit(rng, monkeypatch):
+    # a repeated bottom eigenvalue whose bottom eigenvector is one-signed
+    # skips the orthant LP: both walks' candidates must be those of the LP
+    # run on every repeated eigenvalue, to the bit
+    from privlp import accuracy
+    e5 = np.eye(5)
+    families = [*_table_families(rng), *(np.eye(k) for k in range(1, 15)),
+                np.vstack([e5, e5[[0, 3]]]), np.vstack([e5, -e5[[1, 2]]]),   # duplicated, negated
+                np.vstack([e5, e5[[0, 3]], -e5[[1, 3]]]), np.kron(np.eye(3), [[1.0], [-2.0]]),
+                np.diag([1.0, 2.0, 3.0, 4.0]),
+                np.vstack([np.diag([1.0, 2.0, 3.0]), [[0.0, -5.0, 0.0]]])]
+    decisions = _counted_orthant_lps(monkeypatch)
+    skipped = 0
+    for A in families:
+        for extra in (0, 1):
+            decisions.clear()
+            ours = accuracy._support_walk(A, extra, "A")
+            run = len(decisions)
+            with monkeypatch.context() as plain:
+                plain.setattr(accuracy, "_touches_orthant", _touches_orthant_by_lp)
+                theirs = accuracy._support_walk(A, extra, "A")
+            assert ours.tobytes() == theirs.tobytes()
+            skipped += len(decisions) - 2 * run
+    assert skipped > 30000  # eye(14) alone sends 16369 repeated eigenvalues per walk to the LP
+
+
+def test_an_identity_runs_no_orthant_lp(monkeypatch):
+    # every support of eye(14) has the Gram block I: its eigenvalue 1 is
+    # repeated, and its first eigenvector, a unit vector, is one-signed
+    decisions = _counted_orthant_lps(monkeypatch)
+    assert hoffman_constant(np.eye(14)) == 1.0
+    assert inner_cone_min(np.eye(14)) == 1.0
+    assert decisions == []
+
+
 def test_fewer_than_half_of_the_pins_supports_reach_eigh(monkeypatch):
     from pathlib import Path
     from privlp import load_problem
@@ -345,6 +400,35 @@ def test_an_overflowing_interior_xi_is_named(sup, params):
         with pytest.raises(ValueError, match=r"^the interior xi overflows; k/epsilon and the "
                                              r"support widths are too large$"):
             xi_term(system, params)
+
+
+@pytest.mark.parametrize("A, b, message", [
+    # the bounded square [0, 1e308]^2: 1e308 * 1e9 overflows in the rounding
+    # that deduplicates vertices, and x_bar_norm read inf
+    (np.eye(2), [1e308, 1e308], r"^vertex enumeration overflows; the region's vertex "
+                                r"coordinates are too large$"),
+    # the vertex (1e200, 1e200) is finite, but its squared norm overflows
+    (np.eye(2), [1e200, 1e200], r"^the norm of a vertex overflows; the region's vertices are "
+                                r"too large$"),
+    # the edge to the vertex (2e308, 0) overflows its ratio test: the region read as unbounded
+    (np.array([[0.5, 0.5]]), [1e308], r"^vertex enumeration overflows; the region's vertex "
+                                      r"coordinates are too large$"),
+])
+def test_an_overflowing_vertex_is_named(A, b, message):
+    system = ConstraintSystem(A=A, b=b, zero_mask=np.zeros_like(A, dtype=bool), sup_A=A + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            cost_bound(LinearProgram(c=np.ones(2), system=system), PP)
+
+
+def test_a_finite_vertex_norm_keeps_its_bits():
+    # no rescaling: the bounded square [0, 1e150]^2 keeps numpy's norm of its far corner
+    system = ConstraintSystem(A=np.eye(2), b=[1e150, 3e150], zero_mask=np.eye(2) == 0,
+                              sup_A=3.0 * np.eye(2))
+    x_bar, norm = simplex.max_norm_point(system)
+    assert x_bar.tolist() == [1e150, 3e150]
+    assert norm == float(np.linalg.norm(x_bar))
 
 
 def test_a_finite_norm_keeps_its_bits():

@@ -193,10 +193,13 @@ def test_bound_names_a_gram_overflow(tmp_path, capsys):
     ("bound_lipschitz_overflows.json", "the norm of c overflows; entries of c are too large"),
     ("bound_xi_interior_overflows.json",
      "the interior xi overflows; k/epsilon and the support widths are too large"),
+    ("bound_vertex_overflows.json",
+     "vertex enumeration overflows; the region's vertex coordinates are too large"),
 ])
 def test_bound_names_an_overflowing_norm(tmp_path, capsys, name, message):
     # the first two printed Infinity for xi or L, and so for the bound, and
-    # exited 0; the interior xi ended in a bare OverflowError's traceback
+    # exited 0; the interior xi ended in a bare OverflowError's traceback;
+    # the vertex case, a bounded square, printed Infinity for x_bar_norm
     from pathlib import Path
     out = tmp_path / "bound.json"
     problem = Path(__file__).parent / "data" / name

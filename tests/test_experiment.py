@@ -402,6 +402,50 @@ def test_block_size_does_not_change_the_sweep_bytes(monkeypatch, tmp_path, sourc
         assert csv_bytes == (data / f"{pinned}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("source, pinned, passes", [
+    # 78 cells of 12 free entries: 7.5 KB of noise, one pass; at 5000 bytes, two
+    (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
+      "--delta", "0.05"], "grid5_sweep_seed1_trials13", {None: [78], 5000: [39, 39]}),
+    # 78 cells of 62 free entries: 38.7 KB, two passes; at 5000 bytes, eight
+    (["tests/data/lp12x6_seed20240817.json", "--k", "0.02"], "lp12x6_sweep_k0.02_seed1_trials13",
+     {None: [39, 39], 5000: [10] * 7 + [8]}),
+])
+def test_privatization_passes_keep_the_sweep_bytes(monkeypatch, tmp_path, source, pinned,
+                                                    passes):
+    # the cells are privatized in as few passes as _PASS_BYTES of noise
+    # allows, spread evenly; at 1 byte every cell is its own pass, and
+    # passes of 39, 10 or 1 cells cut blocks of 32 and of 5 and epsilons
+    from pathlib import Path
+    from privlp import experiment
+    from privlp.cli import main
+    root = Path(__file__).resolve().parent.parent
+    argv = ["sweep", *[str(root / tok) if "/" in tok else tok for tok in source],
+            "--trials", "13", "--seed", "1"]
+    made = []
+    privatize_block = experiment.privatize_block
+    monkeypatch.setattr(experiment, "privatize_block",
+                        lambda sys_, params, seeds, out: made.append(len(seeds))
+                        or privatize_block(sys_, params, seeds, out))
+    expected = {experiment._PASS_BYTES if ceiling is None else ceiling: sizes
+                for ceiling, sizes in {**passes, 1: [1] * 78}.items()}
+    outputs = set()
+    for ceiling in expected:
+        for block in (32, 5):
+            monkeypatch.setattr(experiment, "_PASS_BYTES", ceiling)
+            monkeypatch.setattr(experiment, "_TRIAL_BLOCK", block)
+            made.clear()
+            out = tmp_path / f"pass{ceiling}_{block}"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.add((out.with_suffix(".csv").read_bytes(),
+                         out.with_suffix(".json").read_bytes()))
+            assert made == expected[ceiling]
+    ((csv_bytes, json_bytes),) = outputs
+    data = root / "tests" / "data"
+    assert json_bytes == (data / f"{pinned}.json").read_bytes()
+    if (data / f"{pinned}.csv").exists():
+        assert csv_bytes == (data / f"{pinned}.csv").read_bytes()
+
+
 class _XiRaises:
     """A geometry whose bound completion fails, as an overflowing ``xi`` does."""
 

@@ -246,10 +246,10 @@ def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
 def test_block_draws_every_seed_in_one_call(monkeypatch):
     calls = _count_draws(monkeypatch)
     sys_ = _rows_1_and_3_private()
-    out = np.empty((3, *sys_.shape))
+    out = np.empty((3, 2, sys_.shape[1]))  # rows 1 and 3 only: the public rows are not written
     privatize_block(sys_, [PP] * 3, [3, 8, 5], out)
     assert calls == [([3, 8, 5], [1, 3], [1, 1])]
-    assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde
+    assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde[[1, 3]]
                                       for seed in (3, 8, 5)]).tobytes()
 
 
@@ -275,15 +275,15 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
     for _ in range(3):
         sys_, p = _block_case(case, rng)
         seeds = _BLOCK_SEEDS[:size]
-        out = np.full((size, *sys_.shape), np.nan)
+        out = np.full((size, *sys_.private_rows[2].shape), np.nan)
         s, z = privatize_block(sys_, [p] * size, seeds, out)
         privs = [privatize_matrix(sys_, p, seed, record_noise=True) for seed in seeds]
         _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
 
 
 def _assert_block_is_stacked_matrices(sys_, out, s, z, privs):
-    assert out.tobytes() == np.stack([priv.A_tilde for priv in privs]).tobytes()
     rows, free = sys_.private_rows[1:3]
+    assert out.tobytes() == np.stack([priv.A_tilde[rows] for priv in privs]).tobytes()
     for s_t, noise, priv in zip(s, z, privs, strict=True):
         assert s_t.tobytes() == priv.row_supports[rows].tobytes()
         assert np.array_equal(np.where(free, noise, np.nan), priv.noise_log[rows], equal_nan=True)
@@ -305,7 +305,7 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
     calibration = mechanism._row_calibration
     monkeypatch.setattr(mechanism, "_row_calibration",
                         lambda sys, p: calibrated.append(p) or calibration(sys, p))
-    out = np.full((len(labels), *sys_.shape), np.nan)
+    out = np.full((len(labels), *sys_.private_rows[2].shape), np.nan)
     s, z = privatize_block(sys_, params, seeds, out)
     assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
     privs = [privatize_matrix(sys_, p, seed, record_noise=True) for p, seed in zip(params, seeds)]
@@ -323,7 +323,8 @@ def test_a_noise_scale_or_support_width_that_is_not_finite_is_named(p, free_coun
     from privlp.accuracy import xi_term
     sys_ = _mixed_system(np.random.default_rng(4), 5, 7, free_counts)
     for call in (lambda: privatize_matrix(sys_, p, 3), lambda: xi_term(sys_, p),
-                 lambda: privatize_block(sys_, [PP, p], [3, 4], np.empty((2, *sys_.shape)))):
+                 lambda: privatize_block(sys_, [PP, p], [3, 4],
+                                         np.empty((2, *sys_.private_rows[2].shape)))):
         with pytest.raises(ValueError, match="k/epsilon and every support width must be finite"):
             call()
 

@@ -464,8 +464,8 @@ def _solve_pair(monkeypatch, c, system, start):
     """The solve from ``start`` and the same solve started from a full factorization of its basis."""
     warm = _warm(c, system, start)
     with monkeypatch.context() as patched:
-        patched.setattr(start, "_updated", lambda A, rows: _factored_tableau(
-            A[0], start.system.b, start.basis)[None])
+        patched.setattr(start, "_updated", lambda A, rows: (_factored_tableau(
+            A[0], start.system.b, start.basis)[None], np.zeros(1, dtype=bool)))
         factored = _warm(c, system, start)
     return warm, factored
 
@@ -543,6 +543,127 @@ def test_singular_update_takes_the_slack_start(rng):
         assert (warm.phase1_pivots, warm.phase2_pivots) == (cold.phase1_pivots, cold.phase2_pivots)
         if warm.is_optimal:
             _assert_same_solve(warm, cold)
+
+
+def _spied_checks(monkeypatch):
+    """The stack sizes ``simplex._checked`` is called with; a single system counts as 1."""
+    from privlp import simplex
+    checked, sizes = simplex._checked, []
+    monkeypatch.setattr(simplex, "_checked",
+                        lambda A, basis, T: sizes.append(len(A) if A.ndim == 3 else 1)
+                        or checked(A, basis, T))
+    return sizes
+
+
+def _assert_certified_decision(start, A):
+    """The start's decision per system of ``A`` equals ``_checked`` on every updated tableau,
+    and a certified system is one that ``_checked`` accepts; returns the certified count."""
+    from privlp.simplex import _checked
+    rows = np.flatnonzero((A != start.A).any(axis=(0, 2)))
+    T, certified = start._updated(A, rows)
+    exact = _checked(A, start.basis, T)
+    assert exact[certified].all()
+    paths = start.tableaus(A)[2]
+    assert paths.tolist() == np.where(exact, "updated", "slack").tolist()
+    return int(certified.sum())
+
+
+def _condition(start, A):
+    """The 1-norm condition number of the updated start of ``A``, as ``_checked`` reads it."""
+    from privlp.simplex import _basis_matrix
+    m, n = A.shape
+    T, _ = start._updated(A[None], np.flatnonzero((A != start.A).any(axis=1)))
+    norm = np.abs(_basis_matrix(A[None], start.basis[None])).sum(axis=-2).max()
+    return norm * np.abs(T[0, :, n:n + m]).sum(axis=0).max()
+
+
+def test_certified_starts_decide_as_the_exact_check(rng):
+    # the norm bounds of the update send a start to the exact check unless
+    # they prove it usable: over every count of changed rows, a singular
+    # update, and updates whose condition number sits within 1e-6 of
+    # 1 / PIVOT_TOL on either side, the decision is the exact check's
+    from conftest import random_validated_lp
+    from privlp.simplex import PIVOT_TOL
+    certified = systems = 0
+    for trial in range(30):
+        m = int(rng.integers(2, 13))
+        lp = random_validated_lp(rng, m=m, n=int(rng.integers(2, 8)),
+                                 positive_costs=trial % 2 == 0)
+        start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+        movable = np.count_nonzero((lp.system.sup_A > lp.system.A).any(axis=1))
+        for count in range(1, movable + 1):
+            A = np.stack([_changed_rows(rng, lp, count) for _ in range(3)])
+            certified += _assert_certified_decision(start, A)
+            systems += 3
+    assert certified > 0.9 * systems
+    for _ in range(5):
+        lp, start, singular = _singular_case(rng)
+        A0, A1 = np.asarray(lp.system.A), np.asarray(singular.A)
+        assert _assert_certified_decision(start, A1[None]) == 0
+        # the condition number grows without bound along A0 + t (A1 - A0) as
+        # t -> 1: bisect for the t where it crosses 1 / PIVOT_TOL
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if _condition(start, A0 + mid * (A1 - A0)) < 1 / PIVOT_TOL:
+                lo = mid
+            else:
+                hi = mid
+        sides = []
+        for t in (lo, hi):
+            A = A0 + t * (A1 - A0)
+            assert abs(_condition(start, A) * PIVOT_TOL - 1) <= 1e-6
+            _assert_certified_decision(start, A[None])
+            sides.append(start.tableaus(A[None])[2][0])
+        assert sides == ["updated", "slack"]
+
+
+def test_a_start_just_past_the_threshold_is_left_to_the_exact_check():
+    # a 2x2 basis [[1, 1], [1, 1 + d]], condition number about 4 / d, with d
+    # bisected so the baseline sits just under 1 / PIVOT_TOL; moving its
+    # corner down by 1 to 7 ulps takes the start 5e-7 to 4e-6 past it, where
+    # the bounds are close to the exact condition number: a bound that
+    # dropped a term or most of its margin would accept a start _checked refuses
+    from privlp.simplex import PIVOT_TOL, _checked
+
+    def start(d):
+        return WarmStart(_sys([[1.0, 1.0], [1.0, 1.0 + d]], [1.0, 1.0]), (0, 1))
+
+    lo, hi = 1e-12, 1e-8  # start(lo) is refused, start(hi) accepted
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if start(mid).T0 is not None else (mid, hi)
+    baseline = start(hi)
+    corner = 1.0 + hi
+    decided = set()
+    for ulps in range(8):
+        A = np.array([[[1.0, 1.0], [1.0, corner]]])
+        rows = np.flatnonzero((A != baseline.A).any(axis=(0, 2)))
+        T, certified = baseline._updated(A, rows)
+        exact = _checked(A, baseline.basis, T)
+        assert not (certified & ~exact).any()
+        decided.add(baseline.tableaus(A)[2][0])
+        corner = np.nextafter(corner, 0.0)
+    assert decided == {"updated", "slack"}
+
+
+def test_warm_starts_of_the_grid_pin_are_all_certified(monkeypatch):
+    # every block start of the seed-0 grid pin is proven usable by the
+    # update's norms, so the exact check runs only on the baseline basis
+    from privlp import default_grid
+    from privlp.experiment import ExperimentConfig, sweep_gridworld
+    sizes = _spied_checks(monkeypatch)
+    config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0,
+                              delta=0.05, k=0.25)
+    sweep_gridworld(default_grid(), config)
+    assert sizes == [1]  # WarmStart.__init__'s check of the baseline tableau
+
+
+def test_a_singular_update_takes_the_exact_check(rng, monkeypatch):
+    lp, start, system = _singular_case(rng)
+    sizes = _spied_checks(monkeypatch)
+    assert start.tableaus(np.asarray(system.A)[None])[2].tolist() == ["slack"]
+    assert sizes == [1]
 
 
 def test_start_check_reads_the_basis_norm_from_the_columns_of_a(rng):
