@@ -268,9 +268,10 @@ def value_function(m: Cmdp, policy: Policy) -> np.ndarray:
 
 
 def require_positive_baseline(v_star: float) -> None:
-    """The cost of privacy is a percentage of the baseline, so it must be positive."""
-    if v_star <= 0:
-        raise ValueError(f"cost of privacy is undefined for non-positive baseline {v_star}")
+    """The cost of privacy is a percentage of the baseline, so it must be positive and finite."""
+    if not 0 < v_star < np.inf:
+        raise ValueError(f"cost of privacy is undefined for non-finite or non-positive "
+                         f"baseline {v_star}")
 
 
 def cost_of_privacy(v_star: float, v_tilde: float) -> float:

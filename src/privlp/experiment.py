@@ -14,20 +14,21 @@ Each trial's simplex starts from the baseline solve's final basis, factored
 once per sweep: a trial changes only the private rows, so that basis usually
 stays feasible and is often still optimal. Epsilon changes only the noise,
 never the solve, so a sweep is one stream of (epsilon, trial) cells in
-epsilon-major order. The cells are privatized in as few passes as hold at
-most ``_PASS_BYTES`` of noise each, each cell under its own epsilon
-(:func:`mechanism.privatize_block`), and only their free entries are kept:
+epsilon-major order, cut into blocks of ``_TRIAL_BLOCK`` consecutive cells;
+a block may hold trials of several epsilons. The cells are privatized in
+passes, each cell under its own epsilon (:func:`mechanism.privatize_block`),
+and only their free entries are kept. There are as few passes as would hold
+at most ``_PASS_BYTES`` of noise each, and each is a whole number of blocks,
+spread evenly, so a pass holds less than one block's noise more than that:
 the pinned grid sweep's 150 cells are one pass of 14.4 KB. The first pass
 runs before the baseline is factored, while little else is held, and any
-other when the blocks reach it. The cells are cut into blocks of
-``_TRIAL_BLOCK`` consecutive cells; a block may hold trials of several
-epsilons. The block is the unit of the solve: its cells' free entries are
-copied into a reused buffer that holds every other entry of ``A`` from the
-start, finished by the simplex in one pass (:func:`simplex.solve_block`:
-only the trials not yet optimal pivot), re-checked against the original
-rows in one product and scored in one pass, and each cell's results go to
-its own epsilon's record, in trial order. A block of 32 grid cells holds
-about 2 MB while it runs. The bound's
+other at its first block. The block is the unit of the solve: its cells'
+free entries are copied from their pass into a reused buffer that holds
+every other entry of ``A`` from the start, finished by the simplex in one
+pass (:func:`simplex.solve_block`: only the trials not yet optimal pivot),
+re-checked against the original rows in one product and scored in one pass,
+and each cell's results go to its own epsilon's record, in trial order. A
+block of 32 grid cells holds about 2 MB while it runs. The bound's
 geometry depends on neither epsilon nor the draws, so it is computed once,
 and each epsilon's bound is completed from it before the first block; an
 error from either ends the sweep before any trial runs. Only the sweep
@@ -124,24 +125,6 @@ def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
     )
 
 
-def _private_passes(sys_, params, seeds):
-    """Each cell's privatized free entries, ``(cells, entries)``, a pass of
-    :func:`privatize_block` at a time.
-
-    The passes are as few as hold at most ``_PASS_BYTES`` of noise each,
-    with the cells spread evenly over them. A draw does not depend on the
-    pass it is made in, so where the passes end moves no bit.
-    """
-    free = sys_.private_rows[2]
-    passes = -(-8 * np.count_nonzero(free) * len(seeds) // _PASS_BYTES)
-    per_pass = -(-len(seeds) // max(passes, 1))
-    for first in range(0, len(seeds), per_pass):
-        part = slice(first, first + per_pass)
-        private = np.empty((len(seeds[part]), *free.shape))
-        privatize_block(sys_, params[part], seeds[part], private)
-        yield private[:, free]
-
-
 def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
     """Validate, solve the baseline, then privatize and re-solve block by block of cells.
 
@@ -153,11 +136,11 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     from the geometry or from an epsilon's ``xi`` is raised before any
     block runs. Beyond the exact-Hoffman support budget the bound is
     recorded as ``inf``, which is still a valid bound. The cells' free
-    entries are then privatized in passes of at most ``_PASS_BYTES`` of
-    noise (:func:`_private_passes`), the first one here. The baseline's
-    basis is factored once and every trial starts the simplex from it. Each
-    block of cells takes its entries from the passes, and is solved,
-    re-checked against all original rows and scored together.
+    entries are then privatized in passes of whole blocks, of about
+    ``_PASS_BYTES`` of noise each, the first one here. The baseline's basis
+    is factored once and every trial starts the simplex from it. Each block
+    of cells takes its entries from its pass, and is solved, re-checked
+    against all original rows and scored together.
     """
     vp = validate(lp)
     sys_ = vp.system
@@ -174,25 +157,25 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
               for p in config.privacy]
     cells = [(ei, trial) for ei in range(len(bounds)) for trial in range(config.trials)]
     seeds = [derive_seed(config.base_seed, ei, trial) for ei, trial in cells]
+    params = [config.privacy[ei] for ei, _ in cells]
     rows, free = sys_.private_rows[1:3]
     entry_rows, entry_cols = np.nonzero(free)
     entry_rows = rows[entry_rows]  # where each free entry sits in A
-    passes = _private_passes(sys_, [config.privacy[ei] for ei, _ in cells], seeds)
-    private = next(passes)  # privatized cells not yet in a block; the first pass runs here
+    n_passes = max(1, -(-8 * len(entry_rows) * len(cells) // _PASS_BYTES))  # of _PASS_BYTES each
+    per_pass = _TRIAL_BLOCK * -(-len(cells) // (_TRIAL_BLOCK * n_passes))  # whole blocks, evenly
+    passes = (privatize_block(sys_, params[f:f + per_pass], seeds[f:f + per_pass])[0][:, free]
+              for f in range(0, len(cells), per_pass))  # each cell's privatized free entries
+    private = next(passes)  # the first pass runs before the baseline is factored
     start = simplex.WarmStart(sys_, base.basic_columns)
     A_block = np.empty((min(_TRIAL_BLOCK, len(cells)), *sys_.shape))
     A_block[...] = sys_.A  # every entry that no cell changes
     cops, gaps = [[] for _ in bounds], [[] for _ in bounds]
     for first in range(0, len(cells), _TRIAL_BLOCK):
+        if first and not first % per_pass:
+            private = next(passes)
         block_cells = cells[first:first + _TRIAL_BLOCK]
         block = A_block[:len(block_cells)]
-        filled = 0
-        while filled < len(block):
-            if not len(private):
-                private = next(passes)
-            taken = private[:len(block) - filled]
-            block[filled:filled + len(taken), entry_rows, entry_cols] = taken
-            private, filled = private[len(taken):], filled + len(taken)
+        block[:, entry_rows, entry_cols] = private[first % per_pass:][:len(block)]
         solved = simplex.solve_block(lp.c, block, start)
         # cells are checked in order: those before the first failed solve have a point
         ok = next((t for t, sol in enumerate(solved) if not sol.is_optimal), len(solved))

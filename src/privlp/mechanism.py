@@ -9,17 +9,17 @@ calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
 feasible for it is feasible for the true constraints. There is one path,
-:func:`privatize_block`, which privatizes the private rows of one system
-under several (params, seed) pairs; :func:`privatize_matrix` is its block
-of one plus the public rows and the per-row metadata. Rows are privatized
-independently (disjoint data, parallel composition): row ``i`` under
-``seed`` draws its uniforms from its own stream keyed by ``(seed, i)``.
-One :func:`seeds.row_uniforms` call draws every stream of a block in one
-numpy pass, and the inverse CDF, shift and clip then run once over the
-stack of every seed's private rows, with each row's ``s_i`` and each seed's
-``sigma`` broadcast along the entries.
-``s_i`` comes from :func:`_row_calibration`, once per distinct params of a
-block, and ``xi_term`` reads it too.
+:func:`privatize_block`, which returns the private rows of one system
+privatized under several (params, seed) pairs, with their half-widths and
+noise; :func:`privatize_matrix` is its block of one plus the public rows
+and the per-row metadata. Rows are privatized independently (disjoint
+data, parallel composition): row ``i`` under ``seed`` draws its uniforms
+from its own stream keyed by ``(seed, i)``. One :func:`seeds.row_uniforms`
+call draws every stream of a block in one numpy pass, and the inverse CDF,
+shift and clip then run once over the stack of every seed's private rows,
+with each row's ``s_i`` and each seed's ``sigma`` broadcast along the
+entries. ``s_i`` comes from :func:`_row_calibration`, once per distinct
+params of a block, and ``xi_term`` reads it too.
 """
 from __future__ import annotations
 
@@ -100,29 +100,20 @@ def _row_calibration(sys: ConstraintSystem, p: PrivacyParams) -> tuple[np.ndarra
     and ``widths[c] = support_width(k, epsilon, delta, c)`` once per distinct
     count ``c`` (0 elsewhere), so ``widths[n0]`` is each row's ``s_i``.
 
-    Raises ``ValueError`` when ``sigma = k/epsilon`` or a width is not
-    finite: the noise, and every bound read from it, would be NaN or inf.
+    Raises ``ValueError`` when ``sigma = k/epsilon`` or a used width is not
+    finite, or underflows to 0: the noise, and every bound read from it,
+    would be NaN, inf or no noise at all.
     """
     counts, rows = sys.private_rows[:2]
     n0 = counts[rows]
     widths = np.zeros(sys.shape[1] + 1)
     for c in set(n0.tolist()):
         widths[c] = support_width(p.k, p.epsilon, p.delta, c)
-    if not (math.isfinite(p.sigma) and np.isfinite(widths).all()):
-        raise ValueError(f"the noise scale k/epsilon and every support width must be finite; "
-                         f"k/epsilon = {p.sigma}, widths up to {widths.max()} "
+    if not all(0 < w < math.inf for w in [p.sigma, *widths[n0]]):
+        raise ValueError(f"the noise scale k/epsilon and every support width must be finite "
+                         f"and positive; k/epsilon = {p.sigma}, widths up to {widths.max()} "
                          f"(k={p.k}, epsilon={p.epsilon}, delta={p.delta})")
     return n0, widths
-
-
-def _noisy_rows(A, free, sup, u, s, sigma):
-    """``(A~, z)`` for a block of rows: ``min(a + (s + z), sup)`` where free, ``a`` elsewhere.
-
-    The shift is computed as ``a + (s + z)`` with ``z >= -s`` so the sum can
-    never round below ``a``.
-    """
-    z = _inverse_cdf(u, s, sigma)
-    return np.where(free, np.minimum(A + (s + z), sup), A), z
 
 
 @dataclass(frozen=True)
@@ -145,32 +136,33 @@ class PrivatizedSystem:
     noise_log: np.ndarray | None = None
 
 
-def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], seeds: Sequence[int],
-                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Privatize the private rows of ``sys`` once per (params, seed) pair into ``out``.
+def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams],
+                    seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Privatize the private rows of ``sys`` once per (params, seed) pair.
 
-    ``out`` has shape ``(len(seeds), rows, n)``, one slot per row of
-    ``sys.private_rows``, and ``params`` holds one :class:`PrivacyParams`
-    per seed: ``out[t]`` is those rows of ``privatize_matrix(sys,
-    params[t], seeds[t]).A_tilde``. The public rows are ``sys.A``'s and are
-    not written. The half-widths are computed once per distinct params, and
-    the noise transform runs once over the stack of all seeds' private rows.
-    Row ``i`` of seed ``t`` draws ``row_stream(seeds[t], i).random(n0_i)``,
-    and one ``row_uniforms`` call draws them for every seed and row. Returns
-    ``(s, z)``: the half-width of each private row per seed, shape
-    ``(len(seeds), rows)``, and the noise drawn, shape ``(len(seeds), rows, n)``.
+    ``params`` holds one :class:`PrivacyParams` per seed. Returns ``(A_rows,
+    s, z)``, each with one slot per seed and per row of ``sys.private_rows``:
+    ``A_rows[t]``, shape ``(rows, n)``, is those rows of
+    ``privatize_matrix(sys, params[t], seeds[t]).A_tilde``; ``s[t]`` is each
+    row's half-width; ``z[t]`` the noise drawn. The half-widths are computed
+    once per distinct params, and the noise transform runs once over the
+    stack of all seeds' private rows. Row ``i`` of seed ``t`` draws
+    ``row_stream(seeds[t], i).random(n0_i)``, and one ``row_uniforms`` call
+    draws them for every seed and row.
     """
     counts, rows, block, A_rows, sup = sys.private_rows
     n0 = counts[rows]
     widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
     if not rows.size:
-        return np.zeros((len(seeds), 0)), np.zeros((len(seeds), *block.shape))
-    s = np.array([widths[p] for p in params])
-    sigma = np.array([p.sigma for p in params])
+        empty = np.zeros((len(seeds), *block.shape))
+        return empty, np.zeros((len(seeds), 0)), empty
+    s = np.array([widths[p] for p in params])[:, :, None]
+    sigma = np.array([p.sigma for p in params])[:, None, None]
     u = np.zeros((len(seeds), *block.shape))
     u[:, block] = row_uniforms(seeds, rows, n0)
-    out[...], z = _noisy_rows(A_rows, block, sup, u, s[:, :, None], sigma[:, None, None])
-    return s, z
+    z = _inverse_cdf(u, s, sigma)
+    # min(a + (s + z), sup) where free: with z >= -s the shift never rounds below a
+    return np.where(block, np.minimum(A_rows + (s + z), sup), A_rows), s[:, :, 0], z
 
 
 def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
@@ -187,8 +179,7 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     m, n = sys.shape
     counts, rows, block, _, sup = sys.private_rows
     A_tilde = np.array(sys.A)
-    private = np.empty((1, *block.shape))
-    s, z = privatize_block(sys, (p,), (seed,), private)
+    private, s, z = privatize_block(sys, (p,), (seed,))
     A_tilde[rows] = private[0]
     supports = np.zeros(m)
     supports[rows] = s[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -262,8 +263,10 @@ def test_cost_of_privacy_arithmetic():
 
 
 def test_cost_of_privacy_rejects_nonpositive_baseline():
-    with pytest.raises(ValueError):
-        cost_of_privacy(0.0, 1.0)
+    # and one that is not finite, as a goal reward of 1.7e308 gives: every cost would be NaN
+    for v_star in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cost_of_privacy(v_star, 1.0)
 
 
 # --- private synthesis safety ------------------------------------------------

@@ -405,40 +405,45 @@ def test_block_size_does_not_change_the_sweep_bytes(monkeypatch, tmp_path, sourc
 @pytest.mark.parametrize("source, pinned, passes", [
     # 78 cells of 12 free entries: 7.5 KB of noise, one pass; at 5000 bytes, two
     (["--grid-config", "demos/grid5.json", "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25",
-      "--delta", "0.05"], "grid5_sweep_seed1_trials13", {None: [78], 5000: [39, 39]}),
-    # 78 cells of 62 free entries: 38.7 KB, two passes; at 5000 bytes, eight
+      "--delta", "0.05"], "grid5_sweep_seed1_trials13",
+     {(None, 32): [78], (None, 5): [78], (5000, 32): [64, 14], (5000, 5): [40, 38]}),
+    # 78 cells of 62 free entries: 38.7 KB, two passes; at 5000 bytes, eight, but
+    # never more than one per block
     (["tests/data/lp12x6_seed20240817.json", "--k", "0.02"], "lp12x6_sweep_k0.02_seed1_trials13",
-     {None: [39, 39], 5000: [10] * 7 + [8]}),
+     {(None, 32): [64, 14], (None, 5): [40, 38], (5000, 32): [32, 32, 14],
+      (5000, 5): [10] * 7 + [8]}),
 ])
 def test_privatization_passes_keep_the_sweep_bytes(monkeypatch, tmp_path, source, pinned,
                                                     passes):
     # the cells are privatized in as few passes as _PASS_BYTES of noise
-    # allows, spread evenly; at 1 byte every cell is its own pass, and
-    # passes of 39, 10 or 1 cells cut blocks of 32 and of 5 and epsilons
+    # allows, each a whole number of blocks, spread evenly; at 1 byte every
+    # block is its own pass, and passes of 64, 40, 10 or 5 cells cut epsilons
     from pathlib import Path
     from privlp import experiment
     from privlp.cli import main
     root = Path(__file__).resolve().parent.parent
     argv = ["sweep", *[str(root / tok) if "/" in tok else tok for tok in source],
             "--trials", "13", "--seed", "1"]
-    made = []
+    made, noise_bytes = [], []  # cells per call, and the noise each call draws
     privatize_block = experiment.privatize_block
     monkeypatch.setattr(experiment, "privatize_block",
-                        lambda sys_, params, seeds, out: made.append(len(seeds))
-                        or privatize_block(sys_, params, seeds, out))
-    expected = {experiment._PASS_BYTES if ceiling is None else ceiling: sizes
-                for ceiling, sizes in {**passes, 1: [1] * 78}.items()}
+                        lambda sys_, params, seeds: made.append(len(seeds))
+                        or noise_bytes.append(8 * len(seeds) * sys_.private_rows[2].sum())
+                        or privatize_block(sys_, params, seeds))
+    passes = {**passes, (1, 32): [32, 32, 14], (1, 5): [5] * 15 + [3]}
     outputs = set()
-    for ceiling in expected:
-        for block in (32, 5):
-            monkeypatch.setattr(experiment, "_PASS_BYTES", ceiling)
-            monkeypatch.setattr(experiment, "_TRIAL_BLOCK", block)
-            made.clear()
-            out = tmp_path / f"pass{ceiling}_{block}"
-            assert main([*argv, "--out", str(out)]) == 0
-            outputs.add((out.with_suffix(".csv").read_bytes(),
-                         out.with_suffix(".json").read_bytes()))
-            assert made == expected[ceiling]
+    for (ceiling, block), sizes in passes.items():
+        ceiling = experiment._PASS_BYTES if ceiling is None else ceiling
+        monkeypatch.setattr(experiment, "_PASS_BYTES", ceiling)
+        monkeypatch.setattr(experiment, "_TRIAL_BLOCK", block)
+        made.clear()
+        noise_bytes.clear()
+        out = tmp_path / f"pass{ceiling}_{block}"
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.add((out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert made == sizes
+        assert all(size % block == 0 for size in made[:-1])
+        assert len(made) <= -(-sum(noise_bytes) // ceiling)
     ((csv_bytes, json_bytes),) = outputs
     data = root / "tests" / "data"
     assert json_bytes == (data / f"{pinned}.json").read_bytes()

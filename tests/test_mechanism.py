@@ -246,8 +246,7 @@ def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
 def test_block_draws_every_seed_in_one_call(monkeypatch):
     calls = _count_draws(monkeypatch)
     sys_ = _rows_1_and_3_private()
-    out = np.empty((3, 2, sys_.shape[1]))  # rows 1 and 3 only: the public rows are not written
-    privatize_block(sys_, [PP] * 3, [3, 8, 5], out)
+    out = privatize_block(sys_, [PP] * 3, [3, 8, 5])[0]  # rows 1 and 3 only: not the public rows
     assert calls == [([3, 8, 5], [1, 3], [1, 1])]
     assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde[[1, 3]]
                                       for seed in (3, 8, 5)]).tobytes()
@@ -275,8 +274,7 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
     for _ in range(3):
         sys_, p = _block_case(case, rng)
         seeds = _BLOCK_SEEDS[:size]
-        out = np.full((size, *sys_.private_rows[2].shape), np.nan)
-        s, z = privatize_block(sys_, [p] * size, seeds, out)
+        out, s, z = privatize_block(sys_, [p] * size, seeds)
         privs = [privatize_matrix(sys_, p, seed, record_noise=True) for seed in seeds]
         _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
 
@@ -305,8 +303,7 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
     calibration = mechanism._row_calibration
     monkeypatch.setattr(mechanism, "_row_calibration",
                         lambda sys, p: calibrated.append(p) or calibration(sys, p))
-    out = np.full((len(labels), *sys_.private_rows[2].shape), np.nan)
-    s, z = privatize_block(sys_, params, seeds, out)
+    out, s, z = privatize_block(sys_, params, seeds)
     assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
     privs = [privatize_matrix(sys_, p, seed, record_noise=True) for p, seed in zip(params, seeds)]
     _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
@@ -317,14 +314,14 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
     (PrivacyParams(1e-300, 0.05, 1e300), [7, 2, 0, 5, 1]),
     (PrivacyParams(1.0, 0.05, 1e308), [7, 2, 0, 5, 1]),    # k/epsilon is finite, every s_i is inf
     (PrivacyParams(1e-320, 0.05, 1.0), [0, 0, 0, 0, 0]),   # all public: no s_i, sigma still checked
+    (PrivacyParams(5.0, 0.05, 5e-324), [7, 2, 0, 5, 1]),   # k/epsilon and every s_i underflow to 0
 ])
 def test_a_noise_scale_or_support_width_that_is_not_finite_is_named(p, free_counts):
-    # the calibration refuses it before any noise is drawn
+    # the calibration refuses it, or one that underflows to 0, before any noise is drawn
     from privlp.accuracy import xi_term
     sys_ = _mixed_system(np.random.default_rng(4), 5, 7, free_counts)
     for call in (lambda: privatize_matrix(sys_, p, 3), lambda: xi_term(sys_, p),
-                 lambda: privatize_block(sys_, [PP, p], [3, 4],
-                                         np.empty((2, *sys_.private_rows[2].shape)))):
+                 lambda: privatize_block(sys_, [PP, p], [3, 4])):
         with pytest.raises(ValueError, match="k/epsilon and every support width must be finite"):
             call()
 
