@@ -5,37 +5,33 @@ aggregates the cost of privacy, the realized objective gap, and the
 predicted performance-loss bound into one record per epsilon. A plain LP
 and the gridworld CMDP go through one trial loop: both are a
 :class:`LinearProgram` (the CMDP's public flow rows are fully masked
-equality rows), and they differ only in how solved points are scored. Per-trial seeds are
-hashed from (base seed, epsilon index, trial index), so enlarging the grid
-or the trial count never changes existing trials' draws, and a repeated
-run with the same config is byte-identical.
+equality rows), and they differ only in how solved points are scored.
+Per-trial seeds are hashed from (base seed, epsilon index, trial index),
+so enlarging the grid or the trial count never changes existing trials'
+draws, and a repeated run with the same config is byte-identical.
 
-Each trial's simplex starts from the baseline solve's final basis, factored
-once per sweep: a trial changes only the private rows, so that basis usually
-stays feasible and is often still optimal. Epsilon changes only the noise,
-never the solve, so a sweep is one stream of (epsilon, trial) cells in
-epsilon-major order, cut into blocks of ``_TRIAL_BLOCK`` consecutive cells;
-a block may hold trials of several epsilons. The cells are privatized in
-passes, each cell under its own epsilon (:func:`mechanism.privatize_block`),
-and only their free entries are kept. There are as few passes as would hold
-at most ``_PASS_BYTES`` of noise each, and each is a whole number of blocks,
-spread evenly, so a pass holds less than one block's noise more than that:
-the pinned grid sweep's 150 cells are one pass of 14.4 KB. The first pass
-runs before the baseline is factored, while little else is held, and any
-other at its first block. The block is the unit of the solve: its cells'
-free entries are copied from their pass into a reused buffer that holds
-every other entry of ``A`` from the start, finished by the simplex in one
-pass (:func:`simplex.solve_block`: only the trials not yet optimal pivot),
-re-checked against the original rows in one product and scored in one pass,
-and each cell's results go to its own epsilon's record, in trial order. A
-block of 32 grid cells holds about 2 MB while it runs. The bound's
-geometry depends on neither epsilon nor the draws, so it is computed once,
-and each epsilon's bound is completed from it before the first block; an
-error from either ends the sweep before any trial runs. Only the sweep
-warm-starts, as a non-private evaluation against the true baseline; a
-released private solution (``privlp solve --private``) starts from the
-slack basis, so that it is a function of the privatized matrix alone and
-post-processing covers it.
+A sweep is one stream of (epsilon, trial) cells in epsilon-major order,
+carried as arrays from seed to record: every cell's seed comes from one
+:func:`seeds.derive_seeds` pass, and the cells are privatized in passes of
+whole blocks of ``_TRIAL_BLOCK`` cells, each under its own epsilon
+(:func:`mechanism.privatize_block`, which draws only free entries). There
+are as few passes as would hold at most ``_PASS_BYTES`` of noise each, so a
+pass holds less than one block's noise more than that: the pinned grid
+sweep's 150 cells are one pass of 14.4 KB. The first pass runs before the
+baseline's basis is factored, while little else is held. Each trial's
+simplex starts from that basis: a trial changes only the private rows, so
+it usually stays feasible and is often still optimal. A block's free
+entries are copied into a reused buffer that holds every other entry of
+``A``; :func:`simplex.solve_block` returns the block as arrays, which are
+re-checked against the original rows in one product and scored together,
+and the cost of privacy, the gaps and each epsilon's aggregates are
+computed over the arrays of every cell. A block of 32 grid cells holds
+about 2 MB while it runs. The bound's geometry depends on neither epsilon
+nor the draws, so it is computed once and each epsilon's bound completed
+from it before the first block. Only the sweep warm-starts, as a
+non-private evaluation against the true baseline; a released private
+solution (``privlp solve --private``) starts from the slack basis, so that
+it is a function of the privatized matrix alone.
 """
 from __future__ import annotations
 
@@ -49,11 +45,10 @@ import numpy as np
 
 from . import cmdp as cmdp_mod
 from .accuracy import HoffmanSizeError, bound_geometry
-from .mechanism import privatize_block
-# perfbench/test_perfbench.py::test_tracer_wraps_every_binding_and_restores_them reads this name
-from .mechanism import privatize_matrix  # noqa: F401
+# perfbench/test_perfbench.py::test_tracer_wraps_every_binding_and_restores_them reads privatize_matrix
+from .mechanism import privatize_block, privatize_matrix  # noqa: F401
 from .problem import FEAS_TOL, LinearProgram, PrivacyParams, validate
-from .seeds import derive_seed
+from .seeds import derive_seeds
 from . import simplex
 
 CSV_HEADER = "epsilon,mean_cop_percent,std_cop,mean_abs_gap,bound,trials,infeasible"
@@ -112,17 +107,10 @@ class ExperimentRecord:
         return dataclasses.asdict(self)
 
 
-def _aggregate(epsilon, cops, gaps, bound) -> ExperimentRecord:
-    cops = np.asarray(cops)
+def _aggregate(epsilon, cops: np.ndarray, gaps: np.ndarray, bound) -> ExperimentRecord:
     std = float(cops.std(ddof=1)) if cops.size > 1 else 0.0
-    return ExperimentRecord(
-        epsilon=float(epsilon),
-        mean_cost_of_privacy_percent=float(cops.mean()),
-        std_dev=std,
-        mean_abs_objective_gap=float(np.mean(gaps)),
-        predicted_bound=bound,
-        n_trials=int(cops.size),
-    )
+    return ExperimentRecord(float(epsilon), float(cops.mean()), std, float(gaps.mean()), bound,
+                            int(cops.size))
 
 
 def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[ExperimentRecord]:
@@ -130,20 +118,13 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
 
     ``score`` maps a block of solved points, shape ``(k, n)``, to the k
     values whose percent loss is the cost of privacy. The worst case is
-    validated and the baseline checked before any geometry or trial work.
-    The bound's geometry (``L``, ``||x_bar||`` and ``H(A)``) is then
-    computed once and each epsilon's bound completed from it, so an error
-    from the geometry or from an epsilon's ``xi`` is raised before any
-    block runs. Beyond the exact-Hoffman support budget the bound is
-    recorded as ``inf``, which is still a valid bound. The cells' free
-    entries are then privatized in passes of whole blocks, of about
-    ``_PASS_BYTES`` of noise each, the first one here. The baseline's basis
-    is factored once and every trial starts the simplex from it. Each block
-    of cells takes its entries from its pass, and is solved, re-checked
-    against all original rows and scored together.
+    validated and the baseline checked first. The bound's geometry (``L``,
+    ``||x_bar||``, ``H(A)``) and each epsilon's bound follow, so an error
+    from either is raised before any block runs; beyond the exact-Hoffman
+    support budget the bound is ``inf``, still a valid bound. A failed or
+    infeasible cell raises :class:`SweepAbort`, naming the first in order.
     """
-    vp = validate(lp)
-    sys_ = vp.system
+    sys_ = validate(lp).system
     base = simplex.solve_lp(lp.c, sys_)
     if not base.is_optimal:
         raise ValueError(f"baseline problem is {base.status}; the sweep needs a finite optimum")
@@ -155,50 +136,46 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
         geometry = None
     bounds = [math.inf if geometry is None else geometry.report(sys_, p).bound
               for p in config.privacy]
-    cells = [(ei, trial) for ei in range(len(bounds)) for trial in range(config.trials)]
-    seeds = [derive_seed(config.base_seed, ei, trial) for ei, trial in cells]
-    params = [config.privacy[ei] for ei, _ in cells]
-    rows, free = sys_.private_rows[1:3]
-    entry_rows, entry_cols = np.nonzero(free)
-    entry_rows = rows[entry_rows]  # where each free entry sits in A
-    n_passes = max(1, -(-8 * len(entry_rows) * len(cells) // _PASS_BYTES))  # of _PASS_BYTES each
-    per_pass = _TRIAL_BLOCK * -(-len(cells) // (_TRIAL_BLOCK * n_passes))  # whole blocks, evenly
-    passes = (privatize_block(sys_, params[f:f + per_pass], seeds[f:f + per_pass])[0][:, free]
-              for f in range(0, len(cells), per_pass))  # each cell's privatized free entries
+    cells = len(bounds) * config.trials  # epsilon-major: cell i is trial i % trials of epsilon i // trials
+    eps_index, trial = np.divmod(np.arange(cells), config.trials)
+    seeds = derive_seeds(config.base_seed, eps_index, trial)
+    params = [config.privacy[ei] for ei in eps_index.tolist()]
+    free = ~sys_.zero_mask
+    n_passes = max(1, -(-8 * int(free.sum()) * cells // _PASS_BYTES))  # of _PASS_BYTES each
+    per_pass = _TRIAL_BLOCK * -(-cells // (_TRIAL_BLOCK * n_passes))  # whole blocks, evenly
+    passes = (privatize_block(sys_, params[f:f + per_pass], seeds[f:f + per_pass])[0]
+              for f in range(0, cells, per_pass))  # each cell's privatized free entries
     private = next(passes)  # the first pass runs before the baseline is factored
     start = simplex.WarmStart(sys_, base.basic_columns)
-    A_block = np.empty((min(_TRIAL_BLOCK, len(cells)), *sys_.shape))
+    A_block = np.empty((min(_TRIAL_BLOCK, cells), *sys_.shape))
     A_block[...] = sys_.A  # every entry that no cell changes
-    cops, gaps = [[] for _ in bounds], [[] for _ in bounds]
-    for first in range(0, len(cells), _TRIAL_BLOCK):
+    values, objective = np.empty(cells), np.empty(cells)
+    for first in range(0, cells, _TRIAL_BLOCK):
         if first and not first % per_pass:
             private = next(passes)
-        block_cells = cells[first:first + _TRIAL_BLOCK]
-        block = A_block[:len(block_cells)]
-        block[:, entry_rows, entry_cols] = private[first % per_pass:][:len(block)]
+        block = A_block[:cells - first]
+        block[:, free] = private[first % per_pass:][:len(block)]
         solved = simplex.solve_block(lp.c, block, start)
-        # cells are checked in order: those before the first failed solve have a point
-        ok = next((t for t, sol in enumerate(solved) if not sol.is_optimal), len(solved))
-        X = np.array([sol.x for sol in solved[:ok]]).reshape(ok, sys_.shape[1])
-        worst = sys_.residuals(X).max(axis=1)
-        violated = np.flatnonzero(worst > FEAS_TOL)
-        if violated.size or ok < len(solved):
-            t = violated[0] if violated.size else ok
-            ei, trial = block_cells[t]
-            what = (f"violates the original constraints by {worst[t]:.3e}" if violated.size
-                    else f"came back {solved[t].status}; "
-                         "a tightened validated problem must stay solvable")
-            raise SweepAbort(f"trial {trial} at epsilon={config.eps_grid[ei]} "
-                             f"(seed {seeds[first + t]}) {what}")
-        for (ei, _), value, sol in zip(block_cells, score(X), solved):
-            cops[ei].append(cmdp_mod.cost_of_privacy(base_score, float(value)))
-            gaps[ei].append(abs(base.objective - sol.objective))
+        worst = sys_.residuals(solved.x).max(axis=1)  # NaN where a solve failed
+        failed = solved.status != simplex.OPTIMAL
+        bad = np.flatnonzero(failed | (worst > FEAS_TOL))
+        if bad.size:  # the first cell, in order, that failed or violates a row
+            t, cell = bad[0], first + bad[0]
+            what = (f"came back {solved.status[t]}; a tightened validated problem must stay "
+                    "solvable" if failed[t] else
+                    f"violates the original constraints by {worst[t]:.3e}")
+            raise SweepAbort(f"trial {trial[cell]} at epsilon={config.eps_grid[eps_index[cell]]} "
+                             f"(seed {seeds[cell]}) {what}")
+        values[first:first + len(block)] = score(solved.x)
+        objective[first:first + len(block)] = solved.objective
+    cops = cmdp_mod.cost_of_privacy(base_score, values).reshape(-1, config.trials)
+    gaps = np.abs(base.objective - objective).reshape(-1, config.trials)
     return [_aggregate(*record) for record in zip(config.eps_grid, cops, gaps, bounds)]
 
 
 def sweep_linear_program(lp: LinearProgram, config: ExperimentConfig) -> list[ExperimentRecord]:
     """Epsilon sweep over a plain LP: privatize A, re-solve, compare objectives."""
-    return _sweep(lp, config, lambda X: [lp.c @ x for x in X])
+    return _sweep(lp, config, lambda X: np.vecdot(X, lp.c))
 
 
 def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list[ExperimentRecord]:
@@ -212,7 +189,7 @@ def sweep_gridworld(grid: cmdp_mod.GridConfig, config: ExperimentConfig) -> list
 
     def initial_values(X):
         values = cmdp_mod.value_function(mdp, cmdp_mod.policy_from_occupancy(mdp, X))
-        return [mdp.mu @ v for v in values]
+        return np.vecdot(values, mdp.mu)
 
     return _sweep(cmdp_mod.occupancy_lp(mdp), config, initial_values)
 

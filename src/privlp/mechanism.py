@@ -8,18 +8,16 @@ where ``sigma = k/epsilon`` and ``s_i`` is the per-row support half-width
 calibrated so that bounded noise still delivers (epsilon, delta)
 differential privacy. Because ``z >= -s_i``, coefficients can only grow:
 the privatized problem is a tightening of the original, so any point
-feasible for it is feasible for the true constraints. There is one path,
-:func:`privatize_block`, which returns the private rows of one system
-privatized under several (params, seed) pairs, with their half-widths and
-noise; :func:`privatize_matrix` is its block of one plus the public rows
-and the per-row metadata. Rows are privatized independently (disjoint
-data, parallel composition): row ``i`` under ``seed`` draws its uniforms
-from its own stream keyed by ``(seed, i)``. One :func:`seeds.row_uniforms`
-call draws every stream of a block in one numpy pass, and the inverse CDF,
-shift and clip then run once over the stack of every seed's private rows,
-with each row's ``s_i`` and each seed's ``sigma`` broadcast along the
-entries. ``s_i`` comes from :func:`_row_calibration`, once per distinct
-params of a block, and ``xi_term`` reads it too.
+feasible for it is feasible for the true constraints. Rows are privatized
+independently (disjoint data, parallel composition): row ``i`` under
+``seed`` draws its uniforms from its own stream keyed by ``(seed, i)``.
+There is one path, :func:`privatize_block`, which draws and transforms
+only the free entries of one system under several (params, seed) pairs:
+one :func:`seeds.row_uniforms` call draws every stream, and the inverse
+CDF, shift and clip run once over every seed's free entries, with each
+(seed, row)'s constants gathered to its entries. :func:`privatize_matrix`
+is its block of one, scattered back into ``A``. ``s_i`` comes from
+:func:`_row_calibration`, once per distinct params; ``xi_term`` reads it too.
 """
 from __future__ import annotations
 
@@ -51,22 +49,26 @@ def support_width(k: float, epsilon: float, delta: float, n0: int) -> float:
     return (k / epsilon) * math.log1p(n0 * math.expm1(epsilon) / delta)
 
 
-def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
+def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float | np.ndarray,
+                 entries: np.ndarray | None = None) -> np.ndarray:
     """Closed-form inverse CDF of the truncated Laplace density, elementwise.
 
-    ``s`` and ``sigma`` are broadcast against the uniforms ``u``: in the
-    batched pass ``u`` is ``(seeds, rows, n)``, ``s`` ``(seeds, rows, 1)``
-    and ``sigma`` ``(seeds, 1, 1)``. The constants of each half-width come
-    from scalar ``math`` calls, once per distinct ratio ``s / sigma``, so a
-    draw's value does not depend on the batch it is computed in. A uniform
-    of exactly 0 maps to exactly ``-s``.
+    ``s`` and ``sigma`` broadcast against the uniforms ``u`` once
+    ``entries``, if given, gathers ``s`` along the last axis: in a batch,
+    ``u`` is ``(seeds, free entries)``, ``s`` ``(seeds, rows)``, ``entries``
+    each entry's row and ``sigma`` ``(seeds, 1)``. Each half-width's
+    constants come from scalar ``math`` calls, once per distinct ``s /
+    sigma``, and are gathered to the entries, so a draw does not depend on
+    its batch. A uniform of exactly 0 maps to exactly ``-s``.
     """
     ratio = s / sigma
     ratios = sorted(set(ratio.ravel().tolist()))
     at = np.searchsorted(ratios, ratio)  # each ratio's own index: its exact value is in ratios
+    if entries is not None:
+        at, s = at.take(entries, axis=-1), s.take(entries, axis=-1)
 
     def per_width(f):
-        return np.array([f(r) for r in ratios])[at]
+        return np.array([f(r) for r in ratios]).take(at)
 
     two_u = 2.0 * u
     # e^ratio overflows beyond ratio ~709.78; rows above 700 take the form below
@@ -76,7 +78,7 @@ def _inverse_cdf(u: np.ndarray, s: np.ndarray, sigma: float | np.ndarray) -> np.
         # and u = 0 then maps to -inf, clipped back to the -s endpoint
         with np.errstate(divide="ignore"):
             tail = sigma * np.log(two_u + (1.0 - two_u) * per_width(lambda r: math.exp(-r)))
-        lower = np.where(ratio > 700.0, tail, lower)
+        lower = np.where(per_width(lambda r: r > 700.0), tail, lower)
     upper = -sigma * np.log1p(-(two_u - 1.0) * per_width(lambda r: -math.expm1(-r)))
     return np.where(u <= 0.5, lower, upper).clip(-s, s)
 
@@ -138,56 +140,50 @@ class PrivatizedSystem:
 
 def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams],
                     seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Privatize the private rows of ``sys`` once per (params, seed) pair.
+    """Privatize the free entries of ``sys`` once per (params, seed) pair.
 
-    ``params`` holds one :class:`PrivacyParams` per seed. Returns ``(A_rows,
-    s, z)``, each with one slot per seed and per row of ``sys.private_rows``:
-    ``A_rows[t]``, shape ``(rows, n)``, is those rows of
-    ``privatize_matrix(sys, params[t], seeds[t]).A_tilde``; ``s[t]`` is each
-    row's half-width; ``z[t]`` the noise drawn. The half-widths are computed
-    once per distinct params, and the noise transform runs once over the
-    stack of all seeds' private rows. Row ``i`` of seed ``t`` draws
-    ``row_stream(seeds[t], i).random(n0_i)``, and one ``row_uniforms`` call
-    draws them for every seed and row.
+    ``params`` holds one :class:`PrivacyParams` per seed. Returns ``(A_free,
+    s, z)``, one slot per seed: ``A_free[t]`` is ``privatize_matrix(sys,
+    params[t], seeds[t]).A_tilde[~sys.zero_mask]``; ``s[t]`` the half-width
+    of each row of ``sys.private_rows``; ``z[t]`` each free entry's noise.
+    Row ``i`` of seed ``t`` draws ``row_stream(seeds[t], i).random(n0_i)``.
     """
-    counts, rows, block, A_rows, sup = sys.private_rows
+    counts, rows, free, A_rows, sup = sys.private_rows
     n0 = counts[rows]
     widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
     if not rows.size:
-        empty = np.zeros((len(seeds), *block.shape))
-        return empty, np.zeros((len(seeds), 0)), empty
-    s = np.array([widths[p] for p in params])[:, :, None]
-    sigma = np.array([p.sigma for p in params])[:, None, None]
-    u = np.zeros((len(seeds), *block.shape))
-    u[:, block] = row_uniforms(seeds, rows, n0)
-    z = _inverse_cdf(u, s, sigma)
-    # min(a + (s + z), sup) where free: with z >= -s the shift never rounds below a
-    return np.where(block, np.minimum(A_rows + (s + z), sup), A_rows), s[:, :, 0], z
+        empty = np.zeros((len(seeds), 0))
+        return empty, empty, empty
+    s = np.array([widths[p] for p in params])
+    sigma = np.array([p.sigma for p in params])[:, None]
+    entries = np.repeat(np.arange(rows.size), n0)  # each free entry's row in s
+    z = _inverse_cdf(row_uniforms(seeds, rows, n0), s, sigma, entries)
+    # min(a + (s + z), sup): with z >= -s the shift never rounds below a
+    return np.minimum(A_rows[free] + (s.take(entries, axis=1) + z), sup[free]), s, z
 
 
 def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
                      record_noise: bool = False) -> PrivatizedSystem:
     """Privatize each row of a validated system independently.
 
-    Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by
-    ``(seed, i)``, so the output is a pure function of (system, params,
-    seed) regardless of execution order. Fixed seed, identical output.
-    The private rows are :func:`privatize_block`'s block of one; fully
-    masked (public) rows are copied and draw nothing. Which rows those
-    are is read from ``sys.private_rows``, which a system computes once.
+    Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by ``(seed,
+    i)``, so the output is a pure function of (system, params, seed)
+    regardless of execution order. The free entries are
+    :func:`privatize_block`'s block of one; masked entries, and so public
+    rows, are copied and draw nothing.
     """
     m, n = sys.shape
-    counts, rows, block, _, sup = sys.private_rows
+    counts, rows = sys.private_rows[:2]
+    free = ~sys.zero_mask
     A_tilde = np.array(sys.A)
     private, s, z = privatize_block(sys, (p,), (seed,))
-    A_tilde[rows] = private[0]
+    A_tilde[free] = private[0]
     supports = np.zeros(m)
     supports[rows] = s[0]
-    clipped = np.zeros(m, dtype=int)
-    clipped[rows] = (block & (private[0] == sup)).sum(axis=1)
+    clipped = (free & (A_tilde == sys.sup_A)).sum(axis=1)
     noise = np.full((m, n), np.nan) if record_noise else None
     if record_noise:
-        noise[rows] = np.where(block, z[0], np.nan)
+        noise[free] = z[0]
     A_tilde.flags.writeable = False
     return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
                             row_nonzero_counts=counts, clipped_counts=clipped,

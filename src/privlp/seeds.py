@@ -1,24 +1,16 @@
 """Deterministic seed derivation for reproducible, schedule-independent noise.
 
-Every random draw in the package descends from a 64-bit base seed through
-either :func:`derive_seed` (a SplitMix64 hash over index tuples, used for
-per-trial streams in experiments) or the row streams keyed by (seed, row)
-(NumPy seed-sequence spawning, used for per-row noise). Both are pure
-functions of their inputs, so results do not depend on iteration order or
-parallel scheduling.
-
-The row stream of (seed, row) is ``default_rng(SeedSequence(entropy=seed,
-spawn_key=(row,)))``, bit for bit. :func:`_state_words` runs the part of
-NumPy's ``SeedSequence`` (after O'Neill's ``seed_seq``) that such a sequence
-runs on its way into ``PCG64``, for every (seed, row) of a block at once in
-``uint64`` arrays: the seeds' entropy pools, the mixing of each row's spawn
-word into them, and ``generate_state(4, uint64)``. :func:`row_uniforms` then
-runs ``PCG64`` itself (O'Neill's PCG, XSL-RR output) on those words and
-returns every row's ``random()`` draws in one pass; :func:`row_stream` is
-NumPy's own generator for one (seed, row).
-``tests/test_mechanism.py::test_row_stream_is_the_default_rng_stream`` pins
-the words against NumPy's ``generate_state``, and the ``row_uniforms`` tests
-pin the draws against NumPy's ``default_rng``.
+Every random draw descends from a 64-bit base seed through :func:`derive_seeds`
+(SplitMix64 over index tuples, one ``uint64`` pass for every trial of a
+sweep) or the row streams keyed by (seed, row), so results do not depend on
+iteration order. The row stream of (seed, row) is
+``default_rng(SeedSequence(entropy=seed, spawn_key=(row,)))``, bit for bit:
+:func:`_state_words` runs NumPy's ``SeedSequence`` (after O'Neill's
+``seed_seq``) into ``PCG64``'s state words for every (seed, row) at once in
+``uint64`` arrays, and :func:`row_uniforms` runs ``PCG64`` (XSL-RR output)
+on them for every row's ``random()`` draws in one pass; :func:`row_stream`
+is NumPy's own generator for one (seed, row). The tests pin the words
+against ``generate_state`` and the draws against ``default_rng``.
 """
 from __future__ import annotations
 
@@ -51,25 +43,34 @@ _HASH_A = _hash_consts(_INIT_A, _MULT_A, 21)
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 9)[:, None, None]
 
 
-def _splitmix64(state: int) -> int:
-    state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """One SplitMix64 step of every ``uint64`` state, wrapping mod 2**64 as an array does."""
+    state = state + _GOLDEN
+    z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
+
+
+def _words(values) -> np.ndarray:
+    """Integers, or an integer array, as ``uint64`` words mod 2**64; a float raises ``TypeError``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)
+    return np.array([operator.index(value) & _MASK64 for value in values], dtype=np.uint64)
+
+
+def derive_seeds(base_seed: int, *indices) -> np.ndarray:
+    """:func:`derive_seed` at every position of the broadcast index arrays, as ``uint64``."""
+    state = _splitmix64(_words([base_seed]))
+    for index in indices:
+        state = _splitmix64(state ^ _words(index))
+    return state
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Hash (base_seed, i_1, ..., i_k) to an independent 64-bit seed.
-
-    Appending further grid points or trials never changes the seed derived
-    for an existing (base, indices) combination. The seed and indices are
-    integers (NumPy integers too); a float raises ``TypeError``.
-    """
-    state = _splitmix64(operator.index(base_seed) & _MASK64)
-    for index in indices:
-        state = _splitmix64(state ^ (operator.index(index) & _MASK64))
-    return state
+    """Hash (base_seed, i_1, ..., i_k) to a 64-bit seed that more grid points or trials never
+    change: :func:`derive_seeds` at one position. Integers only (NumPy's too); a float raises
+    ``TypeError``."""
+    return int(derive_seeds(base_seed, *([index] for index in indices))[0])
 
 
 def _hashmix(value, c0, c1):
@@ -93,7 +94,7 @@ def _state_words(seeds, rows) -> np.ndarray:
     rows = [operator.index(row) for row in rows]
     if rows and not 0 <= min(rows) <= max(rows) <= _MASK32:
         raise ValueError(f"row indices must lie in [0, 2**32), got {min(rows)} to {max(rows)}")
-    seeds = np.array([operator.index(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    seeds = _words(seeds)
     zero = np.zeros_like(seeds)
     pool = _hashmix(np.stack([seeds & _MASK32, seeds >> 32, zero, zero]),
                     _HASH_A[:4, None], _HASH_A[1:5, None])
@@ -107,13 +108,30 @@ def _state_words(seeds, rows) -> np.ndarray:
 
 
 def _mul128(a, b):
-    """``a * b mod 2**128`` on (high, low) pairs of ``uint64`` arrays, from 32-bit halves."""
+    """``a * b mod 2**128`` on (high, low) pairs of ``uint64`` arrays, from 32-bit halves.
+
+    ``a`` broadcasts against ``b``. Formed in place, at most four arrays of the
+    product's shape at once: a cross product ``p`` adds ``p >> 32`` to the high
+    word and ``p & _MASK32``, as ``p - (p >> 32 << 32)`` mod 2**64, to the carry.
+    """
     (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    p00, p01 = b_lo & _MASK32, b_lo >> 32  # b's halves until multiplied by a0
+    p10, hi = p00 * a1, p01 * a1
+    p00 *= a0
+    p01 *= a0
+    p00 >>= 32
+    for p in (p01, p10):
+        p00 += p
+        p >>= 32
+        hi += p
+        p <<= 32
+        p00 -= p
+    p00 >>= 32
+    hi += p00
+    hi += np.multiply(b_hi, a_lo, out=p01)
+    hi += np.multiply(b_lo, a_hi, out=p10)
+    return hi, np.multiply(b_lo, a_lo, out=p00)
 
 
 def _add128(a, b):
@@ -166,12 +184,10 @@ def row_uniforms(seeds, rows, counts) -> np.ndarray:
 
 
 def row_stream(seed: int, row_index: int) -> np.random.Generator:
-    """Independent generator for one matrix row, keyed by (seed, row).
+    """NumPy's own ``default_rng(SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(row_index,)))``.
 
-    NumPy's own ``default_rng(SeedSequence(entropy=seed & (2**64 - 1),
-    spawn_key=(row_index,)))``. The privatization path draws from
-    :func:`row_uniforms` instead; this is its one-row reference. NumPy
-    integers are accepted like Python ints.
+    The one-row reference of :func:`row_uniforms`, which privatization
+    draws from; NumPy integers are accepted like Python ints.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=operator.index(seed) & _MASK64,
                                                         spawn_key=(operator.index(row_index),)))

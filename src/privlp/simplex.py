@@ -8,25 +8,21 @@ detector drops to Bland's rule outright if degeneracy ever stops progress.
 Scaling c by a positive constant leaves every pivot decision unchanged.
 
 This module owns the tableau, laid out as ``[x | slacks | artificials |
-rhs]``, and every start of it. :func:`_slack_start` builds the slack start
-``[A | I | b]`` in the basis ``n..n+m-1`` for a stack of systems; a
-:class:`WarmStart` factors a baseline basis once and builds each system's
-start in that basis by a Woodbury update, falling back to the slack start.
-One routine finishes every solve, a stack of systems at a time:
-:func:`solve_block` a block of matrices of one system from a
-:class:`WarmStart`'s stacked start tableaus, :func:`solve_lp` a block of
-one from the slack start. Rows whose start value is negative are
-sign-flipped and get an artificial, so phase 1 runs over those rows only.
-An equality row's unit column is an artificial rather than a slack, so
-phase 1 drives it out of the basis and it never enters again, except that
-a redundant equality row keeps it basic at 0, so the basis stays square.
-Pricing, the optimality test, the refine solve, the re-check of each
-point against its rows and the active sets run once over the stack; only
-a system that is not yet optimal pivots, in the one scalar pivot loop on
-its views into the stack. Each vertex is re-derived from the original
-data through its final basis matrix, so tableau round-off never reaches
-the caller. Built for desk-scale instances (tens of rows and columns);
-dense, no sparsity. The vertex utilities (:func:`enumerate_vertices`,
+rhs]``, and every start of it: the slack start ``[A | I | b]``
+(:func:`_slack_start`), or a :class:`WarmStart`'s, a baseline basis
+factored once and updated to each system by Woodbury. One routine,
+:func:`_solve_stack`, finishes a stack of systems: rows whose start value
+is negative are sign-flipped and get an artificial, and an equality row's
+unit column is an artificial, which phase 1 drives out (a redundant
+equality row keeps it basic at 0, so the basis stays square). Pricing, the
+optimality test, the refine solve and the re-check against each system's
+rows run once over the stack; only a system not yet optimal pivots, in the
+one scalar pivot loop on its views into the stack. Each vertex is
+re-derived from the original data through its final basis matrix, and an
+overflow is a ``ValueError``. :func:`solve_block` returns a block as arrays
+(:class:`SolvedBlock`); :func:`solve_lp`, a block of one from the slack
+start, alone builds a :class:`Solution` and its active set. Dense, for
+tens of rows and columns; the vertex utilities (:func:`enumerate_vertices`,
 :func:`max_norm_point`) read every row as an inequality.
 """
 from __future__ import annotations
@@ -34,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,18 +54,14 @@ UNBOUNDED = "Unbounded"
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of an LP solve.
+    """Outcome of one LP solve (:func:`solve_lp`).
 
-    ``x`` and ``objective`` are populated only when ``status == "Optimal"``.
-    ``basis`` lists the active constraint indices at the returned point:
-    ``0..m-1`` for rows of A (an equality row is always one), ``m + j`` for
-    the bound ``x_j >= 0``.
-    ``basic_columns`` is the final simplex basis, one column index into
-    ``[x | slacks]`` per row; a :class:`WarmStart` built on it starts
-    re-solves of problems that differ only in their data.
-    ``phase1_pivots`` and ``phase2_pivots`` count the pivots of each phase,
-    and ``start_path`` names the start that ran: ``"slack"`` or
-    ``"updated"``.
+    ``x`` and ``objective`` are set only when ``status == "Optimal"``.
+    ``basis`` is the active set at ``x``: ``0..m-1`` for rows of A (an
+    equality row always), ``m + j`` for ``x_j >= 0``. ``basic_columns`` is
+    the final simplex basis, one column of ``[x | slacks]`` per row, which a
+    :class:`WarmStart` can start from; ``phase1_pivots`` and
+    ``phase2_pivots`` count pivots, and ``start_path`` names the start.
     """
 
     status: str
@@ -83,6 +76,32 @@ class Solution:
     @property
     def is_optimal(self) -> bool:
         return self.status == OPTIMAL
+
+
+class SolvedBlock(NamedTuple):
+    """A block's solves as arrays, one slot per system: ``x`` (``(k, n)``) and ``objective``
+    (``c.x``) are NaN where ``status`` is not ``"Optimal"``; ``pivots[t]`` counts phase-1 and
+    phase-2 pivots, ``start_path`` is ``"slack"`` or ``"updated"``, ``basic_columns`` each final basis.
+    """
+
+    status: np.ndarray
+    x: np.ndarray
+    objective: np.ndarray
+    pivots: np.ndarray
+    start_path: np.ndarray
+    basic_columns: np.ndarray
+
+
+def _overflow_named(solve):
+    """``solve`` under one ``np.errstate``: an overflow of a pivot, ratio or ``c.x`` is a ``ValueError``."""
+    @functools.wraps(solve)
+    def named(*args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return solve(*args)
+        except FloatingPointError:
+            raise ValueError("the simplex overflows; costs, right-hand sides or A are too large") from None
+    return named
 
 
 def _slack_start(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,28 +198,22 @@ class WarmStart:
     def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(T, basis, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
 
-        ``T[t]`` is the tableau in ``basis[t]``, and ``paths[t]`` names how
-        it was built: ``"updated"`` for ``B[t]^-1 [A[t] | I | b]`` in the
-        start's basis, with ``B[t]`` its basis columns of ``[A[t] | I]``,
-        and ``"slack"`` for the slack start where ``B[t]`` is singular.
-        Singular means that :func:`_checked` refuses the updated tableau.
-        A start whose update's norms bound its condition number under
-        ``1 / PIVOT_TOL`` and prove it finite is accepted without reading
-        the tableau again (:meth:`_updated`), and only the rest go to the
-        exact check, so the decision is ``_checked``'s on every start.
-        Every system is an update of ``T0`` over the union of the rows that
-        changed in any of them, however many those are, and its products
-        and solves run as they would on that system alone, so its tableau
-        depends on the rest of its block only through which rows changed.
-        In the start's basis, the basis columns are exactly the identity,
-        and a value in ``[-FEAS_TOL, 0)`` is round-off and is set to 0.
+        ``T[t]`` is ``B[t]^-1 [A[t] | I | b]`` in the start's basis, with
+        ``B[t]`` its basis columns of ``[A[t] | I]`` (``paths[t]`` is
+        ``"updated"``), or the slack start where :func:`_checked` refuses
+        it (``"slack"``). A start whose update's norms already prove it
+        usable skips the exact check (:meth:`_updated`), so the decision is
+        ``_checked``'s on every start. Each system is an update of ``T0``
+        over the union of the rows changed in any of them, computed as on
+        that system alone. In the start's basis the basis columns are
+        exactly the identity, and a value in ``[-FEAS_TOL, 0)`` is set to 0.
         """
         if A.shape[1:] != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
                              f"not {A.shape[1:]}")
         k, m, _ = A.shape
         if self.T0 is None:
-            return *_slack_start(A, self.b), np.full(k, "slack", dtype=object)
+            return *_slack_start(A, self.b), np.full(k, "slack")
         T, usable = self._updated(A, np.flatnonzero((A != self.A).any(axis=(0, 2))))
         if not usable.all():
             usable[~usable] = _checked(A[~usable], self.basis, T[~usable])
@@ -210,7 +223,7 @@ class WarmStart:
         basis = np.tile(self.basis, (k, 1))
         if not usable.all():
             T[~usable], basis[~usable] = _slack_start(A[~usable], self.b)
-        return T, basis, np.where(usable, "updated", "slack").astype(object)
+        return T, basis, np.where(usable, "updated", "slack")
 
     def _updated(self, A: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``T0`` updated to each system of ``A`` by the Woodbury identity, and which are certified.
@@ -433,16 +446,14 @@ class _Tableau:
                 self._pivot(i, unit, np.zeros(self.T.shape[1]))
 
 
+@_overflow_named
 def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basis: np.ndarray,
-                 paths) -> list[Solution]:
+                 paths) -> SolvedBlock:
     """Maximize ``c.x`` over ``system.tightened(A[t])`` from tableau ``T[t]`` in ``basis[t]``.
 
     ``A`` is a ``(k, m, n)`` stack sharing ``system``'s ``b`` and equality
-    rows; ``paths[t]`` names each start. Pricing, the optimality test, the
-    refine solve, the re-check against each system's own rows and the active
-    sets run once over the stack; only a system that needs phase 1 or is not
-    yet optimal pivots, in the one pivot loop on its views into the stack.
-    Raises ``RuntimeError`` when a point violates its rows beyond ``FEAS_TOL``.
+    rows; ``paths[t]`` names each start. Raises ``RuntimeError`` when a
+    point violates its rows beyond ``FEAS_TOL``.
     """
     k, m, n = A.shape
     c = np.asarray(c, dtype=float)
@@ -455,7 +466,7 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
     allowed = ~artificial  # artificials never re-enter
     needs_phase1 = artificial[basis].any(axis=1)
     least = _reduced_costs(obj, allowed).min(axis=1)
-    status, pivots = [OPTIMAL] * k, [(0, 0)] * k
+    status, pivots = np.full(k, OPTIMAL, dtype=object), np.zeros((k, 2), dtype=int)
     for t in np.flatnonzero(needs_phase1 | ~_optimal(least)).tolist():
         tab = _Tableau(T[t], basis[t], n, artificial)
         if needs_phase1[t]:
@@ -466,10 +477,10 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
         phase1_pivots = tab.pivots
         status[t] = tab._run(obj[t], allowed)
         pivots[t] = phase1_pivots, tab.pivots - phase1_pivots
-    done = [s == OPTIMAL for s in status]
-    if not all(done):
-        A, T, basis = A[done], T[done], basis[done]
-    X = _vertices(A, system.b, T[:, :, -1], basis)
+    done = status == OPTIMAL
+    some = slice(None) if done.all() else done  # copies part of the stack only when a solve failed
+    A = A[some]
+    X = _vertices(A, system.b, T[some, :, -1], basis[some])
     residual = (A @ X[:, :, None])[:, :, 0] - system.b
     if system.equality is not None:
         np.abs(residual, out=residual, where=system.equality)
@@ -477,43 +488,43 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
     if (worst > FEAS_TOL).any():
         raise RuntimeError("simplex returned an infeasible point "
                            f"(violation {worst[worst > FEAS_TOL][0]:.3e})")
-    # each point's active set: its rows within FEAS_TOL, then its bounds m + j (X >= 0)
-    tight = np.abs(np.hstack([residual, X])) <= FEAS_TOL
-    active = np.nonzero(tight)[1].tolist()
-    ends = np.cumsum(tight.sum(axis=1)).tolist()
-    points = iter([{"x": x, "objective": float(c @ x), "basis": tuple(active[first:end]),
-                    "basic_columns": tuple(columns)}
-                   for x, first, end, columns in zip(X, [0] + ends, ends, basis.tolist())])
-    return [Solution(s, phase1_pivots=p[0], phase2_pivots=p[1], start_path=path,
-                     **(next(points) if s == OPTIMAL else {}))
-            for s, p, path in zip(status, pivots, paths)]
+    x = np.full((k, n), np.nan)
+    x[some] = X
+    return SolvedBlock(status, x, np.vecdot(x, c), pivots, np.asarray(paths), basis)
 
 
 def solve_lp(c, sys: ConstraintSystem) -> Solution:
     """Maximize ``c.x`` over {x >= 0 : A x <= b}, with equality on ``sys.equality`` rows.
 
-    A block of one from the slack basis (see :func:`solve_block`). Returns a
-    :class:`Solution` whose point, when optimal, re-verifies against the
-    constraints at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
+    A block of one from the slack basis, as a :class:`Solution` with its
+    active set. When optimal, its point re-verifies against the constraints
+    at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
     """
     A = np.asarray(sys.A)[None]
-    return _solve_stack(c, sys, A, *_slack_start(A, sys.b), ("slack",))[0]
+    solved = _solve_stack(c, sys, A, *_slack_start(A, sys.b), ("slack",))
+    status, (phase1, phase2) = solved.status[0], solved.pivots[0].tolist()
+    if status != OPTIMAL:
+        return Solution(status, phase1_pivots=phase1, phase2_pivots=phase2)
+    x = solved.x[0]  # active: the rows within FEAS_TOL, then the bounds m + j (x >= 0)
+    active = np.flatnonzero(np.abs(np.concatenate([sys.residuals(x), x])) <= FEAS_TOL)
+    return Solution(status, x, float(solved.objective[0]), tuple(active.tolist()),
+                    tuple(solved.basic_columns[0].tolist()), phase1, phase2)
 
 
-def solve_block(c, A_block: np.ndarray, start: WarmStart) -> list[Solution]:
+def solve_block(c, A_block: np.ndarray, start: WarmStart) -> SolvedBlock:
     """Maximize ``c.x`` over ``start.system.tightened(A)`` for each ``A`` of the stack ``A_block``.
 
-    ``A_block`` has shape ``(k, m, n)``, each matrix a privatized ``A`` of
-    ``start.system``, whose ``b`` and equality rows every solve shares. The
-    start tableaus come as one stack (:meth:`WarmStart.tableaus`), a system
-    whose start basis is singular taking the slack basis, and the block is
-    finished in one pass (:func:`_solve_stack`). Each :class:`Solution`
-    equals the block-of-one solve's field for field when the matrices change
-    the same rows, as privatized matrices of one system do.
+    ``A_block`` has shape ``(k, m, n)``, each a privatized ``A`` of
+    ``start.system``. The starts come as one stack
+    (:meth:`WarmStart.tableaus`; a singular start basis takes the slack
+    basis), and the block comes back as arrays, with no per-trial
+    :class:`Solution`. Each slot equals the block-of-one solve's, field for
+    field, when the matrices change the same rows, as privatized ones do.
     """
     return _solve_stack(c, start.system, A_block, *start.tableaus(A_block))
 
 
+@_overflow_named
 def _phase1(A: np.ndarray, b: np.ndarray,
             equality: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
     """The slack start of ``A x <= b`` after phase 1 as a stack of one ``(T, basis)``, or None."""

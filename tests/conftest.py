@@ -39,27 +39,43 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def assert_block_matches_single_solves(c, A_block, start) -> list:
-    """``solve_block`` over ``A_block`` equals a block of one of each matrix, field for field.
+def block_solutions(solved) -> list:
+    """Each slot of a ``SolvedBlock`` as a ``Solution`` without its active set, for per-trial checks."""
+    from privlp.simplex import OPTIMAL, Solution
+    solutions = []
+    for t, status in enumerate(solved.status.tolist()):
+        point = {} if status != OPTIMAL else {
+            "x": solved.x[t], "objective": float(solved.objective[t]),
+            "basic_columns": tuple(solved.basic_columns[t].tolist())}
+        phase1, phase2 = solved.pivots[t].tolist()
+        solutions.append(Solution(status, phase1_pivots=phase1, phase2_pivots=phase2,
+                                  start_path=str(solved.start_path[t]), **point))
+    return solutions
 
-    Each optimal point's objective and active set must also be those of the
-    point checked on its own against its tightened rows.
+
+def assert_block_matches_single_solves(c, A_block, start):
+    """``solve_block`` over ``A_block`` equals a block of one of each matrix, every field bit for bit.
+
+    Each optimal point must also satisfy its tightened rows at ``FEAS_TOL``
+    and have objective ``c.x`` to the bit; a solve that is not optimal has
+    NaN for its point and objective.
     """
     from privlp.problem import FEAS_TOL
-    from privlp.simplex import solve_block
+    from privlp.simplex import OPTIMAL, solve_block
+    c = np.asarray(c, dtype=float)
     solved = solve_block(c, A_block, start)
-    assert len(solved) == len(A_block)
-    for A, sol in zip(A_block, solved):
-        if sol.is_optimal:
-            residual = start.system.tightened(A).residuals(sol.x)
-            active = np.flatnonzero(np.abs(residual) <= FEAS_TOL).tolist()
-            active += (len(residual) + np.flatnonzero(sol.x <= FEAS_TOL)).tolist()
-            assert sol.basis == tuple(active)
-            assert sol.objective == float(np.asarray(c, dtype=float) @ sol.x)
-        (one,) = solve_block(c, A[None], start)
-        assert (sol.status, sol.objective, sol.basis, sol.basic_columns) == (
-            one.status, one.objective, one.basis, one.basic_columns)
-        assert (sol.phase1_pivots, sol.phase2_pivots, sol.start_path) == (
-            one.phase1_pivots, one.phase2_pivots, one.start_path)
-        assert (sol.x is None and one.x is None) or sol.x.tobytes() == one.x.tobytes()
+    assert all(len(field) == len(A_block) for field in solved)
+    for t, A in enumerate(A_block):
+        if solved.status[t] == OPTIMAL:
+            assert start.system.tightened(A).residuals(solved.x[t]).max() <= FEAS_TOL
+            assert solved.x[t].min() >= 0.0
+            assert solved.objective[t] == float(c @ solved.x[t])
+        else:
+            assert np.isnan(solved.x[t]).all() and np.isnan(solved.objective[t])
+        one = solve_block(c, A[None], start)
+        for name, many, single in zip(solved._fields, solved, one):
+            if many.dtype.kind in "fiu":  # bit for bit, NaN included
+                assert many[t].tobytes() == single[0].tobytes(), name
+            else:
+                assert many[t] == single[0], name
     return solved

@@ -53,6 +53,18 @@ def trunc_laplace_cdf(x: float, sigma: float, s: float) -> float:
     return head / mass
 
 
+def trunc_laplace_cdf_hp(x: float, sigma: float, s: float) -> float:
+    """P(z <= x) for the truncated Laplace density on [-s, s], in closed form at 50 digits.
+
+    ``x`` lies in [-s, s]. The normalizing mass is ``2 sigma (1 - e^{-s/sigma})``.
+    """
+    with mp.workdps(50):
+        x, sigma, s = mp.mpf(x), mp.mpf(sigma), mp.mpf(s)
+        tail = mp.exp(-s / sigma)
+        head = mp.exp(x / sigma) - tail if x <= 0 else 2 - tail - mp.exp(-x / sigma)
+        return float(head / (2 * (1 - tail)))
+
+
 # ---------------------------------------------------------------------------
 # polyhedron oracles
 

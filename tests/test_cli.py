@@ -509,7 +509,7 @@ def test_private_solve_and_validation_start_from_the_slack_basis(problem_file, m
 
     def recording_block(*args):
         solved = solve_block(*args)
-        blocks.append([sol.start_path for sol in solved])
+        blocks.append(solved.start_path.tolist())
         return solved
 
     monkeypatch.setattr(simplex, "_entered", recording)

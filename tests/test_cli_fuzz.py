@@ -13,7 +13,10 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -150,3 +153,50 @@ def test_mutated_grid_documents_exit_0_or_1(doc):
         path.write_text(json.dumps(doc))
         _run(["sweep", "--grid-config", str(path), "--trials", "2", "--eps-grid", "1,5",
               "--k", "0.25", "--out", str(out)], out, refused=any(_booleans(doc)))
+
+
+DATA = Path(__file__).parent / "data"
+LP12X6 = DATA / "lp12x6_seed20240817.json"
+GRID5 = Path(__file__).parents[1] / "demos" / "grid5.json"
+GRID_FLAGS = ["--eps-grid", "1,5", "--k", "0.25", "--trials", "2"]
+PRIVATE = ["--private", "--epsilon", "1", "--k", "0.02", "--delta", "0.05", "--seed", "7"]
+
+
+def _near_float_max(path: Path, key: str, index=None) -> dict:
+    """The document at ``path`` with ``key`` (its entry ``index``, if given) set to 1.7e308."""
+    doc = json.loads(path.read_text())
+    if index is None:
+        doc[key] = 1.7e308
+    else:
+        doc[key][index] = 1.7e308
+    return doc
+
+
+@pytest.mark.parametrize("doc, command", [
+    (_near_float_max(LP12X6, "c", 1), ["solve"]),
+    (_near_float_max(LP12X6, "c", 1), ["solve", *PRIVATE]),
+    (_near_float_max(LP12X6, "b", 0), ["solve"]),
+    (_near_float_max(LP12X6, "b", 0), ["sweep", "--k", "0.02", "--trials", "2"]),
+    (_near_float_max(GRID5, "f0"), ["sweep", "--grid-config", *GRID_FLAGS]),
+    (_near_float_max(GRID5, "goal_reward"), ["sweep", "--grid-config", *GRID_FLAGS]),
+], ids=["solve-c", "solve-private-c", "solve-b", "sweep-b", "grid-f0", "grid-goal-reward"])
+def test_a_value_near_the_float_maximum_is_named_not_overflowed(tmp_path, capsys, doc, command):
+    # each used to overflow inside the simplex: a solve wrote Infinity with
+    # exit 0, and with RuntimeWarnings as errors every case was a traceback
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    argv = ([command[0], str(path), *command[1:]] if command[:2] != ["sweep", "--grid-config"]
+            else [*command[:2], str(path), *command[2:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the simplex overflows; costs, right-hand sides or A are too large\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_the_ci_refusal_documents_are_the_pins_near_the_float_maximum():
+    assert json.loads((DATA / "solve_cost_overflows.json").read_text()) == \
+        _near_float_max(LP12X6, "c", 1)
+    assert json.loads((DATA / "sweep_grid_f0_overflows.json").read_text()) == \
+        _near_float_max(GRID5, "f0")

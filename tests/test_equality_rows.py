@@ -28,6 +28,7 @@ from privlp import (
 from privlp.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, WarmStart, enumerate_vertices,
                             solve_block, solve_lp)
 
+from conftest import block_solutions
 from oracles import hoffman_all_supports, vertex_scan
 
 HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
@@ -149,7 +150,8 @@ def test_warm_start_with_equality_rows_matches_the_slack_start(rng, k):
         for seed in range(5):
             priv = privatize_matrix(lp.system, PrivacyParams(1.0, 0.05, k), seed)
             tightened = lp.system.tightened(priv.A_tilde)
-            warm, cold = solve_block(lp.c, priv.A_tilde[None], start)[0], solve_lp(lp.c, tightened)
+            warm = block_solutions(solve_block(lp.c, priv.A_tilde[None], start))[0]
+            cold = solve_lp(lp.c, tightened)
             assert warm.start_path == "updated"
             assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)

@@ -14,7 +14,7 @@ from privlp.experiment import (
     sweep_linear_program,
 )
 
-from conftest import random_validated_lp
+from conftest import block_solutions, random_validated_lp
 
 
 def _grid_config(**kw):
@@ -224,7 +224,7 @@ def test_grid_sweep_rejects_empty_worst_case_before_any_trial(monkeypatch):
 
 
 def _record_solves(monkeypatch):
-    """Record the slack-start solves, the block trials' Solutions, and the tableaus built."""
+    """Record the slack-start solves, the block trials as Solutions, and the tableaus built."""
     import privlp.simplex as simplex
     solve, solve_block = simplex.solve_lp, simplex.solve_block
     record = {"slack start": [], "trial": [], "tableaus": 0, "trial tableaus": 0}
@@ -237,7 +237,7 @@ def _record_solves(monkeypatch):
     def recording_block(*args):
         before = record["tableaus"]
         solved = solve_block(*args)
-        record["trial"] += solved
+        record["trial"] += block_solutions(solved)
         record["trial tableaus"] += record["tableaus"] - before
         return solved
 
@@ -293,22 +293,23 @@ def _plant(monkeypatch, faults):
     original constraints) or ``"fail"`` (an infeasible status). Returns the
     planted points, by cell.
     """
-    import dataclasses
+    import numpy as np
     from privlp import simplex
     planted, done = {}, [0]
     solve_block = simplex.solve_block
 
     def faulty(c, A_block, start):
         solved = solve_block(c, A_block, start)
-        for t, sol in enumerate(solved):
+        status, x, objective = solved.status.copy(), solved.x.copy(), solved.objective.copy()
+        for t in range(len(status)):
             fault = faults.get(done[0] + t)
             if fault == "violate":
-                planted[done[0] + t] = x = sol.x + 1.0
-                solved[t] = dataclasses.replace(sol, x=x)
+                x[t] += 1.0
+                planted[done[0] + t] = x[t].copy()
             elif fault == "fail":
-                solved[t] = simplex.Solution(status=simplex.INFEASIBLE)
-        done[0] += len(solved)
-        return solved
+                status[t], x[t], objective[t] = simplex.INFEASIBLE, np.nan, np.nan
+        done[0] += len(status)
+        return solved._replace(status=status, x=x, objective=objective)
 
     monkeypatch.setattr(simplex, "solve_block", faulty)
     return planted

@@ -21,7 +21,8 @@ from privlp.problem import LinearProgram, load_problem
 from privlp.seeds import derive_seed, row_stream, row_uniforms
 from privlp.simplex import solve_lp
 
-from oracles import support_width_hp, trunc_laplace_cdf, trunc_laplace_moment
+from oracles import (support_width_hp, trunc_laplace_cdf, trunc_laplace_cdf_hp,
+                     trunc_laplace_moment)
 
 PP = PrivacyParams(epsilon=1.0, delta=0.05, k=1.0)
 
@@ -116,6 +117,36 @@ def test_empirical_second_moment_matches_quadrature(rng):
 
 def test_uniform_zero_maps_to_lower_endpoint():
     assert sample_trunc_laplace(0.5, 3.0, _StubRng(0.0)) == -3.0
+
+
+# (sigma, s): s/sigma is 3.5, 25, 6.4 and 1000, the last in the s/sigma > 700
+# form, where exp(-s/sigma) underflows to 0
+_ICDF_CASES = [(1.0, 3.5), (0.02, 0.5), (0.25, 1.6), (1e-3, 1.0)]
+_ICDF_STEPS = [-3.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 3.0]  # z / sigma: both halves
+
+
+def test_inverse_cdf_inverts_the_cdf_to_a_few_ulps():
+    # one batched call, each case a seed with its own sigma and one row
+    # whose half-width is gathered to every entry, as privatize_block calls
+    # it; each entry must equal its own scalar call bit for bit, and invert
+    # the 50-digit CDF to within 8 ulps of z (5 at most when measured)
+    from privlp.mechanism import _inverse_cdf
+    sigma = np.array([[sigma] for sigma, _ in _ICDF_CASES])
+    s = np.array([[s] for _, s in _ICDF_CASES])
+    z = sigma * np.array(_ICDF_STEPS)
+    u = np.array([[trunc_laplace_cdf_hp(z_j, sigma_i, s_i) for z_j in row]
+                  for row, (sigma_i, s_i) in zip(z, _ICDF_CASES)])
+    assert (u[:, :5] < 0.5).all() and (u[:, 5:] > 0.5).all() and (u < 1.0).all()
+    entries = np.zeros(len(_ICDF_STEPS), dtype=np.intp)
+    got = _inverse_cdf(u, s, sigma, entries)
+    assert (np.abs(got - z) <= 8 * np.spacing(np.abs(z))).all()
+    for i, (sigma_i, s_i) in enumerate(_ICDF_CASES):
+        for j in range(len(_ICDF_STEPS)):
+            one = _inverse_cdf(u[i, j:j + 1], np.asarray(s_i), sigma_i)
+            assert one.tobytes() == got[i, j:j + 1].tobytes()
+    with np.errstate(divide="raise"):  # the s/sigma > 700 form maps u = 0 without a warning
+        ends = _inverse_cdf(np.zeros(u.shape), s, sigma, entries)
+    assert (ends == -s).all()
 
 
 # --- row privatization -----------------------------------------------------
@@ -248,7 +279,7 @@ def test_block_draws_every_seed_in_one_call(monkeypatch):
     sys_ = _rows_1_and_3_private()
     out = privatize_block(sys_, [PP] * 3, [3, 8, 5])[0]  # rows 1 and 3 only: not the public rows
     assert calls == [([3, 8, 5], [1, 3], [1, 1])]
-    assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde[[1, 3]]
+    assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde[~sys_.zero_mask]
                                       for seed in (3, 8, 5)]).tobytes()
 
 
@@ -280,11 +311,13 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
 
 
 def _assert_block_is_stacked_matrices(sys_, out, s, z, privs):
-    rows, free = sys_.private_rows[1:3]
-    assert out.tobytes() == np.stack([priv.A_tilde[rows] for priv in privs]).tobytes()
+    rows, free = sys_.private_rows[1], ~sys_.zero_mask  # the block holds the free entries only
+    assert out.tobytes() == np.stack([priv.A_tilde[free] for priv in privs]).tobytes()
     for s_t, noise, priv in zip(s, z, privs, strict=True):
         assert s_t.tobytes() == priv.row_supports[rows].tobytes()
-        assert np.array_equal(np.where(free, noise, np.nan), priv.noise_log[rows], equal_nan=True)
+        assert noise.tobytes() == priv.noise_log[free].tobytes()
+        assert np.isnan(priv.noise_log[~free]).all()
+        assert priv.A_tilde[~free].tobytes() == sys_.A[~free].tobytes()
 
 
 @pytest.mark.parametrize("labels", [
@@ -503,6 +536,35 @@ def test_privatized_document_of_a_numpy_seed_releases_no_seed(rng, numpy_seed):
     doc = json.loads(json.dumps(privatized_document(lp, priv)))
     assert "seed" not in doc["mechanism"]
     assert doc["A"] == priv.A_tilde.tolist()
+
+
+@pytest.mark.parametrize("base_seed", [0, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -1, -2 ** 63,
+                                       np.int64(-7), np.uint64(2 ** 64 - 7), np.int32(3)])
+def test_derive_seeds_is_derive_seed_at_every_cell(base_seed):
+    from privlp.seeds import derive_seeds
+    eps_index, trial = np.divmod(np.arange(12), 4)
+    seeds = derive_seeds(base_seed, eps_index, trial)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(base_seed, int(e), int(t)) for e, t in zip(eps_index, trial)]
+    negative = np.array([-1, -2 ** 63, 2 ** 63 - 1])  # an int64 index is read mod 2**64, as an int is
+    assert derive_seeds(base_seed, negative).tolist() == [derive_seed(base_seed, i)
+                                                          for i in negative.tolist()]
+    assert derive_seeds(base_seed).tolist() == [derive_seed(base_seed)]
+
+
+def test_row_uniforms_holds_few_draw_sized_arrays():
+    # the 8640 draws of 120 cells of a 12x6 LP are 69 KB; the 128-bit
+    # products are formed in place, so the peak stays under 11 such arrays
+    import tracemalloc
+    args = (range(120), range(12), [6] * 12)
+    row_uniforms(*args)  # the draw table is cached
+    tracemalloc.start()
+    try:
+        u = row_uniforms(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 69_120 and peak <= 760_000
 
 
 def test_derive_seed_takes_integer_indices_only():
