@@ -85,21 +85,22 @@ def _acute(blocks: np.ndarray) -> np.ndarray:
     0``: ``sum_{j != i} G_ij v_j = (lambda_min - G_ii) v_i <= 0``, so ``v``
     is ``e_i``, and ``G_S e_i = lambda_min e_i`` needs ``G_ji = 0``.
 
-    The margin ``delta_S = 1e-2 * max(M, 1e-4)``, ``M = max_j G_jj =
-    max|G_S|``, keeps this true of what :func:`_support_candidates`
-    computes. It accepts a unit ``v`` with entries at least ``-tau`` and
-    ``||(G_S - lo) v|| <= rho``: ``tau`` is the ``1e-12`` sign tolerance,
-    or about ``sqrt(size) * FEAS_TOL`` in the orthant LP, and ``rho`` is
-    the cluster width ``1e-10 * max(1, lambda_max)`` plus ``eigh``'s
-    backward error, about ``size^3 * 2e-16 * M``. Row i bounds
+    The margin ``delta_S = 1e-2 * M``, ``M = max_j G_jj = max|G_S|``,
+    keeps this true of what :func:`_support_candidates` computes. It
+    accepts a unit ``v`` with entries at least ``-tau`` and ``||(G_S - lo)
+    v|| <= rho``: ``tau`` is the ``1e-12`` sign tolerance, or about
+    ``sqrt(size) * FEAS_TOL`` in the orthant LP, and ``rho`` is the cluster
+    width ``1e-10 * lambda_max <= 1e-10 * size * M`` plus ``eigh``'s
+    backward error, about ``size^3 * 2e-16 * M``; a support has at most 14
+    rows within ``_MAX_SUPPORTS``, so ``rho < 2e-9 M``. Row i bounds
     ``sum_{j != i} |v_j|`` by ``((size + 1) M tau + 3 rho) / delta_S <
     1e-3``, so ``v_i > 0.99``, and row j's ``G_ji v_i > 0.99 delta_S``
-    exceeds the ``2e-3 M + 2 rho`` the rest of that row can cancel. The
-    floor ``1e-6`` covers the cluster width, absolute below unit scale.
+    exceeds the ``2e-3 M + 2 rho`` the rest of that row can cancel. Every
+    term is a multiple of ``M``, so the margin needs no floor at any scale.
     """
     size = blocks.shape[-1]
     diagonal = np.diagonal(blocks, axis1=1, axis2=2)
-    margin = 1e-2 * np.maximum(diagonal.max(axis=1), 1e-4)
+    margin = 1e-2 * diagonal.max(axis=1)
     over = (blocks > margin[:, None, None]) | np.eye(size, dtype=bool)
     return over.all(axis=2).any(axis=1)
 
@@ -133,17 +134,19 @@ def _support_candidates(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     does not depend on its batch, so skipping blocks moves no bit. Whether
     the bottom eigenspace holds a nonnegative vector is
     :func:`_touches_orthant`'s sign test, and the orthant LP only where
-    that test fails on a repeated eigenvalue. Bottom eigenvalues under the
-    numerical-rank threshold collapse to exactly zero: their square root
-    would otherwise surface eigensolver round-off (~1e-8) above the
-    admission tolerance and fabricate huge Hoffman constants for genuinely
-    degenerate subsets.
+    that test fails on a repeated eigenvalue. The bottom eigenspace is the
+    eigenvalues within ``1e-10 lambda_max`` of the bottom one, and a bottom
+    eigenvalue under ``1e-13 lambda_max`` (the numerical rank) collapses to
+    exactly zero: its square root would otherwise surface eigensolver
+    round-off (~1e-8 of the block's scale) above the admission tolerance
+    and fabricate huge Hoffman constants for genuinely degenerate subsets.
+    Both thresholds scale with the block, as the admission tolerance does.
     """
     blocks = gram[supports[:, :, None], supports[:, None, :]]
     kept = ~_acute(blocks)
     eigvals, eigvecs = np.linalg.eigh(blocks[kept])
     lo = eigvals[:, 0]
-    scale = np.maximum(1.0, np.abs(eigvals[:, -1]))
+    scale = np.abs(eigvals[:, -1])
     group = eigvals <= (lo + 1e-10 * scale)[:, None]
     values = np.where(lo <= 1e-13 * scale, 0.0, np.sqrt(np.maximum(lo, 0.0)))
     candidates = np.full(len(supports), np.inf)
@@ -202,19 +205,22 @@ def hoffman_constant(A) -> float:
     """Hoffman constant of A for the (2,2)-norm pair, by exact enumeration.
 
     Maximizes 1 / inner_cone_min(A_J) over the row subsets J whose inner
-    minimum exceeds ADMISSION_TOL (exactly those for which x -> A_J x +
-    nonneg orthant is surjective): 1 / min g(S) over the admitted supports
-    S, those with g(S) > ADMISSION_TOL. A positive minimizer needs a
-    nonsingular Gram block, so only supports of at most rank(A) rows are
-    evaluated; by Cauchy interlacing a support that holds a singular one is
-    singular too, with g 0 or +inf, so it is never admitted.
+    minimum exceeds ADMISSION_TOL times the largest row norm of A (exactly
+    those for which x -> A_J x + nonneg orthant is surjective): 1 / min
+    g(S) over the admitted supports S. Every threshold is relative, so
+    ``hoffman_constant(2**j * A)`` is ``2**-j * hoffman_constant(A)``, bit
+    for bit, and ``H(cA) = H(A) / c`` to rounding. A positive minimizer
+    needs a nonsingular Gram block, so only supports of at most rank(A)
+    rows are evaluated; by Cauchy interlacing a support that holds a
+    singular one is singular too, with g 0 or +inf, so it is never admitted.
     Raises :class:`HoffmanSizeError` when the supports of at most
     ``min(m, n)`` rows number more than the budget of :func:`_support_walk`
     (every input of at most 14 rows is within it), and
     :class:`DegenerateSystemError` when no subset is admissible.
     """
     g = _support_walk(A, 0, "A")
-    admitted = g[g > ADMISSION_TOL]
+    largest = g[:np.atleast_2d(A).shape[0]].max(initial=0.0)  # the singletons' g: row norms
+    admitted = g[g > ADMISSION_TOL * largest]
     if not admitted.size:
         raise DegenerateSystemError("no admissible row subset; Hoffman constant undefined")
     return 1.0 / float(admitted.min())

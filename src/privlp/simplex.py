@@ -10,7 +10,8 @@ Scaling c by a positive constant leaves every pivot decision unchanged.
 This module owns the tableau, laid out as ``[x | slacks | artificials |
 rhs]``, and every start of it: the slack start ``[A | I | b]``
 (:func:`_slack_start`), or a :class:`WarmStart`'s, a baseline basis
-factored once and updated to each system by Woodbury. One routine,
+factored once and updated to each system by Woodbury, used where the
+update's norms certify it (else the slack start). One routine,
 :func:`_solve_stack`, finishes a stack of systems: rows whose start value
 is negative are sign-flipped and get an artificial, and an equality row's
 unit column is an artificial, which phase 1 drives out (a redundant
@@ -149,26 +150,6 @@ def _stacked_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
         return out
 
 
-def _checked(A: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Per system of the stack ``A``, whether ``T = B^-1 [A | I | b]`` is usable: ``B`` is not singular.
-
-    ``B`` is the columns ``basis`` of ``[A | I]``. LU reports only an exactly
-    zero pivot, so besides finiteness the 1-norm condition number
-    ``||B||_1 ||B^-1||_1`` must stay under ``1 / PIVOT_TOL``. ``||B||_1`` is
-    the largest absolute column sum of ``A`` at the basic x columns, or 1
-    for a slack column; ``B^-1`` is the slack block of ``T``. Each column
-    sum adds its rows one after another, as a sum down ``B`` does; a sum
-    over the gathered columns may add them pairwise, in other bits. This is
-    the exact check; :meth:`WarmStart.tableaus` calls it only on the starts
-    that the norms of their update do not already prove usable.
-    """
-    m, n = A.shape[-2:]
-    rows = np.abs(np.moveaxis(A, -2, 0)[..., basis[basis < n]])
-    norm = functools.reduce(np.add, rows).max(axis=-1, initial=float((basis >= n).any()))
-    condition = norm * np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1)
-    return np.isfinite(T).all(axis=(-2, -1)) & (condition < 1 / PIVOT_TOL)
-
-
 class WarmStart:
     """A basis factored once, to start solves of systems that differ in data.
 
@@ -179,7 +160,9 @@ class WarmStart:
     when the basis is singular for the baseline. Starts are built for a
     block of systems that differ from the baseline only in ``A``, as one
     ``(k, m, n + m + 1)`` stack of tableaus; a block of one is a single
-    start.
+    start. ``B0`` is singular when ``T0`` is not finite or its 1-norm
+    condition number ``||B0||_1 ||B0^-1||_1`` reaches ``1 / PIVOT_TOL``: LU
+    reports only an exactly zero pivot.
     """
 
     def __init__(self, system: ConstraintSystem, basic_columns):
@@ -190,23 +173,25 @@ class WarmStart:
         body = _slack_start(self.A[None], self.b)[0]
         B0 = body[..., :-1][..., self.basis]
         T0 = _stacked_solve(B0, body)[0]
-        self.T0 = T0 if _checked(self.A, self.basis, T0) else None
-        if self.T0 is not None:  # ||B0||_1, ||B0^-1||_1 and max|T0|, which bound every update
-            self._norms = (np.abs(B0[0]).sum(axis=0).max(),
-                           np.abs(T0[:, n:n + m]).sum(axis=0).max(), np.abs(T0).max())
+        # ||B0||_1, ||B0^-1||_1 and max|T0|, which bound every update
+        self._norms = norm, inverse_norm, largest = (np.abs(B0[0]).sum(axis=0).max(initial=0.0),
+                                                     np.abs(T0[:, n:n + m]).sum(axis=0).max(),
+                                                     np.abs(T0).max())
+        with np.errstate(over="ignore"):  # a condition number that overflows is singular
+            usable = norm * inverse_norm < 1 / PIVOT_TOL and np.isfinite(largest)
+        self.T0 = T0 if usable else None
 
     def tableaus(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(T, basis, paths)`` for the stack ``A`` of shape ``(k, m, n)``, all new arrays.
 
         ``T[t]`` is ``B[t]^-1 [A[t] | I | b]`` in the start's basis, with
         ``B[t]`` its basis columns of ``[A[t] | I]`` (``paths[t]`` is
-        ``"updated"``), or the slack start where :func:`_checked` refuses
-        it (``"slack"``). A start whose update's norms already prove it
-        usable skips the exact check (:meth:`_updated`), so the decision is
-        ``_checked``'s on every start. Each system is an update of ``T0``
-        over the union of the rows changed in any of them, computed as on
-        that system alone. In the start's basis the basis columns are
-        exactly the identity, and a value in ``[-FEAS_TOL, 0)`` is set to 0.
+        ``"updated"``), or the slack start where the update's norms do not
+        certify it usable (:meth:`_updated`; ``"slack"``), a singular ``C``
+        included. Each system is an update of ``T0`` over the union of the
+        rows changed in any of them, computed as on that system alone. In
+        the start's basis the basis columns are exactly the identity, and a
+        value in ``[-FEAS_TOL, 0)`` is set to 0.
         """
         if A.shape[1:] != self.A.shape:
             raise ValueError(f"start was built for a system of shape {self.A.shape}, "
@@ -215,8 +200,6 @@ class WarmStart:
         if self.T0 is None:
             return *_slack_start(A, self.b), np.full(k, "slack")
         T, usable = self._updated(A, np.flatnonzero((A != self.A).any(axis=(0, 2))))
-        if not usable.all():
-            usable[~usable] = _checked(A[~usable], self.basis, T[~usable])
         T[:, :, self.basis] = np.eye(m)
         rhs = T[:, :, -1]
         rhs[(rhs < 0) & (rhs >= -FEAS_TOL)] = 0.0
@@ -235,13 +218,14 @@ class WarmStart:
         ``T``. ``np.matmul`` runs each system's products as ``np.dot`` runs
         them on one system, to the bit.
 
-        ``certified[t]`` is True where the update's norms prove that
-        :func:`_checked` accepts ``T[t]``: ``||B||_1 <= ||B0||_1 +
+        ``certified[t]`` is True where the update's norms prove ``B[t]``
+        usable by the test ``T0`` passed: ``||B||_1 <= ||B0||_1 +
         ||D_B||_1``; ``||B^-1||_1 <= ||B0^-1||_1 (1 + |R| max|S_slack|)``,
         since ``U``'s columns are columns of ``B0^-1``; and ``max|T| <=
         max|T0| + |R| max|U| max|S|``, finite. Each bound is widened by
-        ``_CERTIFY_MARGIN`` for the rounding of the computed norms. A False
-        proves nothing: that system goes to the exact check.
+        ``_CERTIFY_MARGIN`` for the rounding of the computed norms. A system
+        the bounds do not certify takes the slack start, though its own
+        condition number may be under the threshold.
         """
         k, m, n = A.shape
         D = A[:, rows] - self.A[rows]

@@ -235,15 +235,17 @@ def sphere_inner_min(M, n_dirs=1_000_000, seed=0, refine=True) -> float:
 def hoffman_bruteforce(A, n_dirs=1_000_000, seed=0, admit_tol=1e-6) -> float:
     """Definition-level Hoffman constant: subset enumeration + sampling.
 
-    ``admit_tol`` is the oracle's numerical resolution: sampling plus local
-    polish cannot certify an inner minimum below ~1e-8, so subsets whose
-    polished minimum lands under the tolerance are treated as degenerate
-    (not admissible). Random instances used in tests keep a wide margin on
-    both sides of it. Every subset of one size is sampled over the same
+    ``admit_tol`` is the oracle's numerical resolution, relative to the
+    largest row norm of A: sampling plus local polish cannot certify an
+    inner minimum below ~1e-8 of that scale, so subsets whose polished
+    minimum lands under the tolerance are treated as degenerate (not
+    admissible). Random instances used in tests keep a wide margin on both
+    sides of it. Every subset of one size is sampled over the same
     directions: the first ``size`` columns of one bank, normalized once.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m = A.shape[0]
+    admit_tol *= np.linalg.norm(A, axis=1).max()
     bank = np.abs(np.random.default_rng(seed).standard_normal((n_dirs, m)))
     best = None
     for size in range(1, m + 1):
@@ -299,7 +301,9 @@ def hoffman_all_supports(A, admit_tol=1e-9) -> float:
     candidate over the supports S of J; a support's candidate is its Gram
     block's bottom eigenvalue (square-rooted) when that eigenspace meets the
     nonnegative orthant, decided here by scipy's LP. No support size is
-    skipped, so this checks any enumeration that prunes supports.
+    skipped, so this checks any enumeration that prunes supports. Its
+    thresholds are the package's: relative to each block's largest
+    eigenvalue, and ``admit_tol`` to the largest row norm of A.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m = A.shape[0]
@@ -307,14 +311,14 @@ def hoffman_all_supports(A, admit_tol=1e-9) -> float:
     for mask in range(1, 1 << m):
         S = [i for i in range(m) if mask >> i & 1]
         eigvals, eigvecs = np.linalg.eigh(A[S] @ A[S].T)
-        lo, scale = eigvals[0], max(1.0, abs(eigvals[-1]))
+        lo, scale = eigvals[0], abs(eigvals[-1])
         if _cone_meets_orthant(eigvecs[:, eigvals <= lo + 1e-10 * scale]):
             f[mask] = 0.0 if lo <= 1e-13 * scale else math.sqrt(lo)
     for mask in range(1, 1 << m):
         for i in range(m):
             if mask >> i & 1:
                 f[mask] = min(f[mask], f[mask ^ (1 << i)])
-    admitted = f[1:][f[1:] > admit_tol]
+    admitted = f[1:][f[1:] > admit_tol * f[1 << np.arange(m)].max()]
     if admitted.size == 0:
         raise ValueError("no admissible subset")
     return float(1.0 / admitted.min())
@@ -346,9 +350,11 @@ def subset_minima_table(A: np.ndarray) -> np.ndarray:
 
 
 def hoffman_table(A, admit_tol=1e-9) -> float:
-    """Hoffman constant from :func:`subset_minima_table`: 1 / the least admitted entry."""
-    f = subset_minima_table(np.atleast_2d(np.asarray(A, dtype=float)))[1:]
-    admitted = f > admit_tol
-    if not admitted.any():
+    """Hoffman constant from :func:`subset_minima_table`: 1 / the least entry admitted above
+    ``admit_tol`` times the largest row norm (a singleton's entry)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    f = subset_minima_table(A)
+    admitted = f[1:][f[1:] > admit_tol * f[1 << np.arange(A.shape[0])].max()]
+    if admitted.size == 0:
         raise ValueError("no admissible subset")
-    return float(1.0 / f[admitted].min())
+    return float(1.0 / admitted.min())

@@ -75,6 +75,49 @@ def test_hoffman_scaling_law(rng):
             hoffman_constant(A) / alpha, rel=1e-9)
 
 
+# H = 6.7604; at scale 1e-6 a threshold fixed in absolute terms collapses a
+# pair's bottom eigenvalue and reads 1.1612
+_SCALE_EXAMPLE = np.array([[1.0, 0.0], [-0.9, 0.2], [0.3, 1.0]])
+
+
+def test_hoffman_and_inner_min_are_exact_under_power_of_two_scaling(rng):
+    # 2^j A has the Gram blocks, eigenpairs and row norms of A times powers
+    # of two, bit for bit, and every threshold scales with them
+    for A in [_SCALE_EXAMPLE, *_table_families(rng)]:
+        H, inner = hoffman_constant(A), inner_cone_min(A)
+        for j in range(-40, 41):
+            assert 2.0 ** j * hoffman_constant(2.0 ** j * A) == H
+            assert inner_cone_min(2.0 ** j * A) == 2.0 ** j * inner
+
+
+def test_hoffman_and_inner_min_scale_with_any_factor(rng):
+    for A in [_SCALE_EXAMPLE, *_table_families(rng)]:
+        H, inner = hoffman_constant(A), inner_cone_min(A)
+        for c in np.geomspace(1e-8, 1e8, 12):
+            assert c * hoffman_constant(c * A) == pytest.approx(H, rel=1e-9)
+            assert inner_cone_min(c * A) == pytest.approx(c * inner, rel=1e-9)
+
+
+@pytest.mark.parametrize("j", [30, 60])
+def test_the_bound_of_a_scaled_pin_is_the_pinned_bound_scaled(j):
+    # A, sup_A and k times 2^-j: the region and H grow by 2^j and xi shrinks
+    # by it, each bit for bit; thresholds fixed in absolute terms read H 27%
+    # too small at j = 30 and admit no support at j = 60
+    import json
+    from pathlib import Path
+    from privlp import load_problem
+    data = Path(__file__).parent / "data"
+    lp = load_problem((data / "lp12x6_seed20240817.json").read_text())
+    pinned = json.loads((data / "lp12x6_bound_eps1_k0.02.json").read_text())
+    f = 2.0 ** -j
+    scaled = dataclasses.replace(lp, system=dataclasses.replace(
+        lp.system, A=np.asarray(lp.system.A) * f, sup_A=np.asarray(lp.system.sup_A) * f))
+    report = cost_bound(scaled, PrivacyParams(epsilon=1.0, delta=0.05, k=0.02 * f)).to_dict()
+    for key, power in (("L", 0), ("x_bar_norm", j), ("hoffman", j), ("xi", -j), ("bound", j)):
+        assert report[key] == pinned[key] * 2.0 ** power
+    assert report["xi_case"] == pinned["xi_case"]
+
+
 def test_hoffman_matches_bruteforce(rng):
     for trial in range(12):
         A = rng.normal(size=(3, 2))
@@ -232,8 +275,9 @@ def test_hoffman_sends_no_support_above_rank_and_inner_min_reaches_rank_plus_one
 
 
 def test_a_support_that_holds_a_collapsed_one_has_no_positive_candidate(rng):
-    # why hoffman_constant admits every candidate above ADMISSION_TOL without
-    # excluding the supersets of a dependent support: by Cauchy interlacing,
+    # why hoffman_constant admits every candidate above ADMISSION_TOL times
+    # the largest row norm without excluding the supersets of a dependent
+    # support: by Cauchy interlacing,
     # a support that holds one whose candidate collapsed is singular too, so
     # its candidate is 0 or +inf and is never admitted
     from privlp.accuracy import ADMISSION_TOL, _support_walk
@@ -243,7 +287,7 @@ def test_a_support_that_holds_a_collapsed_one_has_no_positive_candidate(rng):
         masks = np.concatenate([(1 << np.array(list(itertools.combinations(range(m), size))))
                                 .sum(axis=1) for size in range(1, min(m, rank) + 1)])
         g = _support_walk(A, 0, "A")
-        collapsed = masks[g <= ADMISSION_TOL]
+        collapsed = masks[g <= ADMISSION_TOL * g[:m].max()]
         holds = ((masks[:, None] & collapsed == collapsed)
                  & (masks[:, None] != collapsed)).any(axis=1)
         assert np.isin(g[holds], (0.0, np.inf)).all()

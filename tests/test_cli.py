@@ -477,6 +477,27 @@ def test_bound_json_with_dependent_rows_matches_the_pinned_bytes(tmp_path):
     assert out.read_bytes() == expected
 
 
+def test_bound_json_of_the_scaled_lp_matches_the_pinned_bytes(tmp_path):
+    # the 12x6 LP with A and sup_A times 2^-30, bounded at k = 0.02 * 2^-30:
+    # its report is the 12x6 pin's, each field times a power of two
+    from pathlib import Path
+    data = Path(__file__).resolve().parent / "data"
+    lp = json.loads((data / "lp12x6_seed20240817.json").read_text())
+    scaled = json.loads((data / "lp12x6_scaled_2pow-30.json").read_text())
+    for key in ("A", "sup_A"):
+        assert np.array_equal(scaled.pop(key), np.multiply(lp.pop(key), 2.0 ** -30))
+    assert scaled == lp
+    out = tmp_path / "bound.json"
+    assert main(["bound", str(data / "lp12x6_scaled_2pow-30.json"), "--epsilon", "1",
+                 "--k", repr(0.02 * 2.0 ** -30), "--delta", "0.05", "--out", str(out)]) == 0
+    expected = (data / "lp12x6_scaled_2pow-30_bound_eps1_k0.02x2pow-30.json").read_bytes()
+    assert out.read_bytes() == expected
+    report = json.loads(expected)
+    pinned = json.loads((data / "lp12x6_bound_eps1_k0.02.json").read_text())
+    for key, power in (("L", 0), ("x_bar_norm", 30), ("hoffman", 30), ("xi", -30), ("bound", 30)):
+        assert report[key] == pinned[key] * 2.0 ** power
+
+
 def test_bound_json_of_a_tall_lp_matches_the_pinned_bytes(tmp_path):
     # 16 rows of 3 columns: 696 supports of at most 3 rows, within the
     # Hoffman support budget though past 14 rows; the LP is

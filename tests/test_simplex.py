@@ -405,6 +405,17 @@ def test_singular_start_falls_back_to_slack_basis(rng):
             assert warm.basic_columns == cold.basic_columns
 
 
+def test_a_baseline_tableau_that_is_not_finite_is_refused():
+    # B0 = I / 2 is well conditioned, but B0^-1 b overflows; B0 = diag(1e10,
+    # 1e-300) has a finite tableau, but its condition number overflows: each
+    # baseline is singular to the check, and every start is the slack one
+    for A, b in (([[0.5, 0.0], [0.0, 0.5]], [1e308, 1e308]),
+                 ([[1e10, 0.0], [0.0, 1e-300]], [1.0, 1.0])):
+        start = WarmStart(_sys(A, b), (0, 1))
+        assert start.T0 is None
+        assert start.tableaus(np.asarray(A)[None])[2].tolist() == ["slack"]
+
+
 def test_optimal_start_takes_no_pivots(rng):
     solved = 0
     for _ in range(30):
@@ -461,12 +472,33 @@ def _factored_tableau(A, b, basis):
     return np.linalg.solve(body[:, basis], body)
 
 
+def _condition(start, A, T):
+    """The 1-norm condition number ``||B||_1 ||B^-1||_1`` per system of the stack ``A``, with
+    ``B`` its columns ``start.basis`` of ``[A | I]`` and ``B^-1`` the slack block of ``T``."""
+    from privlp.simplex import _basis_matrix
+    m, n = A.shape[-2:]
+    norm = np.abs(_basis_matrix(A, np.tile(start.basis, (len(A), 1)))).sum(axis=-2).max(axis=-1)
+    return norm * np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1)
+
+
+def _exact(start, A, T):
+    """The exact check of each start tableau ``T`` of the stack ``A``: LU reports only an exactly
+    zero pivot, so ``T`` must be finite and its condition number under ``1 / PIVOT_TOL``."""
+    from privlp.simplex import PIVOT_TOL
+    return np.isfinite(T).all(axis=(-2, -1)) & (_condition(start, A, T) < 1 / PIVOT_TOL)
+
+
 def _solve_pair(monkeypatch, c, system, start):
-    """The solve from ``start`` and the same solve started from a full factorization of its basis."""
+    """The solve from ``start`` and the same solve started from a full factorization of its basis,
+    which the exact check decides."""
     warm = _warm(c, system, start)
+
+    def factored_update(A, rows):
+        T = _factored_tableau(A[0], start.system.b, start.basis)[None]
+        return T, _exact(start, A, T)
+
     with monkeypatch.context() as patched:
-        patched.setattr(start, "_updated", lambda A, rows: (_factored_tableau(
-            A[0], start.system.b, start.basis)[None], np.zeros(1, dtype=bool)))
+        patched.setattr(start, "_updated", factored_update)
         factored = _warm(c, system, start)
     return warm, factored
 
@@ -529,12 +561,11 @@ def _singular_case(rng):
 
 
 def test_singular_update_takes_the_slack_start(rng):
-    from privlp.simplex import _checked
     for _ in range(5):
         lp, start, system = _singular_case(rng)
         A, b = np.asarray(system.A), np.asarray(system.b)
         full = _factored_tableau(A, b, start.basis)
-        assert not _checked(A, start.basis, full)  # a factorization fails the same check
+        assert not _exact(start, A[None], full[None])  # a factorization fails the exact check
         T, basis, paths = start.tableaus(A[None])
         m, n = A.shape
         assert paths.tolist() == ["slack"]
@@ -547,43 +578,28 @@ def test_singular_update_takes_the_slack_start(rng):
             _assert_same_solve(warm, cold)
 
 
-def _spied_checks(monkeypatch):
-    """The stack sizes ``simplex._checked`` is called with; a single system counts as 1."""
-    from privlp import simplex
-    checked, sizes = simplex._checked, []
-    monkeypatch.setattr(simplex, "_checked",
-                        lambda A, basis, T: sizes.append(len(A) if A.ndim == 3 else 1)
-                        or checked(A, basis, T))
-    return sizes
-
-
 def _assert_certified_decision(start, A):
-    """The start's decision per system of ``A`` equals ``_checked`` on every updated tableau,
-    and a certified system is one that ``_checked`` accepts; returns the certified count."""
-    from privlp.simplex import _checked
+    """The start's decision per system of ``A`` is the certificate of its update, and a certified
+    system is one that the exact check accepts; returns the certified count."""
     rows = np.flatnonzero((A != start.A).any(axis=(0, 2)))
     T, certified = start._updated(A, rows)
-    exact = _checked(A, start.basis, T)
-    assert exact[certified].all()
+    assert _exact(start, A, T)[certified].all()
     paths = start.tableaus(A)[2]
-    assert paths.tolist() == np.where(exact, "updated", "slack").tolist()
+    assert paths.tolist() == np.where(certified, "updated", "slack").tolist()
     return int(certified.sum())
 
 
-def _condition(start, A):
-    """The 1-norm condition number of the updated start of ``A``, as ``_checked`` reads it."""
-    from privlp.simplex import _basis_matrix
-    m, n = A.shape
+def _updated_condition(start, A):
+    """The condition number of the updated start of the one system ``A``, as the exact check reads it."""
     T, _ = start._updated(A[None], np.flatnonzero((A != start.A).any(axis=1)))
-    norm = np.abs(_basis_matrix(A[None], start.basis[None])).sum(axis=-2).max()
-    return norm * np.abs(T[0, :, n:n + m]).sum(axis=0).max()
+    return _condition(start, A[None], T)[0]
 
 
 def test_certified_starts_decide_as_the_exact_check(rng):
-    # the norm bounds of the update send a start to the exact check unless
-    # they prove it usable: over every count of changed rows, a singular
-    # update, and updates whose condition number sits within 1e-6 of
-    # 1 / PIVOT_TOL on either side, the decision is the exact check's
+    # the norm bounds of the update decide each start, and every start they
+    # certify passes the exact check: over every count of changed rows, a
+    # singular update, and updates whose condition number sits within 1e-6
+    # of 1 / PIVOT_TOL on either side
     from conftest import random_validated_lp
     from privlp.simplex import PIVOT_TOL
     certified = systems = 0
@@ -607,17 +623,15 @@ def test_certified_starts_decide_as_the_exact_check(rng):
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = (lo + hi) / 2
-            if _condition(start, A0 + mid * (A1 - A0)) < 1 / PIVOT_TOL:
+            if _updated_condition(start, A0 + mid * (A1 - A0)) < 1 / PIVOT_TOL:
                 lo = mid
             else:
                 hi = mid
-        sides = []
         for t in (lo, hi):
             A = A0 + t * (A1 - A0)
-            assert abs(_condition(start, A) * PIVOT_TOL - 1) <= 1e-6
-            _assert_certified_decision(start, A[None])
-            sides.append(start.tableaus(A[None])[2][0])
-        assert sides == ["updated", "slack"]
+            assert abs(_updated_condition(start, A) * PIVOT_TOL - 1) <= 1e-6
+            accepted = _assert_certified_decision(start, A[None])
+        assert accepted == 0  # at hi, past the threshold, where the exact check refuses
 
 
 def test_a_start_just_past_the_threshold_is_left_to_the_exact_check():
@@ -625,8 +639,8 @@ def test_a_start_just_past_the_threshold_is_left_to_the_exact_check():
     # bisected so the baseline sits just under 1 / PIVOT_TOL; moving its
     # corner down by 1 to 7 ulps takes the start 5e-7 to 4e-6 past it, where
     # the bounds are close to the exact condition number: a bound that
-    # dropped a term or most of its margin would accept a start _checked refuses
-    from privlp.simplex import PIVOT_TOL, _checked
+    # dropped a term or most of its margin would accept a start the exact
+    # check refuses
 
     def start(d):
         return WarmStart(_sys([[1.0, 1.0], [1.0, 1.0 + d]], [1.0, 1.0]), (0, 1))
@@ -642,51 +656,47 @@ def test_a_start_just_past_the_threshold_is_left_to_the_exact_check():
         A = np.array([[[1.0, 1.0], [1.0, corner]]])
         rows = np.flatnonzero((A != baseline.A).any(axis=(0, 2)))
         T, certified = baseline._updated(A, rows)
-        exact = _checked(A, baseline.basis, T)
-        assert not (certified & ~exact).any()
+        assert not (certified & ~_exact(baseline, A, T)).any()
         decided.add(baseline.tableaus(A)[2][0])
         corner = np.nextafter(corner, 0.0)
     assert decided == {"updated", "slack"}
 
 
-def test_warm_starts_of_the_grid_pin_are_all_certified(monkeypatch):
-    # every block start of the seed-0 grid pin is proven usable by the
-    # update's norms, so the exact check runs only on the baseline basis
-    from privlp import default_grid
-    from privlp.experiment import ExperimentConfig, sweep_gridworld
-    sizes = _spied_checks(monkeypatch)
-    config = ExperimentConfig(eps_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), trials=25, base_seed=0,
-                              delta=0.05, k=0.25)
-    sweep_gridworld(default_grid(), config)
-    assert sizes == [1]  # WarmStart.__init__'s check of the baseline tableau
+def test_warm_starts_of_the_grid_pin_are_all_certified(monkeypatch, tmp_path):
+    # every block start of every pinned sweep, the grid's and the 12x6 LP's,
+    # is certified by the update's norms: none takes the slack start
+    from pathlib import Path
+    from privlp import simplex
+    from privlp.cli import main
+    paths, solve_block = [], simplex.solve_block
+
+    def recording(*args):
+        solved = solve_block(*args)
+        paths.extend(solved.start_path.tolist())
+        return solved
+
+    monkeypatch.setattr(simplex, "solve_block", recording)
+    grid = ["--grid-config", str(Path(__file__).parents[1] / "demos" / "grid5.json"),
+            "--eps-grid", "0.5,1,2,3,4,5", "--k", "0.25", "--delta", "0.05"]
+    lp = [str(Path(__file__).parent / "data" / "lp12x6_seed20240817.json")]
+    pins = [grid + ["--seed", "0", "--trials", "25"], grid + ["--seed", "1", "--trials", "13"],
+            lp + ["--k", "0.02", "--seed", "0", "--trials", "20"],
+            lp + ["--k", "0.02", "--seed", "1", "--trials", "13"],
+            lp + ["--k", "1", "--eps-grid", "0.1,0.5,1,5,50", "--seed", "1", "--trials", "13"]]
+    for args in pins:
+        paths.clear()
+        assert main(["sweep", *args, "--out", str(tmp_path / "sweep")]) == 0
+        assert paths and set(paths) == {"updated"}
 
 
-def test_a_singular_update_takes_the_exact_check(rng, monkeypatch):
+def test_a_singular_update_takes_the_exact_check(rng):
+    # the update's norms do not certify a start whose basis is singular to
+    # working precision, which the exact check refuses too
     lp, start, system = _singular_case(rng)
-    sizes = _spied_checks(monkeypatch)
-    assert start.tableaus(np.asarray(system.A)[None])[2].tolist() == ["slack"]
-    assert sizes == [1]
-
-
-def test_start_check_reads_the_basis_norm_from_the_columns_of_a(rng):
-    # ||B||_1 is summed from the basic x columns of A; with the condition
-    # number set near 1 / PIVOT_TOL through a sum down B itself, the check
-    # decides as B does, also with one x column, where a plain sum over the
-    # gathered column would add its rows pairwise
-    from privlp.simplex import PIVOT_TOL, _basis_matrix, _checked
-    for trial in range(300):
-        k, m, n = int(rng.integers(1, 5)), int(rng.integers(8, 30)), int(rng.integers(1, 30))
-        A = rng.normal(size=(k, m, n)) * 10.0 ** rng.integers(-5, 5, size=(k, m, n))
-        nx = 1 if trial % 3 == 0 else int(rng.integers(0, min(m, n) + 1))
-        basis = rng.permutation(np.concatenate([rng.choice(n, nx, replace=False),
-                                                n + rng.choice(m, m - nx, replace=False)]))
-        norm = np.abs(_basis_matrix(A, np.tile(basis, (k, 1)))).sum(axis=-2).max(axis=-1)
-        T = rng.normal(size=(k, m, n + m + 1))
-        inverse_norm = lambda T: np.abs(T[..., n:n + m]).sum(axis=-2).max(axis=-1)
-        T *= (1 / PIVOT_TOL / (norm * inverse_norm(T)))[:, None, None]
-        usable = norm * inverse_norm(T) < 1 / PIVOT_TOL
-        assert _checked(A, basis, T).tolist() == usable.tolist()
-        assert _checked(A[0], basis, T[0]) == usable[0]
+    A = np.asarray(system.A)[None]
+    T, certified = start._updated(A, np.flatnonzero((A != start.A).any(axis=(0, 2))))
+    assert certified.tolist() == _exact(start, A, T).tolist() == [False]
+    assert start.tableaus(A)[2].tolist() == ["slack"]
 
 
 def test_start_must_match_the_system_shape(rng):
