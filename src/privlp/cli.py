@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         args.seed = secrets.randbits(64)
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError, MemoryError) as exc:  # a refused allocation too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,10 +20,12 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import orjson
 
 
 class SchemaError(ValueError):
@@ -154,13 +156,15 @@ class ConstraintSystem:
         object.__setattr__(self, "equality", equality)
 
     def tightened(self, A_tilde: np.ndarray) -> ConstraintSystem:
-        """This system with ``A`` replaced by ``privatize_matrix(self, ...).A_tilde``.
+        """This system with ``A`` replaced by ``A_tilde``, any matrix of the bound set.
 
-        Skips the checks of construction: ``A_tilde`` has ``A``'s shape, is
-        float and read-only, equals ``A`` at masked entries and stays under
-        ``sup_A``, by construction of the mechanism (acceptance criterion
-        04). The copy holds no cached :attr:`private_rows`, whose ``A`` block
-        would be the original's.
+        Skips the checks of construction, so ``A_tilde`` must have ``A``'s
+        shape, be finite, float and read-only, equal ``A`` at masked entries
+        (so equality rows, which are public, keep theirs) and stay under
+        ``sup_A``. ``privatize_matrix(self, ...).A_tilde`` is such a matrix by
+        construction of the mechanism (acceptance criterion 04), and so is a
+        finite ``sup_A`` with ``A <= sup_A``. The copy holds no cached
+        :attr:`private_rows`, whose ``A`` block would be the original's.
         """
         system = object.__new__(ConstraintSystem)
         for name, value in (("A", A_tilde), ("b", self.b), ("zero_mask", self.zero_mask),
@@ -266,9 +270,29 @@ _NUMBER = (int, float)
 
 
 def _document(text: str) -> dict:
-    """The JSON object ``text`` holds, or a :class:`SchemaError` naming the document."""
+    """The JSON object ``text`` holds, or a :class:`SchemaError` naming the document.
+
+    orjson reads it, and ``json.loads`` decides every text orjson refuses, so
+    each of those reads as it always has: the ``NaN`` and ``Infinity``
+    literals ``json.dumps`` writes, a number past the float range, a lone
+    surrogate, a byte-order mark and every syntax error. Both give the same
+    bits for every finite number. An integer literal outside [-2^63, 2^64) is
+    the one reading that differs: orjson returns the nearest float, not an int.
+
+    orjson reads nesting of any depth, but overflows the C stack near 10^5
+    levels. The count of ``[`` and ``{`` bounds the depth, so a text with at
+    least as many as the recursion limit (1000 by default) goes to
+    ``json.loads`` alone, which refuses nesting that deep by name; a matrix
+    with that many rows is read there too, at ``json.loads``'s speed.
+    """
+    data = text.encode("utf-8", "surrogatepass")  # orjson refuses a lone surrogate's bytes
+    codes = np.frombuffer(data, np.uint8)
+    openers = np.count_nonzero((codes == ord("[")) | (codes == ord("{")))  # bound the depth
     try:
-        doc = json.loads(text)
+        try:
+            doc = orjson.loads(data) if openers < sys.getrecursionlimit() else json.loads(text)
+        except orjson.JSONDecodeError:
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -361,10 +385,11 @@ def load_problem(text: str) -> LinearProgram:
           "zero_mask": [m][n] (optional),
           "privacy": {"epsilon": e, "delta": d, "k": k} (optional) }
 
-    Numbers are JSON numbers (a boolean is not one) and must be finite.
-    When ``zero_mask`` is absent it is inferred from the zero entries of
-    ``A``. Raises :class:`SchemaError` naming the offending field, or
-    :class:`DimensionError` on shape mismatches.
+    Numbers are JSON numbers (a boolean is not one) and must be finite; an
+    integer literal outside [-2^63, 2^64) reads as the nearest float (see
+    :func:`_document`). When ``zero_mask`` is absent it is inferred from the
+    zero entries of ``A``. Raises :class:`SchemaError` naming the offending
+    field, or :class:`DimensionError` on shape mismatches.
     """
     doc = _document(text)
     A = _field(doc, "A", _matrix)
@@ -399,9 +424,7 @@ def validate(p: LinearProgram) -> ValidatedProblem:
         raise MembershipError(
             f"A[{i}][{j}] = {sys_.A[i, j]} exceeds sup_A[{i}][{j}] = {sys_.sup_A[i, j]}")
 
-    worst = ConstraintSystem(A=sys_.sup_A, b=sys_.b, zero_mask=sys_.zero_mask, sup_A=sys_.sup_A,
-                             equality=sys_.equality)
-    witness = phase1_feasible(worst)
+    witness = phase1_feasible(sys_.tightened(sys_.sup_A))
     if witness is None:
         raise FeasibilityAssumptionError(
             "the worst-case region {x >= 0 : sup_A x <= b} is empty; no point is feasible "

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ GRID = {"width": 5, "height": 5, "start": [2, 0], "goal": [2, 4],
         "hazards": [{"cell": [1, 2], "beta": 1.0}, {"cell": [2, 2], "beta": 1.0},
                     {"cell": [3, 2], "beta": 1.0}],
         "slip": 0.1, "gamma": 0.9, "f0": 0.35}
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -344,6 +346,45 @@ def test_sweep_non_finite_or_non_integer_grid_field_is_named(tmp_path, capsys, f
     assert captured.out == ""
     if field == "hazards":
         assert "beta must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(GRID, width=2 ** 64), "width: must be an integer, got 1.8446744073709552e+19"),
+    (dict(GRID, start=[2 ** 64, 0]), "start: must be an integer, got 1.8446744073709552e+19"),
+], ids=["width", "start"])
+def test_a_grid_integer_of_2_to_the_64_reads_as_a_float(tmp_path, capsys, doc, message):
+    # orjson reads an integer literal outside [-2^63, 2^64) as the nearest float
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--grid-config", str(path), "--eps-grid", "1", "--trials", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_privatize_echoes_an_epsilon_of_2_to_the_64_as_a_float(tmp_path):
+    doc = dict(BASIC, privacy=dict(BASIC["privacy"], epsilon=2 ** 64))
+    path, out = tmp_path / "p.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["privatize", str(path), "--seed", "7", "--out", str(out)]) == 0
+    assert '"epsilon": 1.8446744073709552e+19,' in out.read_text()
+
+
+def test_a_grid_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 5 * 2^48 states: numpy refuses the 10 PiB state array before touching any memory
+    out = tmp_path / "out"
+    argv = ["sweep", "--grid-config", str(DATA / "sweep_grid_width_2pow48.json"),
+            "--trials", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_ci_refusal_documents_are_a_pin_with_a_nan_and_an_oversized_grid():
+    lp = json.loads((DATA / "lp12x6_seed20240817.json").read_text())
+    lp["A"][0][0] = float("nan")
+    assert (DATA / "solve_nan_literal.json").read_text() == json.dumps(lp) + "\n"
+    grid = json.loads((DATA.parents[1] / "demos" / "grid5.json").read_text())
+    assert json.loads((DATA / "sweep_grid_width_2pow48.json").read_text()) == \
+        dict(grid, width=2 ** 48)
 
 
 def test_sweep_nonpositive_baseline_reported(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Each example mutates a valid document up to twice: a key deleted, a value
 replaced by one of the wrong type, a non-finite, out-of-range, huge or
-subnormal number, or a list made ragged. The
+subnormal number, an integer just outside 64 bits, or a list made ragged. The
 CLI must then exit 0 or 1, never raise, and on exit 0 write only finite
 numbers (a bound of ``inf`` is a valid report; NaN never is). A boolean
 anywhere but an entry of ``zero_mask`` is not a number, so it must exit 1.
@@ -30,7 +30,7 @@ GRID_DOC = {"width": 3, "height": 3, "start": [0, 0], "goal": [2, 2],
             "hazards": [{"cell": [1, 1], "beta": 1.0}], "slip": 0.1, "gamma": 0.9,
             "f0": 0.5, "goal_reward": 1.0, "sup_a": 3.0}
 ODD_VALUES = [None, True, "1", {}, [], [[]], math.nan, math.inf, -math.inf, 0, -1, 0.5, 2.5,
-              1e300, -1e300, 1e-320, 5e-324, [1.0], [[1.0], [2.0, 3.0]]]
+              1e300, -1e300, 1e-320, 5e-324, 2 ** 64, -(2 ** 63) - 1, [1.0], [[1.0], [2.0, 3.0]]]
 LP_COMMANDS = [["solve"], ["solve", "--private", "--seed", "3"], ["privatize", "--seed", "3"],
                ["bound"], ["sweep", "--trials", "2", "--eps-grid", "1,5"]]
 INF_ALLOWED = {"bound", "predicted_bound", "x_bar_norm", "hoffman"}

@@ -1,5 +1,8 @@
 import json
+import math
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from privlp import (
     validate,
 )
 from privlp.cli import main
+from privlp.problem import _document
 
 BASIC_DOC = {
     "c": [1.0, 1.0],
@@ -148,6 +152,126 @@ def test_mask_entries_must_be_booleans():
 def test_not_json_is_schema_error():
     with pytest.raises(SchemaError):
         load_problem("{nope")
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def _same(a, b) -> bool:
+    """Equal value for value and type for type, floats compared by their bits."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
+    return a == b
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch) -> list:
+    """Every text ``json.loads`` reads during the test."""
+    calls, loads = [], json.loads
+
+    def spy(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted([*(ROOT / "tests" / "data").glob("*.json"),
+                                         *(ROOT / "demos").glob("*.json")]),
+                         ids=lambda path: path.name)
+def test_the_reader_reads_every_pinned_document_as_json_loads(path, json_loads_calls):
+    # wrapped, so that a pin whose top level is an array is compared too
+    text = '{"pin": ' + path.read_text() + "}"
+    want = json.loads(text)
+    json_loads_calls.clear()
+    assert _same(_document(text), want)
+    strict = "NaN" not in text and "Infinity" not in text  # the sweep pins write NaN
+    assert json_loads_calls == ([] if strict else [text])
+
+
+def _number_strings(rng) -> list[str]:
+    """Random float64 reprs, their 25-digit forms, and 1-40-digit mantissas at any exponent."""
+    floats = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+    floats = floats[np.isfinite(floats)].tolist()
+    strings = [repr(x) for x in floats] + [f"{x:.24e}" for x in floats[:5000]]
+    for digits, exponent, negative in zip(rng.integers(1, 41, 20000),
+                                          rng.integers(-340, 311, 20000), rng.random(20000) < 0.5):
+        mantissa = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, digits - 1)]))
+        if digits > 1:
+            mantissa = f"{mantissa[0]}.{mantissa[1:]}"
+        strings.append(f"{'-' if negative else ''}{mantissa}e{exponent}")
+    return [s for s in strings if math.isfinite(float(s))]  # past the range, orjson refuses
+
+
+def test_the_reader_gives_json_loads_bits_for_every_finite_number(rng, json_loads_calls):
+    edges = ["5e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "-0.0",
+             str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64 - 1), str(-2 ** 63)]
+    text = '{"x": [' + ",".join(edges + _number_strings(rng)) + "]}"
+    got = _document(text)
+    assert json_loads_calls == []  # a strict document never reaches json.loads
+    assert _same(got, json.loads(text))
+
+
+_DECIDED_BY_JSON_LOADS = {
+    "nan": (json.dumps(_with(BASIC_DOC, ("A", 0, 0), math.nan)),
+            SchemaError, "A: entries must be finite"),
+    "infinity": (json.dumps(_with(BASIC_DOC, ("b", 1), math.inf)),
+                 SchemaError, "b: entries must be finite"),
+    "-infinity": (json.dumps(_with(BASIC_DOC, ("c", 0), -math.inf)),
+                  SchemaError, "c: entries must be finite"),
+    "1e400": (json.dumps(_with(BASIC_DOC, ("sup_A", 0, 0), "1e400")).replace('"1e400"', "1e400"),
+              SchemaError, "sup_A: entries must be finite"),
+    "10**400": (json.dumps(_with(BASIC_DOC, ("A", 1, 0), 10 ** 400)),
+                SchemaError, "A: int too large to convert to float"),
+    "lone-surrogate": (json.dumps(dict(BASIC_DOC, **{"\ud800": 1})), None, None),
+    "bom": ("\ufeff" + json.dumps(BASIC_DOC), SchemaError,
+            "document: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0))"),
+    "trailing-comma": (json.dumps(BASIC_DOC)[:-1] + ",}", SchemaError,
+                       "document: not valid JSON (Expecting property name enclosed in double "
+                       "quotes: line 1 column 156 (char 155))"),
+    "syntax": ("{nope", SchemaError, "document: not valid JSON (Expecting property name "
+               "enclosed in double quotes: line 1 column 2 (char 1))"),
+    # orjson reads any depth and overflows the C stack near 10^5 levels, so a text with
+    # this many brackets goes to json.loads alone
+    "2000-deep": (json.dumps(BASIC_DOC)[:-1] + ', "deep": ' + "[" * 2000 + "]" * 2000 + "}",
+                  RecursionError,
+                  "maximum recursion depth exceeded while decoding a JSON array from a unicode "
+                  "string"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", _DECIDED_BY_JSON_LOADS.values(),
+                         ids=_DECIDED_BY_JSON_LOADS.keys())
+def test_json_loads_decides_the_documents_orjson_refuses(text, error, message, tmp_path, capsys,
+                                                         json_loads_calls):
+    # each exception and error line is the one json.loads alone gave
+    if error is None:
+        assert _same(_document(text), json.loads(text))
+        load_problem(text)
+    else:
+        with pytest.raises(error) as raised:
+            load_problem(text)
+        assert str(raised.value) == message
+    assert json_loads_calls[:1] == [text]
+    path, out = tmp_path / "problem.json", tmp_path / "out.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path), "--out", str(out)]) == (0 if error is None else 1)
+    assert capsys.readouterr().err == ("" if error is None else f"error: {message}\n")
+    if error is None:
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(BASIC_DOC))
+        assert main(["solve", str(plain)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+    else:
+        assert not out.exists()
 
 
 def test_bad_privacy_block():
