@@ -36,8 +36,8 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 

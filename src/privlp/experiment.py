@@ -17,12 +17,12 @@ whole blocks of ``_TRIAL_BLOCK`` cells, each under its own epsilon
 (:func:`mechanism.privatize_block`, which draws only free entries). There
 are as few passes as would hold at most ``_PASS_BYTES`` of noise each, so a
 pass holds less than one block's noise more than that: the pinned grid
-sweep's 150 cells are one pass of 14.4 KB. The first pass runs before the
-baseline's basis is factored, while little else is held. Each trial's
-simplex starts from that basis: a trial changes only the private rows, so
-it usually stays feasible and is often still optimal. A block's free
-entries are copied into a reused buffer that holds every other entry of
-``A``; :func:`simplex.solve_block` returns the block as arrays, which are
+sweep's 150 cells are one pass of 14.4 KB. A pass runs at its first block,
+after the baseline's basis is factored. Each trial's simplex starts from
+that basis: a trial changes only the private rows, so it usually stays
+feasible and is often still optimal. A block's free entries are copied
+into a reused buffer that holds every other entry of ``A``;
+:func:`simplex.solve_block` returns the block as arrays, which are
 re-checked against the original rows in one product and scored together,
 and the cost of privacy, the gaps and each epsilon's aggregates are
 computed over the arrays of every cell. A block of 32 grid cells holds
@@ -143,16 +143,14 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     free = ~sys_.zero_mask
     n_passes = max(1, -(-8 * int(free.sum()) * cells // _PASS_BYTES))  # of _PASS_BYTES each
     per_pass = _TRIAL_BLOCK * -(-cells // (_TRIAL_BLOCK * n_passes))  # whole blocks, evenly
-    passes = (privatize_block(sys_, params[f:f + per_pass], seeds[f:f + per_pass])[0]
-              for f in range(0, cells, per_pass))  # each cell's privatized free entries
-    private = next(passes)  # the first pass runs before the baseline is factored
     start = simplex.WarmStart(sys_, base.basic_columns)
     A_block = np.empty((min(_TRIAL_BLOCK, cells), *sys_.shape))
     A_block[...] = sys_.A  # every entry that no cell changes
     values, objective = np.empty(cells), np.empty(cells)
     for first in range(0, cells, _TRIAL_BLOCK):
-        if first and not first % per_pass:
-            private = next(passes)
+        if not first % per_pass:  # the pass's privatized free entries, one row per cell
+            private = privatize_block(sys_, params[first:first + per_pass],
+                                      seeds[first:first + per_pass])[0]
         block = A_block[:cells - first]
         block[:, free] = private[first % per_pass:][:len(block)]
         solved = simplex.solve_block(lp.c, block, start)

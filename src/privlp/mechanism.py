@@ -123,19 +123,15 @@ class PrivatizedSystem:
     """Privatized matrix plus per-row mechanism metadata.
 
     ``row_supports[i]`` is the half-width s_i used for row i (0.0 for fully
-    masked rows, which are never privatized); ``row_nonzero_counts[i]`` the
-    number of privatized entries; ``clipped_counts[i]`` how many of them
-    landed on ``sup_A``. ``noise_log`` optionally records the raw noise
-    draws (NaN at masked entries) for distributional tests. It holds no
-    seed: the seed is the mechanism's secret, and the caller keeps it.
+    masked rows, which are never privatized); ``clipped_counts[i]`` how many
+    of its privatized entries landed on ``sup_A``. It holds no seed: the
+    seed is the mechanism's secret, and the caller keeps it.
     """
 
     A_tilde: np.ndarray
     row_supports: np.ndarray
-    row_nonzero_counts: np.ndarray
     clipped_counts: np.ndarray
     params: PrivacyParams
-    noise_log: np.ndarray | None = None
 
 
 def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams],
@@ -162,8 +158,7 @@ def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams],
     return np.minimum(A_rows[free] + (s.take(entries, axis=1) + z), sup[free]), s, z
 
 
-def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
-                     record_noise: bool = False) -> PrivatizedSystem:
+def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int) -> PrivatizedSystem:
     """Privatize each row of a validated system independently.
 
     Row ``i`` draws its ``n0_i`` uniforms from a stream keyed by ``(seed,
@@ -172,22 +167,16 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int,
     :func:`privatize_block`'s block of one; masked entries, and so public
     rows, are copied and draw nothing.
     """
-    m, n = sys.shape
-    counts, rows = sys.private_rows[:2]
     free = ~sys.zero_mask
     A_tilde = np.array(sys.A)
-    private, s, z = privatize_block(sys, (p,), (seed,))
+    private, s, _ = privatize_block(sys, (p,), (seed,))
     A_tilde[free] = private[0]
-    supports = np.zeros(m)
-    supports[rows] = s[0]
+    supports = np.zeros(sys.shape[0])
+    supports[sys.private_rows[1]] = s[0]
     clipped = (free & (A_tilde == sys.sup_A)).sum(axis=1)
-    noise = np.full((m, n), np.nan) if record_noise else None
-    if record_noise:
-        noise[free] = z[0]
     A_tilde.flags.writeable = False
-    return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports,
-                            row_nonzero_counts=counts, clipped_counts=clipped,
-                            params=p, noise_log=noise)
+    return PrivatizedSystem(A_tilde=A_tilde, row_supports=supports, clipped_counts=clipped,
+                            params=p)
 
 
 def privatized_document(lp: LinearProgram, priv: PrivatizedSystem) -> dict:

@@ -5,7 +5,8 @@ Solves  maximize c.x  s.t.  A x <= b, x >= 0,  where some rows of a
 deterministic: steepest reduced cost enters (ties to the lowest column
 index), the leaving row wins a lexicographic ratio test, and a stall
 detector drops to Bland's rule outright if degeneracy ever stops progress.
-Scaling c by a positive constant leaves every pivot decision unchanged.
+Phase 2 prices ``c`` divided by the power of two that puts ``max|c|`` in
+(0.5, 1], so scaling ``c`` by a power of two leaves every pivot unchanged.
 
 This module owns the tableau, laid out as ``[x | slacks | artificials |
 rhs]``, and every start of it: the slack start ``[A | I | b]``
@@ -445,7 +446,9 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
         raise ValueError(f"c must have shape ({n},), got {c.shape}")
     T, artificial, appended = _entered(T, basis, n, system.equality)
     costs = np.zeros(artificial.size)
-    costs[:n] = c
+    # priced divided by the power of two that puts max|c| in (0.5, 1]: the tolerances are absolute
+    mantissa, exponent = np.frexp(np.abs(c).max(initial=0.0))
+    costs[:n] = np.ldexp(c, (mantissa == 0.5) - exponent)
     obj = _priced_objective(costs, basis, T)
     allowed = ~artificial  # artificials never re-enter
     needs_phase1 = artificial[basis].any(axis=1)

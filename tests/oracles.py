@@ -330,17 +330,19 @@ def subset_minima_table(A: np.ndarray) -> np.ndarray:
     The package's earlier algorithm, kept verbatim as the bit-for-bit
     reference for the support walk that replaced it. Only supports of at
     most rank(A) + 1 rows are evaluated (by the package's own
-    ``_support_candidates``); a subset-minimum transform over a 2^m table
-    then shares each support's candidate with every subset containing it.
+    ``_support_candidates``, 256 supports per call, where the walk takes
+    each size in one call: the two agree only if ``eigh`` does not depend on
+    its batch); a subset-minimum transform over a 2^m table then shares each
+    support's candidate with every subset containing it.
     """
-    from privlp.accuracy import _SUPPORT_CHUNK, _support_candidates
+    from privlp.accuracy import _support_candidates
     m = A.shape[0]
     gram = A @ A.T
     f = np.full(1 << m, np.inf)
     f[1 << np.arange(m)] = np.sqrt(np.maximum(np.diag(gram), 0.0))
     for size in range(2, min(m, np.linalg.matrix_rank(A) + 1) + 1):
         supports = itertools.combinations(range(m), size)
-        while chunk := list(itertools.islice(supports, _SUPPORT_CHUNK)):
+        while chunk := list(itertools.islice(supports, 256)):
             idx = np.array(chunk)
             f[(1 << idx).sum(axis=1)] = _support_candidates(gram, idx)
     for bit in range(m):

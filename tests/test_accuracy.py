@@ -684,3 +684,8 @@ def test_monte_carlo_gap_within_bound(rng):
         assert sol.status == simplex.OPTIMAL
         gaps.append(abs(base.objective - sol.objective))
     assert np.mean(gaps) <= report.bound
+
+def test_the_inner_minimum_of_an_empty_matrix_is_refused_by_name():
+    with pytest.raises(ValueError) as raised:
+        inner_cone_min(np.zeros((0, 3)))
+    assert raised.type is ValueError and str(raised.value).startswith("M must be non-empty")

@@ -284,6 +284,24 @@ def test_unreadable_file_reported(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["privatize", "{path}", "--epsilon", "1", "--seed", "1"],
+    ["solve", "{path}"],
+    ["bound", "{path}", "--epsilon", "1"],
+    ["sweep", "{path}", "--trials", "2"],
+    ["sweep", "--grid-config", "{path}", "--trials", "2"],
+])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    # problem files are read as UTF-8 whatever the locale, and one that
+    # does not decode is named, as a file that cannot be opened is
+    path = str(DATA / "not_utf8.txt")
+    out = tmp_path / "out"
+    assert main([arg.format(path=path) for arg in argv] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, written", [
     (["bound", "--epsilon", "1"], ""),
     (["sweep", "--eps-grid", "1", "--trials", "2"], ".csv"),

@@ -7,6 +7,7 @@ import pytest
 
 from privlp import (
     Cmdp,
+    DimensionError,
     GridConfig,
     InfeasibleBudgetError,
     PrivacyParams,
@@ -80,6 +81,35 @@ def test_invalid_configs_rejected():
                    hazards=(((1, 1), 1.0),))  # goal cannot be hazardous
     with pytest.raises(ValueError):
         GridConfig(width=2, height=2, start=(0, 0), goal=(1, 1), hazards=(), slip=1.0)
+
+
+_TWO_STATES = {"rewards": [[1.0], [0.0]], "transitions": [[[0.5, 0.5]], [[0.0, 1.0]]],
+               "gamma": 0.9, "mu": [1.0, 0.0], "hazard_states": frozenset({1}),
+               "beta": [0.0, 1.0], "f0": 1.0}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Cmdp(**{**_TWO_STATES, "transitions": [[[1.0]], [[1.0]]]}), DimensionError,
+     "transitions must have shape (2, 1, 2), got (2, 1, 1)"),
+    (lambda: Cmdp(**{**_TWO_STATES, "beta": [0.0]}), DimensionError,
+     "mu and beta must have length equal to the state count"),
+    (lambda: Cmdp(**{**_TWO_STATES, "gamma": 1.0}), ValueError, "gamma must lie in (0, 1), got 1.0"),
+    (lambda: Cmdp(**{**_TWO_STATES, "transitions": [[[0.5, 0.6]], [[0.0, 1.0]]]}), ValueError,
+     "every transitions[s, a, :] must be a probability distribution"),
+    (lambda: Cmdp(**{**_TWO_STATES, "mu": [1.5, -0.5]}), ValueError,
+     "mu must be a probability distribution"),
+    (lambda: Cmdp(**{**_TWO_STATES, "beta": [0.0, -1.0]}), ValueError,
+     "hazard weights must be nonnegative"),
+    (lambda: Cmdp(**{**_TWO_STATES, "hazard_states": frozenset({2})}), ValueError,
+     "hazard_states must be valid state indices"),
+    (lambda: GridConfig(width=0, height=2, start=(0, 0), goal=(1, 1), hazards=()), ValueError,
+     "grid dimensions must be positive"),
+], ids=["transition_shape", "beta_length", "gamma", "transition_rows", "mu", "beta_sign",
+        "hazard_index", "grid_size"])
+def test_named_refusals(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert raised.type is error and str(raised.value).startswith(message)
 
 
 def test_grid_config_json_round_trip():

@@ -537,3 +537,15 @@ def test_the_geometry_runs_on_the_callers_thread_under_the_callers_errstate(monk
         assert sweep_linear_program(lp, config) == expected
     ((over, ident),) = seen
     assert over == "raise" and ident == threading.get_ident()
+
+
+def test_an_unbounded_baseline_is_refused_by_name():
+    # the worst-case region holds the origin, but x_1 grows without bound
+    from privlp import ConstraintSystem, LinearProgram
+    system = ConstraintSystem(A=[[1.0, -1.0]], b=[1.0], zero_mask=[[False, False]],
+                              sup_A=[[1.5, -0.5]])
+    lp = LinearProgram(c=[1.0, 1.0], system=system)
+    with pytest.raises(ValueError) as raised:
+        sweep_linear_program(lp, ExperimentConfig(eps_grid=(1.0,), trials=2))
+    assert raised.type is ValueError
+    assert str(raised.value).startswith("baseline problem is Unbounded; the sweep needs a finite optimum")

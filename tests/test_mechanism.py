@@ -155,6 +155,13 @@ def _one_row(row, mask_row, sup_row):
     return ConstraintSystem(A=[row], b=[1.0], zero_mask=[mask_row], sup_A=[sup_row])
 
 
+def _noise_log(sys_, p, seed):
+    """Each entry's noise under ``seed`` from ``privatize_block``, NaN at masked entries."""
+    noise = np.full(sys_.shape, np.nan)
+    noise[~sys_.zero_mask] = privatize_block(sys_, [p], [seed])[2][0]
+    return noise
+
+
 def _draw_from(monkeypatch, rng):
     """Make every row privatized (``privatize_matrix``, ``privatize_block``) draw from ``rng``."""
     import privlp.mechanism as mechanism
@@ -165,20 +172,20 @@ def _draw_from(monkeypatch, rng):
 def test_fully_masked_row_unchanged(rng, monkeypatch):
     _draw_from(monkeypatch, rng)
     row = np.zeros(4)
-    priv = privatize_matrix(_one_row(row, np.ones(4, bool), np.zeros(4)), PP, seed=0,
-                            record_noise=True)
+    sys_ = _one_row(row, np.ones(4, bool), np.zeros(4))
+    priv = privatize_matrix(sys_, PP, seed=0)
     assert np.array_equal(priv.A_tilde[0], row)
-    assert priv.row_supports[0] == 0.0 and np.isnan(priv.noise_log).all()
+    assert priv.row_supports[0] == 0.0 and np.isnan(_noise_log(sys_, PP, 0)).all()
 
 
 def test_stubbed_lower_endpoint_reproduces_row(monkeypatch):
     _draw_from(monkeypatch, _StubRng(0.0))
     row = np.array([1.0, -0.5, 0.25])
     sup = np.array([3.0, 2.0, 1.0])
-    priv = privatize_matrix(_one_row(row, np.zeros(3, bool), sup), PP, seed=0,
-                            record_noise=True)
+    sys_ = _one_row(row, np.zeros(3, bool), sup)
+    priv = privatize_matrix(sys_, PP, seed=0)
     assert np.array_equal(priv.A_tilde[0], row)  # z = -s exactly cancels the shift
-    assert np.all(priv.noise_log[0] == -priv.row_supports[0])
+    assert np.all(_noise_log(sys_, PP, 0)[0] == -priv.row_supports[0])
 
 
 def test_clip_frequency_matches_cdf_tail(rng):
@@ -240,7 +247,7 @@ def test_fully_masked_matrix_passes_through(rng):
     priv = privatize_matrix(sys_, PP, seed=9)
     assert np.array_equal(priv.A_tilde, sys_.A)
     assert np.all(priv.row_supports == 0.0)
-    assert np.all(priv.row_nonzero_counts == 0)
+    assert np.all(sys_.row_nonzero_counts() == 0)
 
 
 def _count_draws(monkeypatch):
@@ -306,17 +313,18 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
         sys_, p = _block_case(case, rng)
         seeds = _BLOCK_SEEDS[:size]
         out, s, z = privatize_block(sys_, [p] * size, seeds)
-        privs = [privatize_matrix(sys_, p, seed, record_noise=True) for seed in seeds]
-        _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
+        privs = [privatize_matrix(sys_, p, seed) for seed in seeds]
+        noise_logs = [_noise_log(sys_, p, seed) for seed in seeds]
+        _assert_block_is_stacked_matrices(sys_, out, s, z, privs, noise_logs)
 
 
-def _assert_block_is_stacked_matrices(sys_, out, s, z, privs):
+def _assert_block_is_stacked_matrices(sys_, out, s, z, privs, noise_logs):
     rows, free = sys_.private_rows[1], ~sys_.zero_mask  # the block holds the free entries only
     assert out.tobytes() == np.stack([priv.A_tilde[free] for priv in privs]).tobytes()
-    for s_t, noise, priv in zip(s, z, privs, strict=True):
+    for s_t, noise, priv, noise_log in zip(s, z, privs, noise_logs, strict=True):
         assert s_t.tobytes() == priv.row_supports[rows].tobytes()
-        assert noise.tobytes() == priv.noise_log[free].tobytes()
-        assert np.isnan(priv.noise_log[~free]).all()
+        assert noise.tobytes() == noise_log[free].tobytes()
+        assert np.isnan(noise_log[~free]).all()
         assert priv.A_tilde[~free].tobytes() == sys_.A[~free].tobytes()
 
 
@@ -338,8 +346,9 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
                         lambda sys, p: calibrated.append(p) or calibration(sys, p))
     out, s, z = privatize_block(sys_, params, seeds)
     assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
-    privs = [privatize_matrix(sys_, p, seed, record_noise=True) for p, seed in zip(params, seeds)]
-    _assert_block_is_stacked_matrices(sys_, out, s, z, privs)
+    privs = [privatize_matrix(sys_, p, seed) for p, seed in zip(params, seeds)]
+    noise_logs = [_noise_log(sys_, p, seed) for p, seed in zip(params, seeds)]
+    _assert_block_is_stacked_matrices(sys_, out, s, z, privs, noise_logs)
 
 
 @pytest.mark.parametrize("p, free_counts", [
@@ -369,7 +378,7 @@ def test_row_supports_match_closed_form(rng):
         else:
             assert priv.row_supports[i] == pytest.approx(
                 support_width_hp(PP.k, PP.epsilon, PP.delta, n0), rel=1e-12)
-        assert priv.row_nonzero_counts[i] == n0
+        assert sys_.row_nonzero_counts()[i] == n0
 
 
 def test_tightening_boundedness_zero_pattern(rng):
@@ -383,12 +392,13 @@ def test_tightening_boundedness_zero_pattern(rng):
 
 def test_noise_log_records_draws(rng):
     sys_ = _random_system(rng)
-    priv = privatize_matrix(sys_, PP, seed=5, record_noise=True)
+    priv = privatize_matrix(sys_, PP, seed=5)
+    noise_log = _noise_log(sys_, PP, 5)
     free = ~sys_.zero_mask
-    assert priv.noise_log.shape == sys_.A.shape
-    assert np.isnan(priv.noise_log[sys_.zero_mask]).all()
-    recorded = priv.noise_log[free]
-    assert np.all(np.abs(recorded) <= priv.row_supports.max())
+    assert noise_log.shape == sys_.A.shape
+    assert np.isnan(noise_log[sys_.zero_mask]).all()
+    recorded = noise_log[free]
+    assert np.all(np.abs(recorded) <= priv.row_supports[np.nonzero(free)[0]])
 
 
 def test_privatized_document_round_trip(rng):
@@ -590,10 +600,10 @@ def test_privatize_matrix_matches_pinned_bytes(case):
                             zero_mask=np.array(doc["zero_mask"]), sup_A=from_hex(doc["sup_A"]))
     p = PrivacyParams(**doc["privacy"])
     for expected in doc["outputs"]:
-        priv = privatize_matrix(sys_, p, expected["seed"], record_noise=True)
+        priv = privatize_matrix(sys_, p, expected["seed"])
         assert _hexes(priv.A_tilde) == expected["A_tilde"]
         assert _hexes(priv.row_supports) == expected["row_supports"]
-        assert _hexes(priv.noise_log) == expected["noise_log"]
+        assert _hexes(_noise_log(sys_, p, expected["seed"])) == expected["noise_log"]
 
 
 def _row_on_its_stream(sys_, p, seed, i):
@@ -613,12 +623,13 @@ def _row_on_its_stream(sys_, p, seed, i):
 def test_matrix_rows_equal_privatize_row_on_their_stream(rng, epsilon, k):
     p = PrivacyParams(epsilon=epsilon, delta=0.05, k=k)
     sys_ = _mixed_system(rng, 7, 20, [20, 3, 0, 11, 1, 3, 20])
-    priv = privatize_matrix(sys_, p, seed=31, record_noise=True)
+    priv = privatize_matrix(sys_, p, seed=31)
+    noise_log = _noise_log(sys_, p, 31)
     for i in range(7):
         out, s_i, z = _row_on_its_stream(sys_, p, 31, i)
         assert out.tobytes() == priv.A_tilde[i].tobytes()
         assert s_i == priv.row_supports[i]
-        assert z.tobytes() == priv.noise_log[i, ~sys_.zero_mask[i]].tobytes()
+        assert z.tobytes() == noise_log[i, ~sys_.zero_mask[i]].tobytes()
 
 
 def test_clipped_counts_match_entrywise_scan(rng):

@@ -483,3 +483,17 @@ def test_validate_reads_equality_rows_as_equalities():
         validate(LinearProgram(c=[1.0, 0.0], system=_public(A, [1.0, 2.0], [False, True])))
     vp = validate(LinearProgram(c=[1.0, 0.0], system=_public(A, [1.0, 0.5], [False, True])))
     assert vp.witness[0] - vp.witness[1] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: validate(LinearProgram(c=[1.0, 1.0], system=ConstraintSystem(
+        A=[[1.0, 0.0]], b=[1.0], zero_mask=[[False, True]], sup_A=[[math.inf, 0.0]]))),
+     MembershipError, "sup_A[0][0] is not finite; the bound set must be bounded"),
+    (lambda: _document("[1, 2]"), SchemaError, "document: top level must be a JSON object"),
+    (lambda: ConstraintSystem(A=[1.0, 2.0], b=[1.0], zero_mask=[False, False], sup_A=[2.0, 3.0]),
+     DimensionError, "A must be a non-empty 2-D matrix, got shape (2,)"),
+], ids=["sup_A_not_finite", "document_not_an_object", "A_not_2d"])
+def test_named_refusals(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert raised.type is error and str(raised.value).startswith(message)

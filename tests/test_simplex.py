@@ -924,3 +924,113 @@ def test_block_recheck_refuses_a_point_off_its_rows(monkeypatch):
                 solve_block(lp.c, block, start)
         else:
             assert (solve_block(lp.c, block, start).status == OPTIMAL).all()
+
+
+def _scale_families():
+    """The pinned 12x6 LP and five random validated LPs, as (c, system)."""
+    from conftest import random_validated_lp
+    lp = _family("lp")[0]
+    rng = np.random.default_rng(20240818)
+    return [(lp.c, lp.system)] + [(other.c, other.system)
+                                  for other in (random_validated_lp(rng) for _ in range(5))]
+
+
+def test_power_of_two_costs_leave_every_pivot_unchanged():
+    # phase 2 prices c in units of max|c|, so 2**j * c makes the pivots that c makes
+    for c, system in _scale_families():
+        base = solve_lp(c, system)
+        assert base.status == OPTIMAL
+        for j in range(-60, 61):
+            sol = solve_lp(2.0 ** j * c, system)
+            assert sol.status == OPTIMAL
+            assert sol.x.tobytes() == base.x.tobytes()
+            assert sol.basic_columns == base.basic_columns and sol.basis == base.basis
+            assert (sol.phase1_pivots, sol.phase2_pivots) == (base.phase1_pivots, base.phase2_pivots)
+            assert sol.objective == 2.0 ** j * base.objective
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_tiny_costs_reach_the_highs_optimum(scale):
+    # the reduced costs of tiny costs used to pass the absolute optimality
+    # test too early: 1e-9 * c on the 12x6 pin read 3.758 (HiGHS 3.842) per
+    # unit of scale, and 1e-10 * c read x = 0
+    from scipy.optimize import linprog
+    for c, system in _scale_families():
+        highs = linprog(-c, A_ub=system.A, b_ub=system.b, bounds=(0, None), method="highs")
+        assert highs.status == 0
+        sol = solve_lp(scale * c, system)
+        assert sol.status == OPTIMAL
+        assert sol.objective / scale == pytest.approx(-highs.fun, rel=1e-9)
+
+
+def _degenerate_integer_lp(rng):
+    """Entries in -2..2 and half of b zero: the origin is a vertex where many rows meet."""
+    m, n = int(rng.integers(4, 9)), int(rng.integers(3, 7))
+    A = rng.integers(-2, 3, (m, n)).astype(float)
+    b = rng.integers(1, 4, m).astype(float)
+    b[rng.permutation(m)[:m // 2]] = 0.0
+    return rng.integers(-2, 3, n).astype(float), _sys(A, b)
+
+
+def test_bland_fallback_reaches_the_default_and_highs_optimum(monkeypatch):
+    # with a stall limit of 1 the first degenerate pivot hands the solve to
+    # Bland's rule; it must end where the default path and HiGHS end
+    from scipy.optimize import linprog
+    from privlp import simplex
+    rng = np.random.default_rng(20240817)
+    cases = [_degenerate_integer_lp(rng) for _ in range(40)]
+    default = [solve_lp(c, system) for c, system in cases]
+    bland_choices = []
+    leaving_row = simplex._Tableau._leaving_row
+
+    def spy(self, col, bland):
+        bland_choices.append(bland)
+        return leaving_row(self, col, bland)
+
+    monkeypatch.setattr(simplex._Tableau, "_leaving_row", spy)
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 1)
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    for (c, system), expected in zip(cases, default):
+        sol = solve_lp(c, system)
+        highs = linprog(-c, A_ub=system.A, b_ub=system.b, bounds=(0, None), method="highs")
+        assert sol.status == expected.status == statuses[highs.status]
+        if sol.status == OPTIMAL:
+            assert sol.objective == pytest.approx(expected.objective, abs=1e-9)
+            assert sol.objective == pytest.approx(-highs.fun, abs=1e-9)
+            assert system.residuals(sol.x).max() <= 1e-9
+    assert sum(bland_choices) == 45  # leaving-row choices made under Bland's rule
+
+
+def test_eviction_pivots_an_artificial_out_for_an_enterable_column(monkeypatch):
+    # two copies of the public equality x0 = x1: phase 1 leaves the second
+    # copy's unit column basic, and eviction pivots it out for an x column
+    from privlp import simplex
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
+    mask = np.array([[False] * 3, [True] * 3, [True] * 3])
+    sup_A = np.where(mask, A, A + 1.0)
+    twice = ConstraintSystem(A=A, b=[4.0, 0.0, 0.0], zero_mask=mask, sup_A=sup_A,
+                             equality=[False, True, True])
+    once = ConstraintSystem(A=A[:2], b=[4.0, 0.0], zero_mask=mask[:2], sup_A=sup_A[:2],
+                            equality=[False, True])
+    evicted = []
+    evict = simplex._Tableau._evict_artificials
+
+    def spy(self):
+        before = self.basis.copy()
+        evict(self)
+        evicted.extend(int(i) for i in np.flatnonzero(self.artificial[before]
+                                                      & (self.basis < self.n)))
+
+    monkeypatch.setattr(simplex._Tableau, "_evict_artificials", spy)
+    c = [1.0, 2.0, 0.5]
+    sol, reference = solve_lp(c, twice), solve_lp(c, once)
+    assert evicted
+    assert sol.status == reference.status == OPTIMAL
+    assert sol.objective == reference.objective == 6.0
+    assert sol.x.tobytes() == reference.x.tobytes()
+
+
+def test_a_cost_vector_of_the_wrong_shape_is_refused_by_name():
+    with pytest.raises(ValueError) as raised:
+        solve_lp([1.0], _sys(np.eye(2), [1.0, 1.0]))
+    assert raised.type is ValueError and str(raised.value).startswith("c must have shape (2,), got (1,)")
