@@ -73,8 +73,9 @@ def _eigenspace_touches_orthant(vectors: np.ndarray) -> bool:
     """
     sums = vectors.sum(axis=0)
     rows = np.vstack([np.hstack([-vectors, vectors]), np.concatenate([sums, -sums])])
-    last = np.arange(rows.shape[0]) == rows.shape[0] - 1  # the normalization, an equality
-    return simplex._phase1(rows, last.astype(float), last) is not None
+    last = np.arange(rows.shape[0]) == rows.shape[0] - 1  # the normalization, a public equality
+    system = ConstraintSystem(rows, last.astype(float), np.ones(rows.shape, dtype=bool), rows, last)
+    return simplex.phase1_feasible(system) is not None
 
 
 def _acute(blocks: np.ndarray) -> np.ndarray:
@@ -244,12 +245,11 @@ class AccuracyReport:
 def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     """Expected-perturbation bound xi and which case produced it.
 
-    ``n0`` and ``s_i`` per row come from ``mechanism._row_calibration``.
-    Every row is read as an inequality, so a system with equality rows
-    raises ``ValueError``: pass its ``inequality_form()``, as
-    :meth:`BoundGeometry.report` does. Interior case (no entry can reach its
-    public bound even after the full shift, a + 2 s_i < sup for every
-    non-masked entry):
+    ``n0`` and ``s_i`` per row come from ``mechanism._row_calibration``,
+    over ``sys.inequality_form()``: a system with equality rows gets the
+    ``xi`` of its paired form. Interior case (no entry can reach its public
+    bound even after the full shift, a + 2 s_i < sup for every non-masked
+    entry):
 
         xi = sqrt( sum_rows 2 m (k/eps)^2 n0 + (n0 * s_row)^2 ), in row order
 
@@ -258,8 +258,7 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     case an ``xi`` that overflows raises ``ValueError``; a finite one is
     not rescaled, so it keeps its bits.
     """
-    if sys.equality is not None:
-        raise ValueError("xi_term reads A x <= b; pass the system's inequality_form()")
+    sys = sys.inequality_form()
     _, _, free, A, sup = sys.private_rows
     n0, widths = _row_calibration(sys, p)
     if (free & (A + 2.0 * widths[n0][:, None] >= sup)).any():
@@ -299,10 +298,10 @@ class BoundGeometry(NamedTuple):
 
         An unbounded feasible region yields an infinite bound unless the
         objective is constant or the mechanism cannot perturb anything
-        (xi = 0), in which case the loss is exactly zero. ``xi`` reads
-        ``system.inequality_form()``.
+        (xi = 0), in which case the loss is exactly zero. ``xi`` is
+        :func:`xi_term`'s, which reads ``system.inequality_form()`` itself.
         """
-        xi, xi_case = xi_term(system.inequality_form(), p)
+        xi, xi_case = xi_term(system, p)
         if self.L == 0.0 or xi == 0.0:
             bound = 0.0
         elif math.isinf(self.x_bar_norm):

@@ -139,7 +139,6 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     cells = len(bounds) * config.trials  # epsilon-major: cell i is trial i % trials of epsilon i // trials
     eps_index, trial = np.divmod(np.arange(cells), config.trials)
     seeds = derive_seeds(config.base_seed, eps_index, trial)
-    params = [config.privacy[ei] for ei in eps_index.tolist()]
     free = ~sys_.zero_mask
     n_passes = max(1, -(-8 * int(free.sum()) * cells // _PASS_BYTES))  # of _PASS_BYTES each
     per_pass = _TRIAL_BLOCK * -(-cells // (_TRIAL_BLOCK * n_passes))  # whole blocks, evenly
@@ -149,7 +148,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
     values, objective = np.empty(cells), np.empty(cells)
     for first in range(0, cells, _TRIAL_BLOCK):
         if not first % per_pass:  # the pass's privatized free entries, one row per cell
-            private = privatize_block(sys_, params[first:first + per_pass],
+            private = privatize_block(sys_, config.privacy, eps_index[first:first + per_pass],
                                       seeds[first:first + per_pass])[0]
         block = A_block[:cells - first]
         block[:, free] = private[first % per_pass:][:len(block)]

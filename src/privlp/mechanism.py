@@ -12,12 +12,13 @@ feasible for it is feasible for the true constraints. Rows are privatized
 independently (disjoint data, parallel composition): row ``i`` under
 ``seed`` draws its uniforms from its own stream keyed by ``(seed, i)``.
 There is one path, :func:`privatize_block`, which draws and transforms
-only the free entries of one system under several (params, seed) pairs:
-one :func:`seeds.row_uniforms` call draws every stream, and the inverse
-CDF, shift and clip run once over every seed's free entries, with each
-(seed, row)'s constants gathered to its entries. :func:`privatize_matrix`
-is its block of one, scattered back into ``A``. ``s_i`` comes from
-:func:`_row_calibration`, once per distinct params; ``xi_term`` reads it too.
+only the free entries of one system under several seeds, each indexing
+its params: one :func:`seeds.row_uniforms` call draws every stream, and
+the inverse CDF, shift and clip run once over every seed's free entries,
+with each (seed, row)'s constants gathered to its entries.
+:func:`privatize_matrix` is its block of one, scattered back into ``A``.
+``s_i`` comes from :func:`_row_calibration`, once per params; ``xi_term``
+reads it too.
 """
 from __future__ import annotations
 
@@ -134,24 +135,25 @@ class PrivatizedSystem:
     params: PrivacyParams
 
 
-def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams],
+def privatize_block(sys: ConstraintSystem, params: Sequence[PrivacyParams], which,
                     seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Privatize the free entries of ``sys`` once per (params, seed) pair.
+    """Privatize the free entries of ``sys`` once per seed, seed ``t`` under ``params[which[t]]``.
 
-    ``params`` holds one :class:`PrivacyParams` per seed. Returns ``(A_free,
-    s, z)``, one slot per seed: ``A_free[t]`` is ``privatize_matrix(sys,
-    params[t], seeds[t]).A_tilde[~sys.zero_mask]``; ``s[t]`` the half-width
-    of each row of ``sys.private_rows``; ``z[t]`` each free entry's noise.
-    Row ``i`` of seed ``t`` draws ``row_stream(seeds[t], i).random(n0_i)``.
+    ``which`` is an index array into ``params``, each calibrated once.
+    Returns ``(A_free, s, z)``, one slot per seed: ``A_free[t]`` is
+    ``privatize_matrix(sys, params[which[t]], seeds[t]).A_tilde[~sys.zero_mask]``;
+    ``s[t]`` the half-width of each row of ``sys.private_rows``; ``z[t]``
+    each free entry's noise. Row ``i`` of seed ``t`` draws
+    ``row_stream(seeds[t], i).random(n0_i)``.
     """
     counts, rows, free, A_rows, sup = sys.private_rows
     n0 = counts[rows]
-    widths = {p: _row_calibration(sys, p)[1][n0] for p in dict.fromkeys(params)}
+    widths = np.array([_row_calibration(sys, p)[1][n0] for p in params])
     if not rows.size:
         empty = np.zeros((len(seeds), 0))
         return empty, empty, empty
-    s = np.array([widths[p] for p in params])
-    sigma = np.array([p.sigma for p in params])[:, None]
+    s = widths[which]
+    sigma = np.array([p.sigma for p in params])[which, None]
     entries = np.repeat(np.arange(rows.size), n0)  # each free entry's row in s
     z = _inverse_cdf(row_uniforms(seeds, rows, n0), s, sigma, entries)
     # min(a + (s + z), sup): with z >= -s the shift never rounds below a
@@ -169,7 +171,7 @@ def privatize_matrix(sys: ConstraintSystem, p: PrivacyParams, seed: int) -> Priv
     """
     free = ~sys.zero_mask
     A_tilde = np.array(sys.A)
-    private, s, _ = privatize_block(sys, (p,), (seed,))
+    private, s, _ = privatize_block(sys, (p,), [0], (seed,))
     A_tilde[free] = private[0]
     supports = np.zeros(sys.shape[0])
     supports[sys.private_rows[1]] = s[0]

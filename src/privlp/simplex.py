@@ -13,18 +13,19 @@ rhs]``, and every start of it: the slack start ``[A | I | b]``
 (:func:`_slack_start`), or a :class:`WarmStart`'s, a baseline basis
 factored once and updated to each system by Woodbury, used where the
 update's norms certify it (else the slack start). One routine,
-:func:`_solve_stack`, finishes a stack of systems: rows whose start value
-is negative are sign-flipped and get an artificial, and an equality row's
-unit column is an artificial, which phase 1 drives out (a redundant
-equality row keeps it basic at 0, so the basis stays square). Pricing, the
-optimality test, the refine solve and the re-check against each system's
-rows run once over the stack; only a system not yet optimal pivots, in the
-one scalar pivot loop on its views into the stack. Each vertex is
-re-derived from the original data through its final basis matrix, and an
-overflow is a ``ValueError``. :func:`solve_block` returns a block as arrays
-(:class:`SolvedBlock`); :func:`solve_lp`, a block of one from the slack
-start, alone builds a :class:`Solution` and its active set. Dense, for
-tens of rows and columns; the vertex utilities (:func:`enumerate_vertices`,
+:func:`_solve_stack`, finishes every LP, a stack at a time: rows whose
+start value is negative are sign-flipped and get an artificial, and an
+equality row's unit column is an artificial, which phase 1 drives out (a
+redundant equality row keeps it basic at 0, so the basis stays square).
+Pricing, the optimality test, the refine solve and the re-check against
+each system's rows run once over the stack; only a system not yet optimal
+pivots, in the one scalar pivot loop on its views into the stack. Each
+vertex is re-derived from the original data through its final basis matrix,
+and an overflow is a ``ValueError``. :func:`solve_block` returns a block as
+arrays (:class:`SolvedBlock`); :func:`solve_lp`, a block of one from the
+slack start, alone builds a :class:`Solution` and its active set; a phase-1
+point (:func:`phase1_feasible`) is that solve at ``c = 0``. Dense, for tens
+of rows and columns; the vertex utilities (:func:`enumerate_vertices`,
 :func:`max_norm_point`) read every row as an inequality.
 """
 from __future__ import annotations
@@ -390,14 +391,12 @@ class _Tableau:
                     bland = True  # degeneracy stall: finish under Bland's rule
         raise RuntimeError("simplex exceeded the pivot budget; input looks pathological")
 
-    def solve_phase1(self, appended: int) -> bool:
+    def phase1(self, appended: int) -> bool:
         """Drive artificials to zero. Returns False when infeasible.
 
         The system's own ``appended`` artificials may re-enter; an equality
         row's unit column, or a column that pads the stack, never enters.
         """
-        if not self.artificial[self.basis].any():
-            return True
         obj = _priced_objective(np.where(self.artificial, -1.0, 0.0), self.basis, self.T)
         allowed = ~self.artificial
         allowed[self.n + self.m:][:appended] = True
@@ -457,7 +456,7 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
     for t in np.flatnonzero(needs_phase1 | ~_optimal(least)).tolist():
         tab = _Tableau(T[t], basis[t], n, artificial)
         if needs_phase1[t]:
-            if not tab.solve_phase1(appended[t]):
+            if not tab.phase1(appended[t]):
                 status[t], pivots[t] = INFEASIBLE, (tab.pivots, 0)
                 continue
             obj[t] = _priced_objective(costs, basis[t], T[t])  # in its basis after phase 1
@@ -487,8 +486,7 @@ def solve_lp(c, sys: ConstraintSystem) -> Solution:
     active set. When optimal, its point re-verifies against the constraints
     at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
     """
-    A = np.asarray(sys.A)[None]
-    solved = _solve_stack(c, sys, A, *_slack_start(A, sys.b), ("slack",))
+    solved = _slack_solved(c, sys)
     status, (phase1, phase2) = solved.status[0], solved.pivots[0].tolist()
     if status != OPTIMAL:
         return Solution(status, phase1_pivots=phase1, phase2_pivots=phase2)
@@ -511,22 +509,20 @@ def solve_block(c, A_block: np.ndarray, start: WarmStart) -> SolvedBlock:
     return _solve_stack(c, start.system, A_block, *start.tableaus(A_block))
 
 
-@_overflow_named
-def _phase1(A: np.ndarray, b: np.ndarray,
-            equality: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """The slack start of ``A x <= b`` after phase 1 as a stack of one ``(T, basis)``, or None."""
-    n = A.shape[1]
-    T, basis = _slack_start(A[None], b)
-    T, artificial, appended = _entered(T, basis, n, equality)
-    feasible = _Tableau(T[0], basis[0], n, artificial).solve_phase1(appended[0])
-    return (T, basis) if feasible else None
+def _slack_solved(c, sys: ConstraintSystem) -> SolvedBlock:
+    """``sys`` solved from the slack start, as a block of one."""
+    A = np.asarray(sys.A)[None]
+    return _solve_stack(c, sys, A, *_slack_start(A, sys.b), ("slack",))
 
 
 def phase1_feasible(sys: ConstraintSystem) -> np.ndarray | None:
-    """Find any point of {x >= 0 : A x <= b} (``=`` on equality rows), or None when it is empty."""
-    A, b = np.asarray(sys.A), np.asarray(sys.b)
-    started = _phase1(A, b, sys.equality)
-    return None if started is None else _vertices(A[None], b, started[0][..., -1], started[1])[0]
+    """Find any point of {x >= 0 : A x <= b} (``=`` on equality rows), or None when it is empty.
+
+    The slack-start solve at ``c = 0``: phase 2 makes no pivot, so the
+    point is the vertex phase 1 ends on, re-checked as every solve's is.
+    """
+    solved = _slack_solved(np.zeros(sys.shape[1]), sys)
+    return solved.x[0] if solved.status[0] == OPTIMAL else None
 
 
 def _walk_bases(rows: np.ndarray, rhs: np.ndarray,
@@ -623,13 +619,13 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    started = _phase1(A, b, None)
-    if started is None:
+    started = _slack_solved(np.zeros(n), ConstraintSystem(A, b, np.ones((m, n), dtype=bool), A))
+    if started.status[0] != OPTIMAL:
         return np.zeros((0, n))
     # phase 1's vertex: nonbasic x_j is active bound m + j, nonbasic slack i is row i
     # (a mask, not np.setdiff1d, which imports numpy.ma: about 1 MB of memory)
     nonbasic = np.ones(n + m, dtype=bool)
-    nonbasic[started[1][0]] = False
+    nonbasic[started.basic_columns[0]] = False
     nonbasic = np.flatnonzero(nonbasic)
     start = tuple(np.sort(np.where(nonbasic < n, m + nonbasic, nonbasic - n)).tolist())
     rows = np.vstack([A, -np.eye(n)])
@@ -643,10 +639,7 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         keys = np.round(X, 9) + 0.0
     if not np.isfinite(keys).all():
         raise ValueError(_VERTEX_OVERFLOW)
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key.tobytes(), i)
-    return X[list(first.values())]
+    return X[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
 
 
 def max_norm_point(sys: ConstraintSystem):
@@ -658,11 +651,10 @@ def max_norm_point(sys: ConstraintSystem):
     the ``ValueError`` beyond ``_MAX_VERTEX_BASES`` bases, are those of
     :func:`enumerate_vertices`. Returns ``(x_bar, norm)``, or the string
     status ``"Unbounded"`` when the region has no largest element.
-    Every row is read as an inequality, so a system with equality rows
-    raises ``ValueError``: pass its ``inequality_form()``.
+    The region is read as ``sys.inequality_form()``, each equality row as
+    its pair of opposed rows.
     """
-    if sys.equality is not None:
-        raise ValueError("max_norm_point reads A x <= b; pass the system's inequality_form()")
+    sys = sys.inequality_form()
     vertices = enumerate_vertices(np.asarray(sys.A), np.asarray(sys.b))
     if vertices is None:
         return UNBOUNDED

@@ -183,11 +183,10 @@ def test_bound_side_reads_both_forms_alike(rng):
         one, two = max_norm_point(form), max_norm_point(paired.system)
         assert one[1] == two[1] and one[0].tobytes() == two[0].tobytes()
         assert xi_term(form, params) == xi_term(paired.system, params)
-        # both read every row as an inequality, so they refuse equality rows
-        with pytest.raises(ValueError, match="inequality_form"):
-            max_norm_point(lp.system)
-        with pytest.raises(ValueError, match="inequality_form"):
-            xi_term(lp.system, params)
+        # both read a system with equality rows through its inequality_form()
+        mixed = max_norm_point(lp.system)
+        assert mixed[1] == one[1] and mixed[0].tobytes() == one[0].tobytes()
+        assert xi_term(lp.system, params) == xi_term(form, params)
         vertices = enumerate_vertices(form.A, form.b)
         assert vertices.tobytes() == vertex_scan(paired.system.A, paired.system.b).tobytes()
         assert max(lp.system.residuals(v).max() for v in vertices) <= 1e-9

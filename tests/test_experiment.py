@@ -428,9 +428,9 @@ def test_privatization_passes_keep_the_sweep_bytes(monkeypatch, tmp_path, source
     made, noise_bytes = [], []  # cells per call, and the noise each call draws
     privatize_block = experiment.privatize_block
     monkeypatch.setattr(experiment, "privatize_block",
-                        lambda sys_, params, seeds: made.append(len(seeds))
+                        lambda sys_, params, which, seeds: made.append(len(seeds))
                         or noise_bytes.append(8 * len(seeds) * sys_.private_rows[2].sum())
-                        or privatize_block(sys_, params, seeds))
+                        or privatize_block(sys_, params, which, seeds))
     passes = {**passes, (1, 32): [32, 32, 14], (1, 5): [5] * 15 + [3]}
     outputs = set()
     for (ceiling, block), sizes in passes.items():

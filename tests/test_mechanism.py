@@ -158,7 +158,7 @@ def _one_row(row, mask_row, sup_row):
 def _noise_log(sys_, p, seed):
     """Each entry's noise under ``seed`` from ``privatize_block``, NaN at masked entries."""
     noise = np.full(sys_.shape, np.nan)
-    noise[~sys_.zero_mask] = privatize_block(sys_, [p], [seed])[2][0]
+    noise[~sys_.zero_mask] = privatize_block(sys_, [p], [0], [seed])[2][0]
     return noise
 
 
@@ -284,7 +284,7 @@ def test_row_stream_built_only_for_rows_with_a_free_entry(monkeypatch):
 def test_block_draws_every_seed_in_one_call(monkeypatch):
     calls = _count_draws(monkeypatch)
     sys_ = _rows_1_and_3_private()
-    out = privatize_block(sys_, [PP] * 3, [3, 8, 5])[0]  # rows 1 and 3 only: not the public rows
+    out = privatize_block(sys_, [PP], [0] * 3, [3, 8, 5])[0]  # rows 1 and 3 only: not the public rows
     assert calls == [([3, 8, 5], [1, 3], [1, 1])]
     assert out.tobytes() == np.stack([privatize_matrix(sys_, PP, seed).A_tilde[~sys_.zero_mask]
                                       for seed in (3, 8, 5)]).tobytes()
@@ -312,7 +312,7 @@ def test_privatize_block_equals_stacked_privatize_matrix_bytes(case, size):
     for _ in range(3):
         sys_, p = _block_case(case, rng)
         seeds = _BLOCK_SEEDS[:size]
-        out, s, z = privatize_block(sys_, [p] * size, seeds)
+        out, s, z = privatize_block(sys_, [p], [0] * size, seeds)
         privs = [privatize_matrix(sys_, p, seed) for seed in seeds]
         noise_logs = [_noise_log(sys_, p, seed) for seed in seeds]
         _assert_block_is_stacked_matrices(sys_, out, s, z, privs, noise_logs)
@@ -344,7 +344,8 @@ def test_privatize_block_with_mixed_params_equals_each_privatize_matrix(monkeypa
     calibration = mechanism._row_calibration
     monkeypatch.setattr(mechanism, "_row_calibration",
                         lambda sys, p: calibrated.append(p) or calibration(sys, p))
-    out, s, z = privatize_block(sys_, params, seeds)
+    distinct = list(dict.fromkeys(params))
+    out, s, z = privatize_block(sys_, distinct, [distinct.index(p) for p in params], seeds)
     assert calibrated == list(dict.fromkeys(params))  # once per distinct params, first-seen order
     privs = [privatize_matrix(sys_, p, seed) for p, seed in zip(params, seeds)]
     noise_logs = [_noise_log(sys_, p, seed) for p, seed in zip(params, seeds)]
@@ -363,7 +364,7 @@ def test_a_noise_scale_or_support_width_that_is_not_finite_is_named(p, free_coun
     from privlp.accuracy import xi_term
     sys_ = _mixed_system(np.random.default_rng(4), 5, 7, free_counts)
     for call in (lambda: privatize_matrix(sys_, p, 3), lambda: xi_term(sys_, p),
-                 lambda: privatize_block(sys_, [PP, p], [3, 4])):
+                 lambda: privatize_block(sys_, [PP, p], [0, 1], [3, 4])):
         with pytest.raises(ValueError, match="k/epsilon and every support width must be finite"):
             call()
 

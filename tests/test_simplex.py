@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,87 @@ def test_phase1_agrees_with_vertex_oracle(rng):
             assert not empty
             assert np.max(A @ point - b) <= 1e-9
             assert point.min() >= -1e-9
+
+
+_DATA = Path(__file__).resolve().parent / "data"
+# validate(lp).witness of each pin, as bytes. The LP pins have b >= 0, so
+# phase 1 has nothing to do and the witness is the origin.
+_WITNESS_HEX = {
+    "lp12x6_seed20240817.json": "00" * 48,
+    "lp16x3_seed20240817.json": "00" * 24,
+    "lp14x6_dependent_rows.json": "00" * 48,
+    "grid": (
+    "00000000000000000000000000000000000000000000000022cda85b230f983f00000000000000000000000000000000"
+    "000000000000000004f97e5e77b2e53f000000000000000000000000000000000000000000000000bdc4cbefeea8e23f"
+    "000000000000000000000000000000000000000000000000b757dcd2dd16e03f0000000000000000407bb0334f9adc3f"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000082fd6409b4c5ad3f"
+    "ed5ac98f3f8ae83f00000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000e48abe478dcba63f0000000000000000000000000000000000000000000000001e099e96a0d2b03f"
+    "0000000000000000ee3f1fd99165db3f0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000d064d53ebc6ff13fb51351908785eb3f00000000000000000000000000000000310002d8a7e2a83f"
+    "000000000000000000000000000000000000000000000000960476181e7fb13f00000000000000000000000000000000"
+    "000000000000000061e9a4062a72ad3f41dc2dd501611040000000000000000000000000000000000000000000000000"
+    "5bf2613919c0a13f0000000000000000000000000000000000000000000000000000000000000000c73296c1d1ea9d3f"
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000bd7a1231241f6f3f"
+    "000000000000000000000000000000000000000000000000717e15904994783f10f7ade1496a943f0000000000000000"
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000a9df733e980e603f"
+    "000000000000000000000000000000000000000000000000a49c2cd7a1639b3f00000000000000000000000000000000"
+    "0000000000000000b65a599a0fa0973f00000000000000000000000000000000000000000000000044a0c746027c943f"
+    "54a2c4ef914d923f000000000000000000000000000000000000000000000000"),
+}
+
+
+def _pin(name):
+    from privlp import load_problem
+    from privlp.cmdp import build_gridworld, default_grid, occupancy_lp
+    if name == "grid":
+        return occupancy_lp(build_gridworld(default_grid()))
+    return load_problem((_DATA / name).read_text())
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_HEX))
+def test_validate_witness_keeps_its_pinned_bytes(name):
+    from privlp import validate
+    assert validate(_pin(name)).witness.tobytes().hex() == _WITNESS_HEX[name]
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_HEX))
+def test_phase1_is_the_zero_cost_slack_solve(name):
+    # phase 2 makes no pivot at c = 0, so the point is the one phase 1 ends on
+    system = _pin(name).system.tightened(_pin(name).system.sup_A)
+    sol = solve_lp(np.zeros(system.shape[1]), system)
+    assert sol.status == OPTIMAL and sol.phase2_pivots == 0
+    assert phase1_feasible(system).tobytes() == sol.x.tobytes()
+
+
+class _Started(Exception):
+    pass
+
+
+def _start_basis(monkeypatch, system):
+    """The basis ``enumerate_vertices`` starts its walk from, on ``system``'s inequality form."""
+    from privlp import simplex
+
+    def stop(rows, rhs, start):
+        raise _Started(start)
+
+    monkeypatch.setattr(simplex, "_walk_bases", stop)
+    form = system.inequality_form()
+    with pytest.raises(_Started) as started:
+        enumerate_vertices(form.A, form.b)
+    return started.value.args[0]
+
+
+def test_enumerate_vertices_starts_from_its_pinned_basis(monkeypatch):
+    # the 12x6 pin's origin is a vertex: its start is the six sign bounds
+    assert _start_basis(monkeypatch, _pin("lp12x6_seed20240817.json").system) == tuple(range(12, 18))
+    # the grid's occupancy LP, 51 rows of 100 columns once paired, needs phase 1
+    expected = (0, *range(26, 54), 55, 56, 57, 59, 61, 63, 65, 66, 67, 68, 70, 72, 73, 74, 76, 77,
+                78, 79, 80, 81, 83, 85, 86, 88, 89, 90, 92, 93, 94, 96, 97, 98, 99, 100, 101, 103,
+                104, 105, 108, 109, 110, 111, 113, 114, 116, 117, 118, 119, 120, 121, 124, 125, 126,
+                127, 128, 130, 131, 132, 133, 136, 137, 138, 139, 140, 141, 144, 145, 146, 148, 149,
+                150)
+    assert _start_basis(monkeypatch, _pin("grid").system) == expected
 
 
 def test_enumerate_vertices_unit_box():
