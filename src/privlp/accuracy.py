@@ -46,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .mechanism import _row_calibration
-from .problem import ConstraintSystem, LinearProgram, PrivacyParams, _require_finite
+from .problem import (ConstraintSystem, LinearProgram, PrivacyParams, _refuse_overflow,
+                      _require_finite)
 from . import simplex
 
 ADMISSION_TOL = 1e-9
@@ -174,10 +175,8 @@ def _support_walk(A, extra: int, name: str) -> np.ndarray:
         if count > _MAX_SUPPORTS:
             raise HoffmanSizeError(f"exact enumeration over the {m} rows of {name} would evaluate at "
                                    f"least {count} row supports, over its budget of {_MAX_SUPPORTS}")
-    with np.errstate(over="ignore"):
-        gram = A @ A.T
-    if not np.isfinite(gram).all():
-        raise ValueError(f"{name} @ {name}.T overflows; entries of {name} are too large")
+    gram = _refuse_overflow(lambda: A @ A.T,
+                            f"{name} @ {name}.T overflows; entries of {name} are too large")
     candidates = [np.sqrt(np.maximum(np.diag(gram), 0.0))]
     for size in range(2, min(m, np.linalg.matrix_rank(A) + extra) + 1):
         idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), size)),
@@ -262,23 +261,19 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
     _, _, free, A, sup = sys.private_rows
     n0, widths = _row_calibration(sys, p)
     if (free & (A + 2.0 * widths[n0][:, None] >= sup)).any():
-        with np.errstate(over="ignore"):
-            xi = float(np.linalg.norm(sys.A - sys.sup_A))
-        if not math.isfinite(xi):
-            raise ValueError("the norm of A - sup_A overflows; entries of A - sup_A are too large")
+        xi = _refuse_overflow(lambda: float(np.linalg.norm(sys.A - sys.sup_A)),
+                              "the norm of A - sup_A overflows; entries of A - sup_A are too large")
         return xi, XI_CLIPPED
     m = sys.shape[0]
     ratio = p.k / p.epsilon
     terms = np.zeros_like(widths)
+    overflows = "the interior xi overflows; k/epsilon and the support widths are too large"
     try:
         for c in np.flatnonzero(widths).tolist():  # a float's ** 2 may differ from numpy's x * x
             terms[c] = 2.0 * m * ratio * ratio * c + (c * float(widths[c])) ** 2
-        with np.errstate(over="ignore"):
-            xi = math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1])
     except OverflowError:  # raised by a float's ** 2
-        xi = math.inf
-    if not math.isfinite(xi):
-        raise ValueError("the interior xi overflows; k/epsilon and the support widths are too large")
+        raise ValueError(overflows) from None
+    xi = _refuse_overflow(lambda: math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1]), overflows)
     return xi, XI_INTERIOR
 
 

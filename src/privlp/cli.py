@@ -15,8 +15,6 @@ import secrets
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import simplex
 from .accuracy import cost_bound
 from .cmdp import load_grid_config
@@ -105,8 +103,7 @@ def cmd_solve(args) -> int:
         sol = simplex.solve_lp(lp.c, tightened)
         payload = _solution_payload(sol)
         if sol.is_optimal:
-            violation = float(np.max(lp.system.residuals(sol.x)))
-            payload["original_feasible"] = bool(violation <= FEAS_TOL)
+            payload["original_feasible"] = bool(lp.system.violation(sol.x) <= FEAS_TOL)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

@@ -153,7 +153,7 @@ def _sweep(lp: LinearProgram, config: ExperimentConfig, score) -> list[Experimen
         block = A_block[:cells - first]
         block[:, free] = private[first % per_pass:][:len(block)]
         solved = simplex.solve_block(lp.c, block, start)
-        worst = sys_.residuals(solved.x).max(axis=1)  # NaN where a solve failed
+        worst = sys_.violation(solved.x)  # NaN where a solve failed
         failed = solved.status != simplex.OPTIMAL
         bad = np.flatnonzero(failed | (worst > FEAS_TOL))
         if bad.size:  # the first cell, in order, that failed or violates a row

@@ -68,6 +68,15 @@ def _require_finite(arr: np.ndarray, name: str):
         raise ValueError(f"{name}[{']['.join(map(str, at))}] is {arr[at]}; entries must be finite")
 
 
+def _refuse_overflow(compute, message: str):
+    """``compute()`` with overflow warnings off, or ``ValueError(message)`` when it is not finite."""
+    with np.errstate(over="ignore"):
+        value = compute()
+    if not np.isfinite(value).all():
+        raise ValueError(message)
+    return value
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy budget (epsilon, delta) and adjacency bound k.
@@ -98,7 +107,7 @@ class PrivacyParams:
         return self.k / self.epsilon
 
 
-FEAS_TOL = 1e-9  # a point whose residuals are at most this is feasible: the rest is round-off
+FEAS_TOL = 1e-9  # a point whose violation is at most this is feasible: the rest is round-off
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,7 @@ class ConstraintSystem:
         construction of the mechanism (acceptance criterion 04), and so is a
         finite ``sup_A`` with ``A <= sup_A``. The copy holds no cached
         :attr:`private_rows`, whose ``A`` block would be the original's.
+        ``A_tilde`` may be a stack of such matrices, one per point of a stack.
         """
         system = object.__new__(ConstraintSystem)
         for name, value in (("A", A_tilde), ("b", self.b), ("zero_mask", self.zero_mask),
@@ -186,6 +196,10 @@ class ConstraintSystem:
         if self.equality is not None:
             np.abs(r, out=r, where=self.equality)
         return r
+
+    def violation(self, x: np.ndarray) -> np.ndarray:
+        """Each point's largest :meth:`residuals` entry: 0 when every row holds, NaN at a NaN point."""
+        return self.residuals(x).max(axis=-1, initial=0.0)
 
     def inequality_form(self) -> ConstraintSystem:
         """The same region as ``A x <= b`` alone: the paper's form, which the bound reads.
@@ -241,11 +255,8 @@ class LinearProgram:
 
         Raises ``ValueError`` when the norm overflows.
         """
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.c))
-        if not math.isfinite(norm):
-            raise ValueError("the norm of c overflows; entries of c are too large")
-        return norm
+        return _refuse_overflow(lambda: float(np.linalg.norm(self.c)),
+                                "the norm of c overflows; entries of c are too large")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import FEAS_TOL, ConstraintSystem
+from .problem import FEAS_TOL, ConstraintSystem, _refuse_overflow
 
 _MAX_PIVOTS = 200_000
 _STALL_LIMIT = 200
@@ -467,10 +467,7 @@ def _solve_stack(c, system: ConstraintSystem, A: np.ndarray, T: np.ndarray, basi
     some = slice(None) if done.all() else done  # copies part of the stack only when a solve failed
     A = A[some]
     X = _vertices(A, system.b, T[some, :, -1], basis[some])
-    residual = (A @ X[:, :, None])[:, :, 0] - system.b
-    if system.equality is not None:
-        np.abs(residual, out=residual, where=system.equality)
-    worst = residual.max(axis=1, initial=0.0)
+    worst = system.tightened(A).violation(X)
     if (worst > FEAS_TOL).any():
         raise RuntimeError("simplex returned an infeasible point "
                            f"(violation {worst[worst > FEAS_TOL][0]:.3e})")
@@ -484,7 +481,7 @@ def solve_lp(c, sys: ConstraintSystem) -> Solution:
 
     A block of one from the slack basis, as a :class:`Solution` with its
     active set. When optimal, its point re-verifies against the constraints
-    at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.residuals`).
+    at tolerance ``FEAS_TOL`` (:meth:`ConstraintSystem.violation`).
     """
     solved = _slack_solved(c, sys)
     status, (phase1, phase2) = solved.status[0], solved.pivots[0].tolist()
@@ -635,10 +632,7 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return None
     bases, X = walked
     X = X[np.lexsort(bases.T[::-1])]  # the scan's order: by S[0], then S[1], ...
-    with np.errstate(over="ignore"):
-        keys = np.round(X, 9) + 0.0
-    if not np.isfinite(keys).all():
-        raise ValueError(_VERTEX_OVERFLOW)
+    keys = _refuse_overflow(lambda: np.round(X, 9) + 0.0, _VERTEX_OVERFLOW)
     return X[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
 
 
@@ -660,10 +654,8 @@ def max_norm_point(sys: ConstraintSystem):
         return UNBOUNDED
     if vertices.shape[0] == 0:
         raise ValueError("region is empty; max_norm_point requires a feasible system")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vertices, axis=1)
-    if not np.isfinite(norms).all():
-        raise ValueError("the norm of a vertex overflows; the region's vertices are too large")
+    norms = _refuse_overflow(lambda: np.linalg.norm(vertices, axis=1),
+                             "the norm of a vertex overflows; the region's vertices are too large")
     best = norms.max()
     candidates = vertices[norms >= best - FEAS_TOL]
     order = np.lexsort(candidates.T[::-1])  # lexicographic by x_0, then x_1, ...

@@ -65,6 +65,26 @@ def trunc_laplace_cdf_hp(x: float, sigma: float, s: float) -> float:
         return float(head / (2 * (1 - tail)))
 
 
+def row_hockey_stick_delta(shifts, sigma: float, s: float) -> float:
+    """Exact hockey-stick delta(epsilon) of one row's unclipped output between ``A`` and ``A + t``.
+
+    Entry ``j`` of the output is ``a_j + s + z_j`` with ``z_j`` i.i.d. truncated
+    Laplace on [-s, s] and ``sigma = k / epsilon``. For shifts ``t`` with
+    ``sum |t_j| <= k`` the two densities' ratio is at most
+    ``exp(sum |t_j| / sigma) <= e^epsilon`` wherever both are positive, so
+    delta(epsilon) is the first output's mass outside the second output's
+    support: ``1 - prod_j (1 - F(|t_j| - s))``, with ``F`` the truncated
+    Laplace CDF at 50 digits. Clipping at ``sup_A`` is post-processing and
+    cannot raise it. The calibrated ``s`` exceeds ``k``, so ``|t_j| - s``
+    lies in [-s, 0).
+    """
+    with mp.workdps(50):
+        inside = mp.mpf(1)
+        for t in shifts:
+            inside *= 1 - mp.mpf(trunc_laplace_cdf_hp(abs(mp.mpf(t)) - mp.mpf(s), sigma, s))
+        return float(1 - inside)
+
+
 # ---------------------------------------------------------------------------
 # polyhedron oracles
 

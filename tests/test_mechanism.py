@@ -21,8 +21,8 @@ from privlp.problem import LinearProgram, load_problem
 from privlp.seeds import derive_seed, row_stream, row_uniforms
 from privlp.simplex import solve_lp
 
-from oracles import (support_width_hp, trunc_laplace_cdf, trunc_laplace_cdf_hp,
-                     trunc_laplace_moment)
+from oracles import (row_hockey_stick_delta, support_width_hp, trunc_laplace_cdf,
+                     trunc_laplace_cdf_hp, trunc_laplace_moment)
 
 PP = PrivacyParams(epsilon=1.0, delta=0.05, k=1.0)
 
@@ -82,6 +82,25 @@ def test_support_width_rejects_zero_count():
 def test_boundary_delta_rejected():
     with pytest.raises(ValueError):
         support_width(1.0, math.log(2.0), 0.5, 1)
+
+
+@pytest.mark.parametrize("n0", [1, 6, 100])
+@pytest.mark.parametrize("delta", [1e-6, 0.05, 0.49])
+@pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0, 50.0, 800.0])  # 800: the epsilon > 700 form
+def test_exact_privacy_audit_of_a_row(epsilon, delta, n0):
+    # delta(epsilon) between adjacent rows, exactly: one coefficient moved by k
+    # gives delta / (2 n0), and no l1 move of total k gives more, so the
+    # calibration holds with a slack of 2 n0
+    p = PrivacyParams(epsilon=epsilon, delta=delta, k=0.25)
+    s = support_width(p.k, p.epsilon, p.delta, n0)
+    attained = delta / (2 * n0)
+    assert row_hockey_stick_delta([p.k], p.sigma, s) == pytest.approx(attained, rel=1e-11)
+    rng = np.random.default_rng(n0)
+    for _ in range(4):
+        t = rng.exponential(size=n0) * rng.choice([-1.0, 0.0, 1.0], size=n0)
+        t[rng.integers(n0)] = 1.0  # at least one coefficient moves
+        t *= p.k / np.abs(t).sum()
+        assert row_hockey_stick_delta(t, p.sigma, s) <= attained * (1 + 1e-11)
 
 
 # --- sampler ---------------------------------------------------------------

@@ -466,11 +466,32 @@ def test_residuals_of_a_stack_are_each_points_residuals_bitwise(rng):
     system = _public(A, rng.normal(size=6), [True, False, False, True, False, True])
     X = rng.normal(size=(5, 9))
     R = system.residuals(X)
-    assert R.shape == (5, 6)
-    for x, r in zip(X, R):
+    assert R.shape == (5, 6) and system.violation(X).shape == (5,)
+    for x, r, worst in zip(X, R, system.violation(X)):
         assert r.tobytes() == system.residuals(x).tobytes()
         one = A @ x - system.b  # the one-point formula
         assert r.tobytes() == np.where(system.equality, np.abs(one), one).tobytes()
+        assert worst == system.violation(x) == max(r.max(), 0.0)
+
+
+def test_violation_of_a_stack_reads_each_point_against_its_own_matrix(rng):
+    A = rng.normal(size=(4, 3, 2))
+    A[:, 1] = A[0, 1]  # the equality row is public: the same in every matrix of the stack
+    system = _public(A[0], [1.0, -0.5, 2.0], [False, True, False])
+    X = rng.normal(size=(4, 2))
+    worst = system.tightened(A).violation(X)
+    for a, x, w in zip(A, X, worst):
+        assert w == system.tightened(a).violation(x)
+        one = a @ x - system.b  # the equality row reads as |r|
+        assert w == max(one[0], abs(one[1]), one[2], 0.0)
+
+
+def test_violation_is_zero_where_every_row_holds_and_nan_at_a_nan_point():
+    system = _public([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [False, True])
+    assert system.violation(np.array([0.25, 0.25])) == 0.0  # row 0 holds strictly, row 1 exactly
+    assert system.violation(np.array([0.25, 0.5])) == 0.25  # the equality row below its b, read as |r|
+    assert np.isnan(system.violation(np.array([np.nan, 0.0])))
+    assert np.isnan(system.violation(np.array([[0.0, 0.0], [0.0, np.nan]]))).tolist() == [False, True]
 
 
 def test_validate_reads_equality_rows_as_equalities():
