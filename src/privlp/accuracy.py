@@ -264,17 +264,10 @@ def xi_term(sys: ConstraintSystem, p: PrivacyParams) -> tuple[float, str]:
         xi = _refuse_overflow(lambda: float(np.linalg.norm(sys.A - sys.sup_A)),
                               "the norm of A - sup_A overflows; entries of A - sup_A are too large")
         return xi, XI_CLIPPED
-    m = sys.shape[0]
-    ratio = p.k / p.epsilon
-    terms = np.zeros_like(widths)
-    overflows = "the interior xi overflows; k/epsilon and the support widths are too large"
-    try:
-        for c in np.flatnonzero(widths).tolist():  # a float's ** 2 may differ from numpy's x * x
-            terms[c] = 2.0 * m * ratio * ratio * c + (c * float(widths[c])) ** 2
-    except OverflowError:  # raised by a float's ** 2
-        raise ValueError(overflows) from None
-    xi = _refuse_overflow(lambda: math.sqrt(np.cumsum(np.append(0.0, terms[n0]))[-1]), overflows)
-    return xi, XI_INTERIOR
+    # cumsum adds the rows in order where .sum() would pair them; 0.0 leads for a system with no free entry
+    return _refuse_overflow(lambda: math.sqrt(np.cumsum(np.append(
+        0.0, 2.0 * sys.shape[0] * p.sigma * p.sigma * n0 + (n0 * widths[n0]) ** 2))[-1]),
+        "the interior xi overflows; k/epsilon and the support widths are too large"), XI_INTERIOR
 
 
 class BoundGeometry(NamedTuple):

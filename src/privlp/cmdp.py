@@ -11,6 +11,7 @@ are never privatized.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,12 @@ class GridConfig:
         for r, c in cells:
             if not (0 <= r < self.height and 0 <= c < self.width):
                 raise ValueError(f"cell ({r}, {c}) lies outside the {self.height}x{self.width} grid")
-        if self.goal in {cell for cell, _ in self.hazards}:
+        listed = Counter(cell for cell, _ in self.hazards)
+        if self.goal in listed:
             raise ValueError("the goal cell cannot be hazardous")
+        for (r, c), count in listed.items():
+            if count > 1:
+                raise ValueError(f"hazard cell ({r}, {c}) is listed {count} times")
         if not (0 <= self.slip < 1):
             raise ValueError(f"slip must lie in [0, 1), got {self.slip}")
         if not (0 < self.gamma < 1):
@@ -184,12 +189,9 @@ def build_gridworld(cfg: GridConfig) -> Cmdp:
     rewards[goal, :] = cfg.goal_reward
     mu = np.zeros(p)
     mu[cfg.cell_index(cfg.start)] = 1.0
+    hazard_states = [cfg.cell_index(cell) for cell, _ in cfg.hazards]  # GridConfig refuses repeats
     beta = np.zeros(p)
-    hazard_states = set()
-    for cell, weight in cfg.hazards:
-        idx = cfg.cell_index(cell)
-        beta[idx] = weight
-        hazard_states.add(idx)
+    beta[hazard_states] = [weight for _, weight in cfg.hazards]
     return Cmdp(rewards=rewards, transitions=T, gamma=cfg.gamma, mu=mu,
                 hazard_states=frozenset(hazard_states), beta=beta, f0=cfg.f0,
                 hazard_sup=cfg.sup_a)

@@ -258,12 +258,8 @@ def _priced_objective(costs: np.ndarray, basis: np.ndarray, T: np.ndarray) -> np
 
     ``T`` and ``basis`` may be stacks; each tableau gets the bits it gets alone.
     """
-    obj = np.zeros(T.shape[:-2] + T.shape[-1:])
-    obj[..., :-1] = -costs
-    basic_costs = costs[basis]
-    for i in np.flatnonzero(basic_costs.reshape(-1, basis.shape[-1]).any(axis=0)).tolist():
-        cost = basic_costs[..., i, None]
-        np.add(obj, cost * T[..., i, :], out=obj, where=cost != 0)
+    obj = np.matmul(costs[basis][..., None, :], T)[..., 0, :]
+    obj[..., :-1] -= costs
     return obj
 
 

@@ -635,6 +635,15 @@ def test_bound_zero_for_constant_objective():
     assert report.bound == 0.0
 
 
+def test_a_system_with_no_free_entry_has_xi_and_bound_zero():
+    # every entry public: the interior xi sums no row, so it is the sum's leading 0.0
+    sys_ = ConstraintSystem(A=np.eye(2), b=[1.0, 1.0], zero_mask=np.ones((2, 2), dtype=bool),
+                            sup_A=np.eye(2))
+    assert xi_term(sys_, PP) == (0.0, XI_INTERIOR)
+    report = cost_bound(LinearProgram(c=[1.0, 1.0], system=sys_), PP)
+    assert report.L > 0.0 and report.bound == 0.0
+
+
 def test_bound_unit_box_composition():
     report = cost_bound(_box_lp([1.0, 1.0]), PP)
     assert report.L == pytest.approx(math.sqrt(2.0))

@@ -178,6 +178,16 @@ def test_bound_clipped_zero_when_matrix_at_supremum(tmp_path, capsys):
     assert payload["bound"] == 0.0
 
 
+def test_bound_of_a_system_with_no_free_entry_is_zero(tmp_path, capsys):
+    doc = dict(BASIC, sup_A=BASIC["A"], zero_mask=[[True, True], [True, True]])
+    path = tmp_path / "public.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"xi": 0.0' in out and '"bound": 0.0' in out
+    assert json.loads(out)["xi_case"] == "interior"
+
+
 def test_bound_names_a_gram_overflow(tmp_path, capsys):
     # entries above about 1.3e154 overflow A @ A.T; the Hoffman constant must
     # not be computed from the overflowed Gram matrix
@@ -334,6 +344,17 @@ def test_sweep_bad_grid_config_names_the_field(tmp_path, capsys, field, doc):
     assert main(["sweep", "--grid-config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:")
+
+
+def test_sweep_refuses_a_hazard_cell_listed_twice(tmp_path, capsys):
+    # the second beta used to replace the first without a word
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(dict(GRID, hazards=[{"cell": [1, 1], "beta": 1.0},
+                                                   {"cell": [1, 1], "beta": 2.0}])))
+    assert main(["sweep", "--grid-config", str(path), "--eps-grid", "1", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: hazard cell (1, 1) is listed 2 times\n"
+    assert captured.out == ""
 
 
 def _hazard_beta(value):

@@ -104,8 +104,11 @@ _TWO_STATES = {"rewards": [[1.0], [0.0]], "transitions": [[[0.5, 0.5]], [[0.0, 1
      "hazard_states must be valid state indices"),
     (lambda: GridConfig(width=0, height=2, start=(0, 0), goal=(1, 1), hazards=()), ValueError,
      "grid dimensions must be positive"),
+    (lambda: GridConfig(width=2, height=2, start=(0, 0), goal=(1, 1),
+                        hazards=(((0, 1), 1.0), ((1, 0), 1.0), ((0, 1), 2.0))), ValueError,
+     "hazard cell (0, 1) is listed 2 times"),
 ], ids=["transition_shape", "beta_length", "gamma", "transition_rows", "mu", "beta_sign",
-        "hazard_index", "grid_size"])
+        "hazard_index", "grid_size", "hazard_twice"])
 def test_named_refusals(build, error, message):
     with pytest.raises(error) as raised:
         build()

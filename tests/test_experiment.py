@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from privlp import (FeasibilityAssumptionError, GridConfig, PrivacyParams, default_grid,
-                    support_width)
+from privlp import (ConstraintSystem, FeasibilityAssumptionError, GridConfig, LinearProgram,
+                    PrivacyParams, default_grid, support_width)
 from privlp.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -68,7 +69,6 @@ def test_config_rejects_non_integer_counts_before_any_work(field, value):
 
 
 def test_config_takes_numpy_integers_as_ints():
-    import numpy as np
     config = ExperimentConfig(eps_grid=(1.0,), trials=np.int64(3), base_seed=np.uint8(7))
     assert (config.trials, config.base_seed) == (3, 7)
     assert type(config.trials) is int and type(config.base_seed) is int
@@ -208,6 +208,13 @@ def test_lp_sweep_of_a_tall_few_column_lp_records_the_finite_bound(rng):
         assert r.mean_abs_objective_gap <= r.predicted_bound
 
 
+def test_lp_sweep_of_a_system_with_no_free_entry_records_zero_cost_and_bound():
+    system = ConstraintSystem(A=np.eye(2), b=[1.0, 1.0], zero_mask=np.ones((2, 2), dtype=bool),
+                              sup_A=np.eye(2))
+    records = sweep_linear_program(LinearProgram(c=[1.0, 1.0], system=system), _grid_config())
+    assert [(r.mean_cost_of_privacy_percent, r.predicted_bound) for r in records] == [(0.0, 0.0)] * 2
+
+
 # A hazard on the start cell whose public bound alone exceeds the budget: the
 # true budget admits policies, the worst case over the bound set does not.
 HAZARDOUS_START = GridConfig(width=5, height=5, start=(2, 0), goal=(2, 4),
@@ -293,7 +300,6 @@ def _plant(monkeypatch, faults):
     original constraints) or ``"fail"`` (an infeasible status). Returns the
     planted points, by cell.
     """
-    import numpy as np
     from privlp import simplex
     planted, done = {}, [0]
     solve_block = simplex.solve_block
@@ -328,7 +334,6 @@ def _lp12x6():
     ({8: "fail"}, 8),                    # the first trial of a block: no point to re-check
 ])
 def test_planted_faulty_trial_aborts_with_the_trial_by_trial_message(monkeypatch, faults, first):
-    import numpy as np
     from privlp import experiment
     from privlp.experiment import SweepAbort
     from privlp.seeds import derive_seed
@@ -353,7 +358,6 @@ def test_planted_fault_in_a_block_that_spans_epsilons_names_its_cell(monkeypatch
     # 3 epsilons x 13 trials: the first block of 32 cells holds all of
     # epsilon 0.5, all of epsilon 1 and trials 0-5 of epsilon 2; cell 20 is
     # trial 7 of epsilon 1, and the later fault at cell 28 is not reported
-    import numpy as np
     from privlp import experiment
     from privlp.experiment import SweepAbort
     from privlp.seeds import derive_seed
@@ -520,7 +524,6 @@ def test_the_geometry_runs_on_the_callers_thread_under_the_callers_errstate(monk
     # np.errstate is a context variable: the geometry must see the caller's
     # setting, on the caller's own thread
     import threading
-    import numpy as np
     from privlp import experiment
     from privlp.accuracy import bound_geometry
     seen = []

@@ -895,6 +895,39 @@ def test_block_solves_match_single_solves_on_the_grid():
         assert set(solved.start_path.tolist()) == {"updated"}
 
 
+def test_a_stack_whose_basic_costs_are_zero_prices_to_minus_the_costs(rng):
+    from privlp.simplex import _priced_objective
+    costs = np.concatenate([rng.normal(size=5), np.zeros(4)])
+    T = rng.normal(size=(3, 4, costs.size + 1))
+    obj = _priced_objective(costs, np.tile(np.arange(5, 9), (3, 1)), T)
+    assert obj.shape == (3, costs.size + 1)
+    assert (obj[:, :-1] == -costs).all() and (obj[:, -1] == 0.0).all()
+
+
+def test_pricing_a_stack_gives_each_tableau_the_bits_it_gets_alone(rng, monkeypatch):
+    # the grid pin's stacks at one epsilon, and a random stack whose costs are partly zero
+    from privlp import build_gridworld, default_grid, occupancy_lp, simplex
+    priced, stacks = simplex._priced_objective, []
+
+    def recording(costs, basis, T):
+        if T.ndim == 3:
+            stacks.append((costs, basis.copy(), T.copy()))
+        return priced(costs, basis, T)
+
+    monkeypatch.setattr(simplex, "_priced_objective", recording)
+    lp = occupancy_lp(build_gridworld(default_grid()))
+    start = WarmStart(lp.system, solve_lp(lp.c, lp.system).basic_columns)
+    solve_block(lp.c, _privatized_block(lp, 1.0, 0.25, range(25)), start)
+    assert stacks
+    costs = np.where(rng.random(12) < 0.3, 0.0, rng.normal(size=12))
+    stacks.append((costs, np.array([rng.permutation(12)[:6] for _ in range(5)]),
+                   rng.normal(size=(5, 6, 13))))
+    for costs, basis, T in stacks:
+        obj = priced(costs, basis, T)
+        for t in range(len(T)):
+            assert obj[t].tobytes() == priced(costs, basis[t], T[t]).tobytes()
+
+
 def test_entry_appends_an_artificial_per_negative_row_in_row_order():
     # system 0 flips rows 1 and 3, system 1 row 2 and a zero column pads it
     from privlp.simplex import _entered
